@@ -36,10 +36,17 @@
 // draining, GET /healthz reports 503 "draining" so load balancers stop
 // routing to the instance.
 //
+// Every finished sweep is recorded in <cache-dir>/sweeps.jsonl. The
+// server keeps the last few hundred finished sweeps in memory and serves
+// older ones — and those of earlier server processes, whose IDs it
+// continues — from that journal.
+//
 // -smoke runs the self-contained CI smoke: boot a server on a loopback
 // port with a temporary cache, POST a quick sweep, assert the streamed
 // NDJSON, restart the server on the same cache, and assert the re-POSTed
-// sweep replays every cell byte-identically without simulating.
+// sweep replays every cell byte-identically without simulating, gets a
+// fresh ID, and that the first server's sweep is still served
+// byte-identically.
 package main
 
 import (
@@ -103,7 +110,15 @@ func main() {
 			store.Skipped, farm.StorePath(*cacheDir))
 	}
 	reg := telemetry.NewRegistry()
-	f := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: *cacheDir, Metrics: reg})
+	f, err := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: *cacheDir, Metrics: reg})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "prodigy-serve:", err)
+		os.Exit(1)
+	}
+	if n := f.JournalSkipped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "prodigy-serve: skipped %d unparsable sweep journal lines in %s\n",
+			n, farm.JournalPath(*cacheDir))
+	}
 
 	var logger *slog.Logger
 	if *accessLog {
@@ -141,6 +156,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "prodigy-serve: http shutdown:", err)
 	}
 	httpCancel()
+	if err := f.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "prodigy-serve: closing sweep journal:", err)
+	}
 	if err := store.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "prodigy-serve: closing cache:", err)
 	}
@@ -164,11 +182,13 @@ func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
 		return nil, err
 	}
 	reg := telemetry.NewRegistry()
-	f := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: cacheDir, Metrics: reg})
+	f, err := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: cacheDir, Metrics: reg})
+	if err != nil {
+		return nil, errors.Join(err, store.Close())
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		cerr := store.Close()
-		return nil, errors.Join(err, cerr)
+		return nil, errors.Join(err, f.Close(), store.Close())
 	}
 	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
 	srv := &http.Server{Handler: newHandler(f, serverOpts{reg: reg, accessLog: logger})}
@@ -180,7 +200,7 @@ func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
 		ferr := f.Shutdown(ctx)
 		serr := srv.Shutdown(ctx)
 		<-done // Serve returned (ErrServerClosed)
-		cerr := store.Close()
+		cerr := errors.Join(f.Close(), store.Close())
 		if ferr != nil {
 			return ferr
 		}

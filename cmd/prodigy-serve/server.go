@@ -18,7 +18,7 @@ import (
 // (docs/SERVING.md):
 //
 //	POST   /sweeps            submit a sweep; streams its NDJSON unless ?detach=1
-//	GET    /sweeps            list sweep statuses
+//	GET    /sweeps            list the retained sweeps' statuses
 //	GET    /sweeps/{id}       one sweep's status + live progress (ETA)
 //	GET    /sweeps/{id}/stream attach to a sweep's NDJSON (replay + live tail)
 //	DELETE /sweeps/{id}       cancel a sweep's in-flight and queued cells

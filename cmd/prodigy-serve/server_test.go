@@ -13,6 +13,7 @@ import (
 
 	"prodigy/internal/exp"
 	"prodigy/internal/exp/farm"
+	"prodigy/internal/obs"
 	"prodigy/internal/telemetry"
 )
 
@@ -45,7 +46,7 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	}
 	base, stop := inst.url, inst.stop
 
-	lines1, cached1, err := postSweepLines(base)
+	lines1, cached1, _, err := postSweepLines(base)
 	if err != nil {
 		mustStop(t, stop)
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	}
 
 	// Duplicate POST on the same server: full cache replay.
-	lines2, cached2, err := postSweepLines(base)
+	lines2, cached2, _, err := postSweepLines(base)
 	if err != nil {
 		mustStop(t, stop)
 		t.Fatal(err)
@@ -108,13 +109,23 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines3, cached3, err := postSweepLines(inst2.url)
+	lines3, cached3, id3, err := postSweepLines(inst2.url)
+	var old diffResponse
+	oldErr := getJSON(inst2.url+"/diff?base=s001&new="+id3, &old)
 	mustStop(t, inst2.stop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached3 != 2 {
 		t.Fatalf("rebooted server cached %d/2 cells", cached3)
+	}
+	// IDs continue across the restart, and the first server's sweeps stay
+	// readable: /diff rebuilds s001 from the journal.
+	if id3 != "s003" {
+		t.Fatalf("rebooted server's first sweep is %q, want s003", id3)
+	}
+	if oldErr != nil || old.Matched != 2 {
+		t.Fatalf("diff against the first server's sweep = %+v, %v", old, oldErr)
 	}
 	sort.Strings(lines1)
 	sort.Strings(lines3)
@@ -130,7 +141,19 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 // cell accounted for (completed cells cached, the rest canceled).
 func TestServerDetachStreamDelete(t *testing.T) {
 	dir := t.TempDir()
-	inst, err := serveOnLoopback(dir, testCfg())
+	// Hold every cell until the DELETE has been answered, so the sweep is
+	// still running when it is canceled (canceling a finished sweep is a
+	// no-op); the timeout only unblocks a test that failed before that.
+	deleted := make(chan struct{})
+	cfg := testCfg()
+	cfg.Obs = func(string) (*obs.Recorder, func() error, error) {
+		select {
+		case <-deleted:
+		case <-time.After(30 * time.Second):
+		}
+		return nil, nil, nil
+	}
+	inst, err := serveOnLoopback(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +190,7 @@ func TestServerDetachStreamDelete(t *testing.T) {
 	if dresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE = %s", dresp.Status)
 	}
+	close(deleted)
 
 	// Attaching drains to end-of-stream once the (canceled) sweep
 	// finishes; attached clients never block forever.
@@ -339,7 +363,7 @@ func TestServerMetricsEndpoints(t *testing.T) {
 	base := inst.url
 	defer mustStop(t, inst.stop)
 
-	lines, cached, err := postSweepLines(base)
+	lines, cached, _, err := postSweepLines(base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,20 @@ import (
 // a couple of seconds.
 const smokeSpec = `{"algos":["bfs"],"datasets":["po"],"schemes":["none","prodigy"]}`
 
-// postSweep submits a sweep and collects the streamed NDJSON lines plus
-// the sweep headers.
-func postSweepLines(baseURL string) (lines []string, cached int, err error) {
+// postSweepLines submits a sweep and collects the streamed NDJSON lines
+// plus the sweep headers.
+func postSweepLines(baseURL string) (lines []string, cached int, id string, err error) {
 	resp, err := http.Post(baseURL+"/sweeps", "application/json", strings.NewReader(smokeSpec))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, "", err
 	}
 	defer func() { _ = resp.Body.Close() }() // body fully consumed below
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return nil, 0, fmt.Errorf("POST /sweeps: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return nil, 0, "", fmt.Errorf("POST /sweeps: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 	if _, err := fmt.Sscan(resp.Header.Get("X-Sweep-Cached"), &cached); err != nil {
-		return nil, 0, fmt.Errorf("bad X-Sweep-Cached header %q", resp.Header.Get("X-Sweep-Cached"))
+		return nil, 0, "", fmt.Errorf("bad X-Sweep-Cached header %q", resp.Header.Get("X-Sweep-Cached"))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -44,7 +44,7 @@ func postSweepLines(baseURL string) (lines []string, cached int, err error) {
 			lines = append(lines, line)
 		}
 	}
-	return lines, cached, sc.Err()
+	return lines, cached, resp.Header.Get("X-Sweep-Id"), sc.Err()
 }
 
 // postDetached submits the smoke sweep with ?detach=1 and returns its
@@ -136,9 +136,11 @@ func checkCacheCounters(baseURL string, cells, cachedHdr int) error {
 // runSmoke is the self-contained `make serve-smoke` body: two server
 // generations over one temporary cache directory prove that a sweep
 // streams well-formed NDJSON, persists its cells, replays them
-// byte-identically after a full restart without re-simulating, and that
-// the service telemetry (/metrics) agrees with the sweep headers —
-// scraped both mid-sweep and after completion.
+// byte-identically after a full restart without re-simulating, that the
+// restarted server continues sweep IDs and still serves the first
+// server's sweep byte-identically from the journal, and that the service
+// telemetry (/metrics) agrees with the sweep headers — scraped both
+// mid-sweep and after completion.
 func runSmoke(stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "serve-smoke: FAIL: "+format+"\n", args...)
@@ -199,11 +201,12 @@ func runSmoke(stdout, stderr io.Writer) int {
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Collect the finished stream (full replay of the sweep's history).
-	first, err := fetchLines(inst1.url + "/sweeps/" + st.ID + "/stream")
+	firstBody, err := fetchBody(inst1.url + "/sweeps/" + st.ID + "/stream")
 	if err != nil {
 		_ = inst1.stop()
 		return fail("first sweep stream: %v", err)
 	}
+	first := nonEmptyLines(firstBody)
 	if err := checkCacheCounters(inst1.url, st.Cells, cached); err != nil {
 		_ = inst1.stop()
 		return fail("first sweep: %v", err)
@@ -235,7 +238,7 @@ func runSmoke(stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("reboot: %v", err)
 	}
-	second, cached2, err := postSweepLines(inst2.url)
+	second, cached2, id2, err := postSweepLines(inst2.url)
 	if err != nil {
 		_ = inst2.stop()
 		return fail("replay sweep: %v", err)
@@ -243,6 +246,21 @@ func runSmoke(stdout, stderr io.Writer) int {
 	if cached2 != 2 {
 		_ = inst2.stop()
 		return fail("restarted server cached %d/2 cells", cached2)
+	}
+	if id2 == "" || id2 == st.ID {
+		_ = inst2.stop()
+		return fail("restarted server's sweep got ID %q, want a fresh one after %s", id2, st.ID)
+	}
+	// The first server's sweep is served from the journal, byte for byte.
+	oldBody, err := fetchBody(inst2.url + "/sweeps/" + st.ID + "/stream")
+	if err != nil {
+		_ = inst2.stop()
+		return fail("first server's sweep after restart: %v", err)
+	}
+	if oldBody != firstBody {
+		_ = inst2.stop()
+		return fail("first server's sweep %s not byte-identical after restart:\n  before: %q\n  after:  %q",
+			st.ID, firstBody, oldBody)
 	}
 	if err := checkCacheCounters(inst2.url, 2, cached2); err != nil {
 		_ = inst2.stop()
@@ -265,23 +283,21 @@ func runSmoke(stdout, stderr io.Writer) int {
 			return fail("replay not byte-identical:\n  first:  %s\n  replay: %s", a[i], b[i])
 		}
 	}
-	fmt.Fprintln(stdout, "serve-smoke: ok (2 cells simulated once, cached replay byte-identical across restart, /metrics consistent with X-Sweep-Cached)")
+	fmt.Fprintf(stdout, "serve-smoke: ok (2 cells simulated once, cached replay byte-identical across restart, "+
+		"%s served byte-identically from the journal, restart continued with %s, /metrics consistent with X-Sweep-Cached)\n",
+		st.ID, id2)
 	return 0
 }
 
-// fetchLines GETs an NDJSON stream and returns its non-empty lines.
-func fetchLines(url string) ([]string, error) {
-	body, err := fetchBody(url)
-	if err != nil {
-		return nil, err
-	}
+// nonEmptyLines splits an NDJSON body into its non-empty lines.
+func nonEmptyLines(body string) []string {
 	var lines []string
 	for _, line := range strings.Split(body, "\n") {
 		if line = strings.TrimSpace(line); line != "" {
 			lines = append(lines, line)
 		}
 	}
-	return lines, nil
+	return lines
 }
 
 // metricsRequestCount reads http_requests_total for the sweep-submit

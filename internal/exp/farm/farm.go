@@ -4,7 +4,11 @@
 // bounded worker pool, deduplicates work through a durable
 // config-hash-keyed result cache (Store), and streams every cell's
 // RunSummary line — cached replays first, then live completions — to any
-// number of concurrent subscribers through an obs.LineLog.
+// number of concurrent subscribers through an obs.LineLog. A sweep whose
+// every cell is cached finishes inline, without a harness or goroutine.
+// Each finished sweep is recorded in one append-only journal (journal.go);
+// the farm keeps the last RetainedSweeps of them in memory and rebuilds
+// older ones from the journal and the store on demand.
 //
 // Sweeps are interruptible and resumable: Cancel (or a server drain)
 // aborts in-flight simulations through exp.Config.Interrupt with a
@@ -20,8 +24,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"log/slog"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +48,9 @@ type Config struct {
 	// Store, when non-nil, is the durable result cache consulted before
 	// and fed after every simulation.
 	Store *Store
-	// LogDir, when non-empty, receives one <id>.jsonl per sweep holding
-	// exactly the NDJSON the sweep streamed (obs.SweepLogPath routing).
+	// LogDir, when non-empty, holds the sweep journal (JournalPath): one
+	// record per finished sweep, from which sweeps evicted from memory
+	// and sweeps of earlier processes are served.
 	LogDir string
 	// Metrics, when non-nil, receives the farm's service telemetry
 	// (cells, cache hit rate, queue depth, per-cell wall-clock, stream
@@ -53,18 +59,35 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
+// RetainedSweeps is how many finished sweeps a farm keeps in memory.
+// Older ones are evicted and served from the journal instead, which
+// clients cannot tell apart; running sweeps are never evicted.
+const RetainedSweeps = 256
+
 // ErrShutdown rejects work submitted after Shutdown began.
 var ErrShutdown = errors.New("farm: shutting down")
 
 // Farm owns the sweep registry and the shared result cache.
 type Farm struct {
 	cfg Config
+	// journal records every finished sweep; nil without Config.LogDir.
+	journal *journal
 
-	mu     sync.Mutex
-	sweeps map[string]*Sweep
-	order  []string
-	nextID int
-	closed bool
+	// keys memoizes cell store keys. A Spec carries no machine knobs, so
+	// within one farm a key depends only on the cell: each is derived
+	// once, from keyer.
+	keyMu sync.Mutex
+	keyer *exp.Harness
+	keys  map[exp.Cell]string
+
+	mu sync.Mutex
+	// sweeps holds the retained sweeps: every running one plus the last
+	// RetainedSweeps finished ones, which finished lists in finish order
+	// (eviction goes oldest first).
+	sweeps   map[string]*Sweep
+	finished []string
+	nextID   int
+	closed   bool
 
 	// draining flips when Shutdown's deadline expires: every in-flight
 	// simulation is then interrupted with exp.AbortShutdown.
@@ -74,12 +97,45 @@ type Farm struct {
 	met farmMetrics
 }
 
-// New builds a farm.
-func New(cfg Config) *Farm {
+// New builds a farm. With Config.LogDir set it opens the sweep journal
+// there and continues sweep IDs after the highest one it holds.
+func New(cfg Config) (*Farm, error) {
+	f := &Farm{
+		cfg:    cfg,
+		keyer:  exp.New(cfg.Exp),
+		keys:   map[exp.Cell]string{},
+		sweeps: map[string]*Sweep{},
+		met:    newFarmMetrics(cfg.Metrics),
+	}
+	if cfg.LogDir != "" {
+		j, last, err := openJournal(JournalPath(cfg.LogDir))
+		if err != nil {
+			return nil, err
+		}
+		f.journal, f.nextID = j, last
+	}
 	if cfg.Store != nil {
 		cfg.Store.Instrument(cfg.Metrics)
 	}
-	return &Farm{cfg: cfg, sweeps: map[string]*Sweep{}, met: newFarmMetrics(cfg.Metrics)}
+	return f, nil
+}
+
+// JournalSkipped counts the unparsable journal lines (a torn tail from a
+// crash mid-append, foreign junk) New ignored.
+func (f *Farm) JournalSkipped() int {
+	if f.journal == nil {
+		return 0
+	}
+	return f.journal.skipped
+}
+
+// Close releases the sweep journal. Call it after Shutdown, once nothing
+// reads sweeps any more: evicted sweeps are unreadable afterwards.
+func (f *Farm) Close() error {
+	if f.journal == nil {
+		return nil
+	}
+	return f.journal.close()
 }
 
 // ShuttingDown reports whether Shutdown has begun: the farm rejects new
@@ -201,13 +257,12 @@ type Sweep struct {
 	// every client observes byte-identical streams.
 	Log *obs.LineLog
 
-	farm  *Farm
-	spec  Spec
-	cells []exp.Cell
-	keys  []string
-	torun []exp.Cell
+	farm   *Farm
+	spec   Spec
+	ncells int
 	// keyByCell routes a completed summary line (identified by its
-	// "label|scheme" cell coordinates) back to its store key.
+	// "label|scheme" cell coordinates) back to its store key. It and the
+	// harness exist only while a sweep simulates.
 	keyByCell map[string]string
 	h         *exp.Harness
 
@@ -220,16 +275,19 @@ type Sweep struct {
 	aborted   int
 	inflight  int
 	queued    int
-	// started/finished bound the sweep's wall-clock window (service
-	// telemetry only; simulated results never read them).
-	started  time.Time
-	finished time.Time
-	err      error
-	file     *os.File
+	// started is the submission wall clock (service telemetry only;
+	// simulated results never read it).
+	started time.Time
+	err     error
+	// stream is the journal form of Log so far, one entry per line.
+	stream []journalLine
+	// final is the status frozen when the sweep finished.
+	final *Status
 }
 
 // Start validates spec, registers a new sweep, and launches it. Cached
-// cells are replayed onto the sweep's Log before any simulation starts.
+// cells are replayed onto the sweep's Log before any simulation starts;
+// a sweep whose every cell is cached finishes before Start returns.
 func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	// Resolve the default dataset list exactly like the harness will.
 	defaults := f.cfg.Exp.Datasets
@@ -240,33 +298,40 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
+	keys, err := f.cellKeys(cells)
+	if err != nil {
+		return nil, err
+	}
 
+	// Replay cached cells, in grid order, before anything simulates:
+	// callers (and response headers) observe the exact cached count
+	// immediately, and every subscriber sees the replays ahead of any
+	// live completion.
 	s := &Sweep{
-		farm:      f,
-		spec:      spec,
-		cells:     cells,
-		keys:      make([]string, len(cells)),
-		keyByCell: map[string]string{},
-		Log:       obs.NewLineLog(),
-		done:      make(chan struct{}),
+		farm:   f,
+		spec:   spec,
+		ncells: len(cells),
+		stream: make([]journalLine, 0, len(cells)),
+		done:   make(chan struct{}),
 	}
 	s.started = time.Now() //lint:allow determinism service telemetry wall clock; simulated results never read it
-	s.Log.Instrument(f.met.stream)
-	hcfg := f.cfg.Exp
-	hcfg.Progress = nil
-	hcfg.ReleaseWorkloads = true
-	hcfg.Interrupt = s.interruptCause
-	hcfg.JSONLog = sweepWriter{s}
-	hcfg.CellStart = s.cellStarted
-	s.h = exp.New(hcfg)
+	var replayed [][]byte
+	var torun []exp.Cell
 	for i, c := range cells {
-		key, err := s.h.CellKey(c.Algo, c.Dataset, c.Scheme)
-		if err != nil {
-			return nil, err
+		if line, ok := f.cfg.Store.Get(keys[i]); ok {
+			replayed = append(replayed, line)
+			s.stream = append(s.stream, journalLine{Key: keys[i]})
+			continue
 		}
-		s.keys[i] = key
-		s.keyByCell[cellCoord(cellLabel(c), string(c.Scheme))] = key
+		torun = append(torun, c)
+		if s.keyByCell == nil {
+			s.keyByCell = map[string]string{}
+		}
+		s.keyByCell[cellCoord(cellLabel(c), string(c.Scheme))] = keys[i]
 	}
+	s.Log = obs.NewLineLogFrom(replayed)
+	s.Log.Instrument(f.met.stream)
+	s.cached, s.queued = len(replayed), len(torun)
 
 	f.mu.Lock()
 	if f.closed {
@@ -276,71 +341,109 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	f.nextID++
 	s.ID = fmt.Sprintf("s%03d", f.nextID)
 	f.sweeps[s.ID] = s
-	f.order = append(f.order, s.ID)
 	f.wg.Add(1)
 	f.mu.Unlock()
 
-	if f.cfg.LogDir != "" {
-		path := obs.SweepLogPath(f.cfg.LogDir, s.ID)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-			if file, ferr := os.Create(path); ferr == nil {
-				s.file = file
-			} else {
-				fmt.Fprintf(os.Stderr, "farm: sweep log %s: %v\n", path, ferr)
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "farm: sweep log dir: %v\n", err)
-		}
-	}
+	m := &f.met
+	m.cacheHits.Add(uint64(len(replayed)))
+	m.cellsCached.Add(uint64(len(replayed)))
+	m.cacheMisses.Add(uint64(len(torun)))
+	m.sweepsTotal.Inc()
+	m.activeSweeps.Add(1)
+	m.queueDepth.Add(int64(len(torun)))
 
-	// Replay cached cells synchronously, in grid order, before the
-	// simulation goroutine starts: callers (and response headers) observe
-	// the exact cached count immediately, and every subscriber sees the
-	// replays ahead of any live completion.
-	for i, c := range cells {
-		if f.cfg.Store != nil {
-			if line, ok := f.cfg.Store.Get(s.keys[i]); ok {
-				s.emit(line)
-				s.mu.Lock()
-				s.cached++
-				s.mu.Unlock()
-				f.met.cacheHits.Inc()
-				f.met.cellsCached.Inc()
-				continue
-			}
-		}
-		s.torun = append(s.torun, c)
-		f.met.cacheMisses.Inc()
+	if len(torun) == 0 {
+		s.finish()
+		return s, nil
 	}
-	s.mu.Lock()
-	s.queued = len(s.torun)
-	s.mu.Unlock()
-	f.met.sweepsTotal.Inc()
-	f.met.activeSweeps.Add(1)
-	f.met.queueDepth.Add(int64(len(s.torun)))
-
-	go s.run()
+	hcfg := f.cfg.Exp
+	hcfg.Progress = nil
+	hcfg.ReleaseWorkloads = true
+	hcfg.Interrupt = s.interruptCause
+	hcfg.JSONLog = sweepWriter{s}
+	hcfg.CellStart = s.cellStarted
+	s.h = exp.New(hcfg)
+	go s.run(torun)
 	return s, nil
 }
 
-// Get returns a sweep by ID.
-func (f *Farm) Get(id string) (*Sweep, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.sweeps[id]
-	return s, ok
+// cellKeys returns the store key of every cell, deriving each at most
+// once per farm.
+func (f *Farm) cellKeys(cells []exp.Cell) ([]string, error) {
+	keys := make([]string, len(cells))
+	f.keyMu.Lock()
+	defer f.keyMu.Unlock()
+	for i, c := range cells {
+		key, ok := f.keys[c]
+		if !ok {
+			var err error
+			if key, err = f.keyer.CellKey(c.Algo, c.Dataset, c.Scheme); err != nil {
+				return nil, err
+			}
+			f.keys[c] = key
+		}
+		keys[i] = key
+	}
+	return keys, nil
 }
 
-// List returns every sweep's status in submission order.
+// Get returns a sweep by ID: a retained one, or one rebuilt from the
+// journal (evicted, or finished by an earlier process).
+func (f *Farm) Get(id string) (*Sweep, bool) {
+	f.mu.Lock()
+	s, ok := f.sweeps[id]
+	f.mu.Unlock()
+	if ok || f.journal == nil {
+		return s, ok
+	}
+	s, err := f.load(id)
+	if err != nil {
+		f.fail("journal_read", id, err)
+		return nil, false
+	}
+	return s, s != nil
+}
+
+// load rebuilds a finished sweep from its journal record and the store:
+// a closed log holding exactly the lines the sweep streamed, and its
+// final status. It returns nil for an ID the journal does not hold.
+func (f *Farm) load(id string) (*Sweep, error) {
+	rec, err := f.journal.read(id)
+	if rec == nil || err != nil {
+		return nil, err
+	}
+	lines := make([][]byte, len(rec.Stream))
+	for i, e := range rec.Stream {
+		if e.Key == "" {
+			lines[i] = []byte(e.Line)
+			continue
+		}
+		line, ok := f.cfg.Store.Get(e.Key)
+		if !ok {
+			return nil, fmt.Errorf("farm: sweep %s: result cache has no line for key %s", id, e.Key)
+		}
+		lines[i] = line
+	}
+	s := &Sweep{ID: id, farm: f, spec: rec.Status.Spec, ncells: rec.Status.Cells, final: &rec.Status, done: make(chan struct{})}
+	if rec.Status.Err != "" {
+		s.err = errors.New(rec.Status.Err)
+	}
+	s.Log = obs.NewLineLogFrom(lines)
+	s.Log.Instrument(f.met.stream)
+	s.Log.Close()
+	close(s.done)
+	return s, nil
+}
+
+// List returns the retained sweeps' statuses in submission order.
 func (f *Farm) List() []Status {
 	f.mu.Lock()
-	ids := append([]string(nil), f.order...)
+	sweeps := slices.Collect(maps.Values(f.sweeps))
 	f.mu.Unlock()
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		if s, ok := f.Get(id); ok {
-			out = append(out, s.Status())
-		}
+	slices.SortFunc(sweeps, func(a, b *Sweep) int { return sweepNum(a.ID) - sweepNum(b.ID) })
+	out := make([]Status, len(sweeps))
+	for i, s := range sweeps {
+		out[i] = s.Status()
 	}
 	return out
 }
@@ -380,6 +483,26 @@ func (f *Farm) Shutdown(ctx context.Context) error {
 	}
 }
 
+// retire keeps a finished sweep in memory and evicts the oldest finished
+// ones beyond RetainedSweeps.
+func (f *Farm) retire(id string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.finished = append(f.finished, id)
+	for len(f.finished) > RetainedSweeps {
+		old := f.finished[0]
+		f.finished = f.finished[1:]
+		delete(f.sweeps, old)
+	}
+}
+
+// fail reports one farm failure: a structured log line tagged with the
+// sweep ID and a farm_errors_total{op} tick.
+func (f *Farm) fail(op, sweep string, err error) {
+	f.met.failed(op)
+	slog.Error("farm: "+op+" failed", "op", op, "sweep", sweep, "err", err)
+}
+
 // cellLabel mirrors workloads.Workload.Label for a grid cell.
 func cellLabel(c exp.Cell) string {
 	if c.Dataset == "" {
@@ -402,12 +525,15 @@ func (s *Sweep) interruptCause() string {
 	return ""
 }
 
+// cancel records cause for the sweep's simulations to abort with; on a
+// finished sweep it is a no-op.
 func (s *Sweep) cancel(cause string) {
-	s.cancelCause.CompareAndSwap(nil, &cause)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.final == nil {
+		s.cancelCause.CompareAndSwap(nil, &cause)
+	}
 }
-
-// Canceled reports whether the sweep was canceled.
-func (s *Sweep) Canceled() bool { return s.cancelCause.Load() != nil }
 
 // Done exposes completion: the channel closes when the sweep finishes.
 func (s *Sweep) Done() <-chan struct{} { return s.done }
@@ -422,41 +548,36 @@ func (s *Sweep) Err() error {
 // Status snapshots progress, including the live view: in-flight and
 // queued cells, elapsed wall clock, and an ETA extrapolated from the
 // completed-cell rate (remaining ÷ cells-per-second so far; the worker
-// pool's parallelism is already reflected in that rate).
+// pool's parallelism is already reflected in that rate). A finished
+// sweep returns the status frozen when it finished.
 func (s *Sweep) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Status{
+	if s.final != nil {
+		return *s.final
+	}
+	st := s.snapshot(time.Now()) //lint:allow determinism service telemetry wall clock; simulated results never read it
+	if done := s.simulated + s.aborted; done > 0 {
+		remaining := s.inflight + s.queued
+		st.EtaMS = st.ElapsedMS * float64(remaining) / float64(done)
+	}
+	return st
+}
+
+// snapshot builds the status as of end, under s.mu.
+func (s *Sweep) snapshot(end time.Time) Status {
+	return Status{
 		ID:        s.ID,
-		Cells:     len(s.cells),
+		Cells:     s.ncells,
 		Cached:    s.cached,
 		Simulated: s.simulated,
 		Aborted:   s.aborted,
 		Canceled:  s.cancelCause.Load() != nil,
 		InFlight:  s.inflight,
 		Queued:    s.queued,
+		ElapsedMS: float64(end.Sub(s.started).Microseconds()) / 1e3,
 		Spec:      s.spec,
 	}
-	end := s.finished
-	if end.IsZero() {
-		end = time.Now() //lint:allow determinism service telemetry wall clock; simulated results never read it
-	}
-	elapsed := end.Sub(s.started)
-	st.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	select {
-	case <-s.done:
-		st.Done = true
-		st.InFlight, st.Queued = 0, 0
-		if s.err != nil {
-			st.Err = s.err.Error()
-		}
-	default:
-		if done := s.simulated + s.aborted; done > 0 {
-			remaining := s.inflight + s.queued
-			st.EtaMS = st.ElapsedMS * float64(remaining) / float64(done)
-		}
-	}
-	return st
 }
 
 // Summaries parses the sweep's streamed NDJSON back into runner
@@ -476,36 +597,48 @@ func (s *Sweep) Summaries() ([]exp.RunSummary, error) {
 
 // run executes the uncached remainder of the sweep through the harness
 // worker pool (Start already replayed the cached cells).
-func (s *Sweep) run() {
-	defer s.farm.wg.Done()
-	defer close(s.done)
-	defer s.Log.Close()
-	defer s.closeFile()
-	defer s.settle()
-
-	if len(s.torun) == 0 {
-		return
-	}
-	_, err := s.h.RunGrid(s.torun)
+func (s *Sweep) run(torun []exp.Cell) {
+	_, err := s.h.RunGrid(torun)
 	s.mu.Lock()
 	s.err = err
 	s.mu.Unlock()
+	s.finish()
 }
 
-// settle reconciles the farm gauges when the sweep finishes. Cells that
-// died without a summary line (a harness-level failure ahead of the
+// finish ends a sweep: it settles the farm gauges, freezes the status,
+// journals and retires the sweep, and closes its stream and done. Cells
+// that died without a summary line (a harness-level failure ahead of the
 // simulation, e.g. a dataset build error) would otherwise leak queue or
 // in-flight counts forever.
-func (s *Sweep) settle() {
+func (s *Sweep) finish() {
+	f := s.farm
 	s.mu.Lock()
 	leakedQ, leakedIF := s.queued, s.inflight
 	s.queued, s.inflight = 0, 0
-	s.finished = time.Now() //lint:allow determinism service telemetry wall clock; simulated results never read it
+	st := s.snapshot(time.Now()) //lint:allow determinism service telemetry wall clock; simulated results never read it
+	st.Done = true
+	if s.err != nil {
+		st.Err = s.err.Error()
+	}
+	s.final = &st
+	rec := journalRecord{Status: st, Stream: s.stream}
+	s.stream, s.keyByCell, s.h = nil, nil, nil
 	s.mu.Unlock()
-	m := &s.farm.met
-	m.queueDepth.Add(-int64(leakedQ))
-	m.inflight.Add(-int64(leakedIF))
-	m.activeSweeps.Add(-1)
+	f.met.queueDepth.Add(-int64(leakedQ))
+	f.met.inflight.Add(-int64(leakedIF))
+	f.met.activeSweeps.Add(-1)
+
+	if f.journal != nil {
+		if err := f.journal.append(&rec); err != nil {
+			f.fail("journal", s.ID, err)
+		}
+	}
+	// Retire before done closes, so sweeps are evicted in the order
+	// their waiters observe them finish.
+	f.retire(s.ID)
+	s.Log.Close()
+	close(s.done)
+	f.wg.Done()
 }
 
 // cellStarted is the harness CellStart hook: a worker picked up one of
@@ -520,41 +653,30 @@ func (s *Sweep) cellStarted(string) {
 	m.inflight.Add(1)
 }
 
-// emit routes one NDJSON line (no trailing newline) to the live stream
-// and the sweep's on-disk log.
-func (s *Sweep) emit(line []byte) {
-	s.Log.Append(line)
-	s.mu.Lock()
-	file := s.file
-	s.mu.Unlock()
-	if file != nil {
-		if _, err := file.Write(append(line, '\n')); err != nil {
-			fmt.Fprintf(os.Stderr, "farm: sweep %s log write: %v\n", s.ID, err)
-		}
-	}
-}
-
-func (s *Sweep) closeFile() {
-	s.mu.Lock()
-	file := s.file
-	s.file = nil
-	s.mu.Unlock()
-	if file != nil {
-		if err := file.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "farm: sweep %s log close: %v\n", s.ID, err)
-		}
-	}
-}
-
 // observe handles one completed summary line from the harness: stream
 // it, then persist it when the run completed (abort records are never
-// cached — a canceled or timed-out cell must re-run next time).
+// cached — a canceled or timed-out cell must re-run next time). The
+// journal names the line by its store key when the store now holds it
+// byte for byte, and carries it inline otherwise.
 func (s *Sweep) observe(line []byte) {
-	s.emit(line)
+	s.Log.Append(line)
+	f := s.farm
+	entry := journalLine{Line: string(line)}
 	var sum exp.RunSummary
 	if err := json.Unmarshal(line, &sum); err != nil {
-		fmt.Fprintf(os.Stderr, "farm: sweep %s: unparsable summary line: %v\n", s.ID, err)
+		f.fail("parse", s.ID, err)
+		s.mu.Lock()
+		s.stream = append(s.stream, entry)
+		s.mu.Unlock()
 		return
+	}
+	key, ok := s.keyByCell[cellCoord(sum.Label, sum.Scheme)]
+	if ok && sum.Abort == "" && sum.Variant == "" && f.cfg.Store != nil {
+		if err := f.cfg.Store.Put(key, line); err != nil {
+			f.fail("store", s.ID, err)
+		} else if f.cfg.Store.holds(key, line) {
+			entry = journalLine{Key: key}
+		}
 	}
 	s.mu.Lock()
 	if sum.Abort == "" {
@@ -563,24 +685,15 @@ func (s *Sweep) observe(line []byte) {
 		s.aborted++
 	}
 	s.inflight--
+	s.stream = append(s.stream, entry)
 	s.mu.Unlock()
-	m := &s.farm.met
+	m := &f.met
 	m.inflight.Add(-1)
 	if sum.Abort == "" {
 		m.cellsSimulated.Inc()
 		m.cellWall(sum.Label, sum.Scheme, sum.WallMS)
 	} else {
 		m.cellAborted(sum.Abort)
-	}
-	if sum.Abort != "" || sum.Variant != "" || s.farm.cfg.Store == nil {
-		return
-	}
-	key, ok := s.keyByCell[cellCoord(sum.Label, sum.Scheme)]
-	if !ok {
-		return
-	}
-	if err := s.farm.cfg.Store.Put(key, line); err != nil {
-		fmt.Fprintf(os.Stderr, "farm: sweep %s: %v\n", s.ID, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"prodigy/internal/exp"
 	"prodigy/internal/obs"
@@ -27,6 +28,21 @@ func quickCfg(parallelism int) exp.Config {
 
 var quickSpec = Spec{Algos: []string{"bfs"}, Schemes: []string{"none", "prodigy"}}
 
+// mustNew builds a farm whose journal (if any) closes with the test.
+func mustNew(t testing.TB, cfg Config) *Farm {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return f
+}
+
 // sortedLines renders log lines sorted, for order-insensitive
 // byte-identity comparison (live sweeps stream in completion order,
 // cached replays in grid order).
@@ -41,7 +57,7 @@ func sortedLines(lines [][]byte) []string {
 
 // TestSweepStreamsPersistsAndReplays is the farm's core contract: a
 // sweep simulates its cells once, persists each completed summary line,
-// mirrors the stream to its on-disk log, and — after a full
+// journals a record that rebuilds the stream byte for byte, and — after a full
 // store-close/reopen cycle standing in for a server restart — replays
 // every cell byte-identically without simulating.
 func TestSweepStreamsPersistsAndReplays(t *testing.T) {
@@ -51,7 +67,7 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(Config{Exp: quickCfg(2), Store: store, LogDir: dir})
+	f := mustNew(t, Config{Exp: quickCfg(2), Store: store, LogDir: dir})
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +96,14 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 	if store.Len() != 2 {
 		t.Fatalf("store holds %d cells, want 2", store.Len())
 	}
-	// The per-sweep log file carries exactly the streamed NDJSON.
-	data, err := os.ReadFile(obs.SweepLogPath(dir, sw.ID))
-	if err != nil {
-		t.Fatal(err)
+	// The journal record plus the store rebuild exactly the streamed
+	// NDJSON.
+	rebuilt, err := f.load(sw.ID)
+	if err != nil || rebuilt == nil {
+		t.Fatalf("load %s = %v, %v", sw.ID, rebuilt, err)
 	}
-	if want := string(sw.Log.Snapshot()); string(data) != want {
-		t.Errorf("sweep log file differs from stream:\nfile:   %q\nstream: %q", data, want)
+	if got, want := string(rebuilt.Log.Snapshot()), string(sw.Log.Snapshot()); got != want {
+		t.Errorf("journal rebuild differs from stream:\nrebuilt: %q\nstream:  %q", got, want)
 	}
 	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -108,7 +125,7 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 	if store2.Len() != 2 || store2.Skipped != 0 {
 		t.Fatalf("reloaded store: %d cells (%d skipped), want 2 (0)", store2.Len(), store2.Skipped)
 	}
-	f2 := New(Config{Exp: quickCfg(2), Store: store2})
+	f2 := mustNew(t, Config{Exp: quickCfg(2), Store: store2})
 	sw2, err := f2.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +169,7 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 // itself being the only ordering authority — and checks every client
 // received byte-identical NDJSON.
 func TestConcurrentClientsSeeIdenticalStreams(t *testing.T) {
-	f := New(Config{Exp: quickCfg(2)})
+	f := mustNew(t, Config{Exp: quickCfg(2)})
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +219,9 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 
 	var mu sync.Mutex
 	var f *Farm
-	var cancelID string
+	// The farm's first sweep is s001; naming it up front keeps the hook
+	// from racing Start's return.
+	const cancelID = "s001"
 	runs := 0
 	cfg := quickCfg(1) // serial: cells run in grid order
 	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
@@ -218,15 +237,15 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 		}
 		return nil, nil, nil
 	}
-	f = New(Config{Exp: cfg, Store: store})
+	f = mustNew(t, Config{Exp: cfg, Store: store})
 
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	cancelID = sw.ID
-	mu.Unlock()
+	if sw.ID != cancelID {
+		t.Fatalf("first sweep is %s, want %s", sw.ID, cancelID)
+	}
 	<-sw.Done()
 
 	st := sw.Status()
@@ -280,7 +299,18 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 // submission re-runs them), Shutdown must return the context error to
 // signal the forced stop, and new sweeps must be rejected.
 func TestShutdownDrainAbortsWithCause(t *testing.T) {
-	f := New(Config{Exp: quickCfg(1)})
+	var f *Farm
+	cfg := quickCfg(1)
+	// Hold the cell until the drain deadline has expired, so it is
+	// deterministically in flight when draining begins rather than racing
+	// a short simulation against Shutdown.
+	cfg.Obs = func(string) (*obs.Recorder, func() error, error) {
+		for !f.draining.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		return nil, nil, nil
+	}
+	f = mustNew(t, Config{Exp: cfg})
 	sw, err := f.Start(Spec{Algos: []string{"bfs"}, Schemes: []string{"prodigy"}})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +466,7 @@ func TestFarmMetricsSettleAfterSweep(t *testing.T) {
 		}
 	}()
 	reg := telemetry.NewRegistry()
-	f := New(Config{Exp: quickCfg(2), Store: store, LogDir: dir, Metrics: reg})
+	f := mustNew(t, Config{Exp: quickCfg(2), Store: store, LogDir: dir, Metrics: reg})
 
 	sw, err := f.Start(quickSpec)
 	if err != nil {

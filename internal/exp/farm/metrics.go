@@ -29,6 +29,7 @@ type farmMetrics struct {
 	inflight       *telemetry.Gauge
 	activeSweeps   *telemetry.Gauge
 	sweepsTotal    *telemetry.Counter
+	errors         map[string]*telemetry.Counter
 
 	stream obs.StreamMetrics
 }
@@ -36,8 +37,15 @@ type farmMetrics struct {
 // newFarmMetrics registers the farm's metric families. A nil registry
 // yields nil metrics whose methods no-op.
 func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
+	errs := map[string]*telemetry.Counter{}
+	for _, op := range errorOps {
+		errs[op] = reg.Counter("farm_errors_total",
+			"Farm failures, by operation: journal append or read, result-cache put, summary parse.",
+			"op", op)
+	}
 	return farmMetrics{
-		reg: reg,
+		reg:    reg,
+		errors: errs,
 		cellsCached: reg.Counter("farm_cells_total",
 			"Sweep cells completed, by how: cached replay or live simulation.",
 			"state", "cached"),
@@ -70,6 +78,12 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 		},
 	}
 }
+
+// errorOps are the operations farm_errors_total counts failures of.
+var errorOps = []string{"journal", "journal_read", "store", "parse"}
+
+// failed counts one failure of op (one of errorOps).
+func (m *farmMetrics) failed(op string) { m.errors[op].Inc() }
 
 // cellAborted counts one aborted cell under its typed cause (timeout,
 // canceled, shutdown, max-cycles, deadlock, error).

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -98,15 +99,25 @@ func OpenStore(dir string) (*Store, error) {
 }
 
 // Get returns the stored summary line for key (without trailing
-// newline), or ok=false on a miss. The returned slice is a copy.
+// newline), or ok=false on a miss; a nil store holds nothing. Stored
+// lines are never modified, so the slice is shared: callers must not
+// write to it.
 func (s *Store) Get(key string) ([]byte, bool) {
+	if s == nil {
+		return nil, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	line, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), line...), true
+	return line, ok
+}
+
+// holds reports whether the store's line for key is exactly line: a
+// re-put key keeps its first line, which a later sweep's live line for
+// the same cell need not match (its wall_ms differs).
+func (s *Store) holds(key string, line []byte) bool {
+	stored, ok := s.Get(key)
+	return ok && bytes.Equal(stored, line)
 }
 
 // Put durably records one completed cell's summary line under key,

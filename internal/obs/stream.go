@@ -4,13 +4,11 @@ package obs
 // (internal/exp/farm, cmd/prodigy-serve). A LineLog is an append-only
 // NDJSON log that replays its full history to every subscriber before
 // tailing live appends, so any number of clients joining a sweep at any
-// time observe byte-identical streams; SweepLogPath is the on-disk
-// routing convention for the durable copy of each sweep's stream.
+// time observe byte-identical streams.
 
 import (
 	"context"
 	"io"
-	"path/filepath"
 	"sync"
 
 	"prodigy/internal/telemetry"
@@ -62,6 +60,13 @@ func (l *LineLog) Instrument(m StreamMetrics) {
 // NewLineLog returns an empty open log.
 func NewLineLog() *LineLog {
 	return &LineLog{changed: make(chan struct{})}
+}
+
+// NewLineLogFrom returns an open log whose history is lines (each
+// without its trailing newline). The log takes the lines without
+// copying them, so the caller must never modify them afterwards.
+func NewLineLogFrom(lines [][]byte) *LineLog {
+	return &LineLog{lines: lines, changed: make(chan struct{})}
 }
 
 // Append adds one line (without its trailing newline; a private copy is
@@ -144,34 +149,38 @@ func (l *LineLog) metrics() (StreamMetrics, int) {
 
 // Stream copies every line — full history first, then live appends — to
 // w, newline-terminated, returning when the log is closed (nil error),
-// the context is canceled (ctx.Err()), or a write fails. Batches are
-// flushed eagerly when w implements Flush(), so chunked HTTP clients see
-// each completed cell without waiting for the sweep to finish. It
-// returns the number of lines written.
+// the context is canceled (ctx.Err()), or a write fails. Each batch of
+// lines picked up from the log goes out in one Write, flushed eagerly
+// when w implements Flush(), so chunked HTTP clients see each completed
+// cell without waiting for the sweep to finish. It returns the number of
+// lines written.
 func (l *LineLog) Stream(ctx context.Context, w io.Writer) (int, error) {
 	type flusher interface{ Flush() }
 	met, replayEnd := l.metrics()
 	met.Subscribers.Add(1)
 	defer met.Subscribers.Add(-1)
 	n := 0
+	var buf []byte
 	for {
 		lines, closed, changed := l.next(n)
-		for _, line := range lines {
-			buf := make([]byte, 0, len(line)+1)
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
-			if _, err := w.Write(buf); err != nil {
+		if len(lines) > 0 {
+			size := 0
+			for _, line := range lines {
+				size += len(line) + 1
+			}
+			if cap(buf) < size {
+				buf = make([]byte, 0, size)
+			}
+			buf = buf[:0]
+			for _, line := range lines {
+				buf = append(buf, line...)
+				buf = append(buf, '\n')
+			}
+			written, err := w.Write(buf)
+			n += met.credit(lines, n, replayEnd, written)
+			if err != nil {
 				return n, err
 			}
-			met.Bytes.Add(uint64(len(buf)))
-			if n < replayEnd {
-				met.ReplayLines.Inc()
-			} else {
-				met.TailLines.Inc()
-			}
-			n++
-		}
-		if len(lines) > 0 {
 			if f, ok := w.(flusher); ok {
 				f.Flush()
 			}
@@ -187,8 +196,23 @@ func (l *LineLog) Stream(ctx context.Context, w io.Writer) (int, error) {
 	}
 }
 
-// SweepLogPath is the on-disk location of one sweep's NDJSON stream
-// under a cache directory: <dir>/sweeps/<id>.jsonl.
-func SweepLogPath(dir, id string) string {
-	return filepath.Join(dir, "sweeps", id+".jsonl")
+// credit counts the lines of one batch that the writer took whole within
+// its first written bytes — what a line-at-a-time stream would have
+// counted — splitting them at replayEnd into replayed history and live
+// tail. first is the log index of the batch's first line. It returns the
+// number of whole lines.
+func (m StreamMetrics) credit(lines [][]byte, first, replayEnd, written int) int {
+	whole, bytes := 0, 0
+	for _, line := range lines {
+		if bytes+len(line)+1 > written {
+			break
+		}
+		bytes += len(line) + 1
+		whole++
+	}
+	replay := min(whole, max(0, replayEnd-first))
+	m.Bytes.Add(uint64(bytes))
+	m.ReplayLines.Add(uint64(replay))
+	m.TailLines.Add(uint64(whole - replay))
+	return whole
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -170,4 +171,71 @@ type signalWriter struct {
 func (w *signalWriter) Write(p []byte) (int, error) {
 	w.once.Do(func() { close(w.first) })
 	return w.buf.Write(p)
+}
+
+// TestLineLogStreamAllocsFlat streams closed logs of very different
+// lengths: Stream writes each batch with one Write from one buffer, so
+// its allocations must not grow with the number of lines.
+func TestLineLogStreamAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		lines := make([][]byte, n)
+		for i := range lines {
+			lines[i] = []byte(`{"label":"bfs-po","scheme":"prodigy","cycles":123456}`)
+		}
+		l := NewLineLogFrom(lines)
+		l.Close()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := l.Stream(context.Background(), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(4096)
+	if large > small {
+		t.Fatalf("Stream allocates %v times for 4096 lines, %v for 8: allocations grow with the line count", large, small)
+	}
+	if small > 2 {
+		t.Fatalf("Stream allocates %v times per closed log, want at most 2", small)
+	}
+}
+
+// TestLineLogStreamShortWrite checks a failing writer: Stream returns the
+// write error and counts, in lines and bytes, only the lines the writer
+// took whole — as a line-at-a-time stream would have.
+func TestLineLogStreamShortWrite(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := StreamMetrics{
+		Bytes:       reg.Counter("stream_bytes_total", ""),
+		ReplayLines: reg.Counter("stream_lines_total", "", "phase", "replay"),
+		TailLines:   reg.Counter("stream_lines_total", "", "phase", "tail"),
+	}
+	l := NewLineLogFrom([][]byte{[]byte("one"), []byte("two"), []byte("three")})
+	l.Instrument(m)
+	l.Close()
+	w := &shortWriter{limit: len("one\ntw")}
+	n, err := l.Stream(context.Background(), w)
+	if !errors.Is(err, errShort) || n != 1 {
+		t.Fatalf("Stream = (%d, %v), want (1, %v)", n, err, errShort)
+	}
+	if got := m.ReplayLines.Value(); got != 1 {
+		t.Errorf("replay lines = %d, want 1", got)
+	}
+	if got := m.Bytes.Value(); got != uint64(len("one\n")) {
+		t.Errorf("bytes = %d, want %d", got, len("one\n"))
+	}
+}
+
+var errShort = errors.New("short write")
+
+// shortWriter accepts limit bytes, then fails.
+type shortWriter struct{ limit int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.limit {
+		w.limit -= len(p)
+		return len(p), nil
+	}
+	n := w.limit
+	w.limit = 0
+	return n, errShort
 }
