@@ -46,20 +46,20 @@ bench:
 
 # Hot-path performance gate: run the microbenchmarks, a wall-clock timing
 # of `prodigy-bench -quick`, and the quick prefetch-quality sweep; write
-# BENCH_7.json and fail if allocs/op on the gated benchmarks (including
-# the memlat histogram record path) or Prodigy's accuracy/coverage
-# regress below the committed baseline (docs/ARCHITECTURE.md
-# §Performance).
+# the latest BENCH_<n>.json (highest n, bench-json's -out default) and
+# fail if allocs/op on the gated benchmarks (including the memlat
+# histogram record path) or Prodigy's accuracy/coverage regress below
+# the committed baseline (docs/ARCHITECTURE.md §Performance).
 bench-json:
-	$(GO) run ./cmd/bench-json -out BENCH_7.json
+	$(GO) run ./cmd/bench-json
 
 # Wall-clock regression gate (part of `make check`): time
 # `prodigy-bench -quick` (best of 5, to squeeze out scheduler noise) and
-# fail if it lands more than 10% above the committed BENCH_7.json
-# baseline. Catches simulator throughput regressions without rerunning
-# the full bench-json suite.
+# fail if it lands more than 10% above the latest committed
+# BENCH_<n>.json baseline. Catches simulator throughput regressions
+# without rerunning the full bench-json suite.
 quick-gate:
-	$(GO) run ./cmd/bench-json -quick-gate -quick-runs 5 -out BENCH_7.json
+	$(GO) run ./cmd/bench-json -quick-gate -quick-runs 5
 
 # Smoke test for the prodigy-stat regression gate: a plain diff of the
 # committed fixtures must pass, and a tight -fail-on threshold must fail

@@ -105,7 +105,7 @@ var suites = []struct{ pkg, pattern string }{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_7.json", "output (and baseline) JSON file")
+	out := flag.String("out", latestBench("."), "output (and baseline) JSON file; defaults to the highest-numbered BENCH_<n>.json")
 	quickRuns := flag.Int("quick-runs", 3, "prodigy-bench -quick repetitions (best is kept); 0 skips")
 	quickGate := flag.Bool("quick-gate", false,
 		"only time prodigy-bench -quick and fail if >10% slower than the committed baseline")
@@ -121,6 +121,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench-json:", err)
 		os.Exit(1)
 	}
+}
+
+// latestBench returns the highest-numbered BENCH_<n>.json in dir, by
+// numeric order so that BENCH_10 follows BENCH_9, or BENCH_1.json when
+// dir holds none.
+func latestBench(dir string) string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	best, bestN := filepath.Join(dir, "BENCH_1.json"), -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err == nil && n > bestN {
+			best, bestN = p, n
+		}
+	}
+	return best
 }
 
 // runQuickGate is the wall-clock regression gate `make check` runs: no

@@ -341,6 +341,11 @@ func TestDRAMStallFracHelper(t *testing.T) {
 }
 
 func TestTable2Inventory(t *testing.T) {
+	bad := Quick()
+	bad.Datasets = []string{"po", "zz"}
+	if _, err := New(bad).Table2(); err == nil || !strings.Contains(err.Error(), `unknown dataset "zz"`) {
+		t.Errorf("Table2 over an unknown dataset: err = %v, want an unknown-dataset error", err)
+	}
 	r, err := sharedHarness.Table2()
 	if err != nil {
 		t.Fatal(err)

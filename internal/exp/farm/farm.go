@@ -497,10 +497,11 @@ func (f *Farm) retire(id string) {
 }
 
 // fail reports one farm failure: a structured log line tagged with the
-// sweep ID and a farm_errors_total{op} tick.
-func (f *Farm) fail(op, sweep string, err error) {
+// sweep ID (and any further attributes, such as the cell) and a
+// farm_errors_total{op} tick.
+func (f *Farm) fail(op, sweep string, err error, attrs ...any) {
 	f.met.failed(op)
-	slog.Error("farm: "+op+" failed", "op", op, "sweep", sweep, "err", err)
+	slog.Error("farm: "+op+" failed", append([]any{"op", op, "sweep", sweep, "err", err}, attrs...)...)
 }
 
 // cellLabel mirrors workloads.Workload.Label for a grid cell.
@@ -673,7 +674,7 @@ func (s *Sweep) observe(line []byte) {
 	key, ok := s.keyByCell[cellCoord(sum.Label, sum.Scheme)]
 	if ok && sum.Abort == "" && sum.Variant == "" && f.cfg.Store != nil {
 		if err := f.cfg.Store.Put(key, line); err != nil {
-			f.fail("store", s.ID, err)
+			f.fail("store", s.ID, err, "cell", sum.Label+"/"+sum.Scheme)
 		} else if f.cfg.Store.holds(key, line) {
 			entry = journalLine{Key: key}
 		}

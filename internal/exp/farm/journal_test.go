@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"runtime"
 	"strings"
@@ -161,12 +162,24 @@ func TestJournalRebuildsEverySweepKind(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var logged strings.Builder
+	prevLog := slog.Default()
+	t.Cleanup(func() { slog.SetDefault(prevLog) })
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
 	putFailed := startWait(Spec{Algos: []string{"bfs"}, Schemes: []string{"ghb-gdc"}})
+	slog.SetDefault(prevLog)
 	if st := putFailed.Status(); st.Simulated != 1 {
 		t.Fatalf("put-failed sweep status = %+v", st)
 	}
 	if got := snapValue(t, reg, "farm_errors_total", map[string]string{"op": "store"}); got != 1 {
 		t.Errorf(`farm_errors_total{op="store"} = %d, want 1`, got)
+	}
+	var failure struct{ Op, Sweep, Cell string }
+	if err := json.Unmarshal([]byte(logged.String()), &failure); err != nil {
+		t.Fatalf("store failure log line %q: %v", logged.String(), err)
+	}
+	if want := (struct{ Op, Sweep, Cell string }{"store", putFailed.ID, "bfs-po/ghb-gdc"}); failure != want {
+		t.Errorf("store failure logged %+v, want %+v", failure, want)
 	}
 
 	sweeps := []*Sweep{live, cached, canceled, putFailed}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prodigy/internal/obs"
 	"prodigy/internal/sim"
 )
 
@@ -133,16 +134,24 @@ func TestSingleflightSharesOneSimulation(t *testing.T) {
 // into an error identifying the cell instead of killing the sweep, and
 // that the rest of the grid still completes.
 func TestPanicBecomesTaggedError(t *testing.T) {
-	h := New(goldenCfg(2))
-	// "nosuch" panics inside graph.Load during workload construction.
+	cfg := goldenCfg(2)
+	// An observability hook that crashes on one cell stands in for a bug
+	// inside the simulation; it runs under the per-run recovery.
+	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
+		if strings.HasPrefix(cell, "bfs-lj") {
+			panic("injected crash")
+		}
+		return nil, nil, nil
+	}
+	h := New(cfg)
 	_, err := h.RunGrid([]Cell{
-		{"bfs", "nosuch", SchemeNone},
+		{"bfs", "lj", SchemeNone},
 		{"bfs", "po", SchemeNone},
 	})
 	if err == nil {
 		t.Fatal("expected an error for the bad cell")
 	}
-	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "nosuch") {
+	if msg := err.Error(); !strings.Contains(msg, "panic: injected crash") || !strings.Contains(msg, "bfs/lj/none") {
 		t.Fatalf("error not tagged with panicking cell: %v", err)
 	}
 	// The healthy cell completed despite its neighbour crashing.
@@ -150,7 +159,7 @@ func TestPanicBecomesTaggedError(t *testing.T) {
 		t.Fatalf("good cell poisoned by bad cell: %v", err)
 	}
 	// The panic is memoized as an error, not retried into a second crash.
-	if _, err := h.RunOne("bfs", "nosuch", SchemeNone); err == nil {
+	if _, err := h.RunOne("bfs", "lj", SchemeNone); err == nil {
 		t.Fatal("memoized panic should stay an error")
 	}
 }

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
+
 	"prodigy/internal/cache"
 	"prodigy/internal/graph"
 	"prodigy/internal/stats"
@@ -169,6 +172,9 @@ func (h *Harness) Table2() (*Table2Result, error) {
 	}
 	out := &Table2Result{LLCBytes: ccfg.L3Size}
 	for _, name := range h.Cfg.Datasets {
+		if !slices.Contains(graph.DatasetNames(), name) {
+			return nil, fmt.Errorf("exp: unknown dataset %q (want one of %v)", name, graph.DatasetNames())
+		}
 		g := graph.Load(name, h.Cfg.Scale)
 		sz := float64(g.SizeBytes())
 		out.Rows = append(out.Rows, Table2Row{

@@ -106,30 +106,38 @@ var (
 )
 
 // Load returns the named dataset at the given scale. Graphs are memoized;
-// callers must treat them as immutable.
+// callers must treat them as immutable. Every other variant derives from
+// this base graph and shares whichever of its arrays it does not rebuild.
 func Load(name string, scale Scale) *Graph {
-	return loadVariant(name, scale, "dir", func(g *Graph) *Graph { return g })
+	return loadVariant(name, scale, "dir", func() *Graph {
+		return lookup(name).build(scale)
+	})
 }
 
 // LoadUndirected returns the symmetrized dataset (BFS/CC/BC inputs).
 func LoadUndirected(name string, scale Scale) *Graph {
-	return loadVariant(name, scale, "undir", func(g *Graph) *Graph { return g.Undirected() })
+	return loadVariant(name, scale, "undir", func() *Graph {
+		return Load(name, scale).Undirected()
+	})
 }
 
 // LoadWeighted returns the symmetrized dataset with deterministic edge
-// weights in [1, 64] (SSSP input).
+// weights in [1, 64] (SSSP input). It shares LoadUndirected's CSR arrays.
 func LoadWeighted(name string, scale Scale) *Graph {
-	return loadVariant(name, scale, "weighted", func(g *Graph) *Graph {
-		u := g.Undirected()
-		u.AddWeights(77, 64)
-		return u
+	return loadVariant(name, scale, "weighted", func() *Graph {
+		u := LoadUndirected(name, scale)
+		w := &Graph{NumNodes: u.NumNodes, OffsetList: u.OffsetList, EdgeList: u.EdgeList}
+		w.AddWeights(77, 64)
+		return w
 	})
 }
 
 // LoadWithCSC returns the directed dataset with its transpose built
-// (PageRank input: CSC for pull, CSR out-degrees for contributions).
+// (PageRank input: CSC for pull, CSR out-degrees for contributions). It
+// shares Load's CSR arrays.
 func LoadWithCSC(name string, scale Scale) *Graph {
-	return loadVariant(name, scale, "csc", func(g *Graph) *Graph {
+	return loadVariant(name, scale, "csc", func() *Graph {
+		g := Load(name, scale)
 		c := &Graph{NumNodes: g.NumNodes, OffsetList: g.OffsetList, EdgeList: g.EdgeList}
 		c.BuildCSC()
 		return c
@@ -137,29 +145,41 @@ func LoadWithCSC(name string, scale Scale) *Graph {
 }
 
 // LoadHubSorted returns the HubSort-reordered variant of the base loader's
-// output ("undir", "weighted", or "csc"); Fig. 18 inputs.
+// output ("undir", "weighted", or "csc"; anything else reorders Load's
+// graph); Fig. 18 inputs. Relabel rebuilds the CSC of the "csc" base.
 func LoadHubSorted(name string, scale Scale, base string) *Graph {
-	return loadVariant(name, scale, "hub-"+base, func(*Graph) *Graph {
-		var g *Graph
+	return loadVariant(name, scale, "hub-"+base, func() *Graph {
 		switch base {
 		case "undir":
-			g = LoadUndirected(name, scale)
+			return HubSort(LoadUndirected(name, scale))
 		case "weighted":
-			g = LoadWeighted(name, scale)
+			return HubSort(LoadWeighted(name, scale))
 		case "csc":
-			g = LoadWithCSC(name, scale)
+			return HubSort(LoadWithCSC(name, scale))
 		default:
-			g = Load(name, scale)
+			return HubSort(Load(name, scale))
 		}
-		h := HubSort(g)
-		if base == "csc" {
-			h.BuildCSC()
-		}
-		return h
 	})
 }
 
-func loadVariant(name string, scale Scale, variant string, f func(*Graph) *Graph) *Graph {
+// lookup returns the named entry of the dataset table, or nil.
+func lookup(name string) *Dataset {
+	for i := range datasets {
+		if datasets[i].Name == name {
+			return &datasets[i]
+		}
+	}
+	return nil
+}
+
+// loadVariant returns the memoized variant, building it with build on
+// first use. Callers outside this package validate names against
+// DatasetNames, so an unknown name is a programmer error: it panics
+// before a cache entry is made for it.
+func loadVariant(name string, scale Scale, variant string, build func() *Graph) *Graph {
+	if lookup(name) == nil {
+		panic("graph: unknown dataset " + name)
+	}
 	key := cacheKey{name, scale, variant}
 	cacheMu.Lock()
 	e, ok := cache[key]
@@ -169,19 +189,10 @@ func loadVariant(name string, scale Scale, variant string, f func(*Graph) *Graph
 	}
 	cacheMu.Unlock()
 
-	// Build outside the map lock: variant builders may recursively load
-	// their base variant. The entry's Once serializes concurrent loaders of
-	// the same variant without blocking loads of other variants.
-	e.once.Do(func() {
-		for _, d := range datasets {
-			if d.Name == name {
-				e.g = f(d.build(scale))
-				return
-			}
-		}
-	})
-	if e.g == nil {
-		panic("graph: unknown dataset " + name)
-	}
+	// Build outside the map lock: variant builders load their base
+	// variant, which has its own entry and Once. The entry's Once
+	// serializes concurrent loaders of the same variant without blocking
+	// loads of other variants.
+	e.once.Do(func() { e.g = build() })
 	return e.g
 }

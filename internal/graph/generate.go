@@ -21,19 +21,23 @@ func RMAT(scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << scale
 	m := n * edgeFactor
 	r := NewRand(seed)
+	// Each draw p = Float64() = y/2^53 with y = Next()>>11 picks a quadrant
+	// by comparing p with float64 bounds q in [0.5, 1). There q·2^53 is an
+	// exact integer, so p < q exactly when y < q·2^53: compare integers.
 	const a, b, c = 0.57, 0.19, 0.19
+	ta, tb, tc := unitBound(a), unitBound(a+b), unitBound(a+b+c)
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	for i := 0; i < m; i++ {
 		var u, v uint32
 		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
+			y := r.Next() >> 11
 			switch {
-			case p < a:
+			case y < ta:
 				// upper-left: neither bit set
-			case p < a+b:
+			case y < tb:
 				v |= 1 << uint(bit)
-			case p < a+b+c:
+			case y < tc:
 				u |= 1 << uint(bit)
 			default:
 				u |= 1 << uint(bit)
@@ -45,6 +49,10 @@ func RMAT(scale, edgeFactor int, seed uint64) *Graph {
 	}
 	return FromEdges(n, src, dst)
 }
+
+// unitBound returns q·2^53 for a probability bound q in [0.5, 1), the
+// integer that Rand.Float64's 53-bit numerator is compared against.
+func unitBound(q float64) uint64 { return uint64(q * (1 << 53)) }
 
 // WebLike generates a skewed host-clustered graph approximating web crawls
 // (sk-2005 / webbase-2001 stand-in): vertices are grouped into "hosts";

@@ -5,6 +5,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -82,8 +83,7 @@ func FromEdges(n int, src, dst []uint32) *Graph {
 // sortAdjacency sorts each adjacency list (GAP builds sorted CSR).
 func (g *Graph) sortAdjacency() {
 	for u := 0; u < g.NumNodes; u++ {
-		s := g.EdgeList[g.OffsetList[u]:g.OffsetList[u+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(g.EdgeList[g.OffsetList[u]:g.OffsetList[u+1]])
 	}
 }
 
@@ -121,27 +121,29 @@ func (g *Graph) AddWeights(seed uint64, maxW uint32) {
 }
 
 // Undirected returns a graph with every edge mirrored (deduplicated),
-// as GAP does for BFS/CC/BC on symmetric inputs.
+// as GAP does for BFS/CC/BC on symmetric inputs: each vertex's neighbours
+// are the sorted, unique union of its out- and in-neighbours.
 func (g *Graph) Undirected() *Graph {
-	type pair struct{ u, v uint32 }
-	seen := make(map[pair]struct{}, len(g.EdgeList)*2)
-	var src, dst []uint32
-	add := func(u, v uint32) {
-		p := pair{u, v}
-		if _, ok := seen[p]; ok {
-			return
-		}
-		seen[p] = struct{}{}
-		src = append(src, u)
-		dst = append(dst, v)
-	}
+	src := make([]uint32, 0, 2*len(g.EdgeList))
+	dst := make([]uint32, 0, 2*len(g.EdgeList))
 	for u := 0; u < g.NumNodes; u++ {
 		for _, v := range g.Neighbors(uint32(u)) {
-			add(uint32(u), v)
-			add(v, uint32(u))
+			src = append(src, uint32(u), v)
+			dst = append(dst, v, uint32(u))
 		}
 	}
-	return FromEdges(g.NumNodes, src, dst)
+	h := FromEdges(g.NumNodes, src, dst)
+	// Drop repeats from each sorted list in place: the write position
+	// never passes the start of the list being read.
+	w := uint32(0)
+	for u := 0; u < h.NumNodes; u++ {
+		s := h.Neighbors(uint32(u))
+		h.OffsetList[u] = w
+		w += uint32(copy(h.EdgeList[w:], slices.Compact(s)))
+	}
+	h.OffsetList[h.NumNodes] = w
+	h.EdgeList = h.EdgeList[:w]
+	return h
 }
 
 // MaxDegreeVertex returns the vertex with the largest out-degree; GAP picks

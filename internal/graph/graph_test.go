@@ -167,13 +167,39 @@ func TestDatasetsLoadAndCache(t *testing.T) {
 		if len(w.Weights) != w.NumEdges() {
 			t.Errorf("%s weighted missing weights", name)
 		}
+		if &w.EdgeList[0] != &u.EdgeList[0] || &w.OffsetList[0] != &u.OffsetList[0] {
+			t.Errorf("%s weighted does not share the undirected CSR arrays", name)
+		}
 		c := LoadWithCSC(name, ScaleTiny)
 		if c.InOffsetList == nil {
 			t.Errorf("%s CSC missing", name)
 		}
+		if &c.EdgeList[0] != &g.EdgeList[0] || &c.OffsetList[0] != &g.OffsetList[0] {
+			t.Errorf("%s CSC variant does not share the base CSR arrays", name)
+		}
 		h := LoadHubSorted(name, ScaleTiny, "undir")
 		if h.NumEdges() != u.NumEdges() {
 			t.Errorf("%s hubsorted edge count changed", name)
+		}
+	}
+}
+
+func TestUnknownDatasetLeavesNoCacheEntry(t *testing.T) {
+	for _, load := range goldenVariants {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: unknown dataset did not panic", load.name)
+				}
+			}()
+			load.load("zz", ScaleTiny)
+		}()
+	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	for k := range cache {
+		if k.name == "zz" {
+			t.Errorf("cache entry left for unknown dataset: %+v", k)
 		}
 	}
 }
@@ -223,27 +249,40 @@ func TestQuickFromEdgesValid(t *testing.T) {
 	}
 }
 
-// Property: Undirected output contains the mirror of every edge.
+// Property: Undirected output is exactly the sorted, unique union of each
+// vertex's out- and in-neighbours (so it holds the mirror of every edge),
+// also for unsorted adjacency lists with duplicates and self-loops.
 func TestQuickUndirected(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := Uniform(30, 100, seed).Undirected()
-		for u := 0; u < g.NumNodes; u++ {
-			for _, v := range g.Neighbors(uint32(u)) {
-				ok := false
-				for _, w := range g.Neighbors(v) {
-					if w == uint32(u) {
-						ok = true
-						break
-					}
+		const n = 30
+		g := Uniform(n, 100, seed)
+		for _, in := range []*Graph{g, HubSort(g)} { // Relabel leaves lists unsorted
+			adj := make([]map[uint32]bool, n)
+			for u := range adj {
+				adj[u] = map[uint32]bool{}
+			}
+			for u := 0; u < n; u++ {
+				for _, v := range in.Neighbors(uint32(u)) {
+					adj[u][v] = true
+					adj[v][uint32(u)] = true
 				}
-				if !ok {
+			}
+			un := in.Undirected()
+			for u := 0; u < n; u++ {
+				nb := un.Neighbors(uint32(u))
+				if len(nb) != len(adj[u]) {
 					return false
+				}
+				for i, v := range nb {
+					if !adj[u][v] || (i > 0 && nb[i-1] >= v) {
+						return false
+					}
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

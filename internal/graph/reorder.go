@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // HubSort relabels vertices so that "hubs" (vertices with degree above the
 // average) get the smallest IDs, ordered by decreasing degree, while
@@ -22,7 +25,7 @@ func HubSort(g *Graph) *Graph {
 			hubs = append(hubs, vd{uint32(u), d})
 		}
 	}
-	sort.SliceStable(hubs, func(i, j int) bool { return hubs[i].d > hubs[j].d })
+	slices.SortStableFunc(hubs, func(x, y vd) int { return cmp.Compare(y.d, x.d) })
 
 	newID := make([]uint32, n)
 	isHub := make([]bool, n)

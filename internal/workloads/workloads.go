@@ -18,6 +18,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"prodigy/internal/dig"
 	"prodigy/internal/graph"
@@ -193,6 +194,9 @@ func degreeBounds(offsets []uint32, n, cores int) []int {
 func loadGraph(dataset, variant string, opts Options) (*graph.Graph, error) {
 	if dataset == "" {
 		return nil, fmt.Errorf("workloads: graph algorithm needs a dataset")
+	}
+	if names := graph.DatasetNames(); !slices.Contains(names, dataset) {
+		return nil, fmt.Errorf("workloads: unknown dataset %q (want one of %v)", dataset, names)
 	}
 	if opts.HubSorted {
 		return graph.LoadHubSorted(dataset, opts.Scale, variant), nil

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"prodigy/internal/dig"
@@ -253,19 +254,20 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build("bfs", "po", 0, tinyOpts()); err == nil {
 		t.Error("zero cores should fail")
 	}
-	if !panics(func() { _, _ = Build("bfs", "nodataset", 1, tinyOpts()) }) {
-		t.Error("unknown dataset should panic")
-	}
 }
 
-func panics(f func()) (p bool) {
-	defer func() {
-		if recover() != nil {
-			p = true
+// TestBuildUnknownDataset: an unknown dataset is a user error. It must
+// come back as an error naming the valid datasets, never as a panic from
+// internal/graph.
+func TestBuildUnknownDataset(t *testing.T) {
+	for _, opts := range []Options{tinyOpts(), {Scale: graph.ScaleTiny, HubSorted: true}} {
+		for _, algo := range []string{"bfs", "sssp", "pr"} {
+			_, err := Build(algo, "zz", 1, opts)
+			if err == nil || !strings.Contains(err.Error(), `"zz"`) || !strings.Contains(err.Error(), "lj") {
+				t.Errorf("%s (hub-sorted %v) on unknown dataset: err = %v, want one naming zz and the datasets", algo, opts.HubSorted, err)
+			}
 		}
-	}()
-	f()
-	return false
+	}
 }
 
 func TestLabels(t *testing.T) {
