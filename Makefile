@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json fmt test race bench bench-json quick-gate stat-smoke memlat-smoke serve-smoke tables trace-demo
+.PHONY: check build vet lint lint-json fmt test race fuzz bench bench-json quick-gate stat-smoke memlat-smoke serve-smoke tables trace-demo
 
 check: build vet lint race stat-smoke memlat-smoke serve-smoke quick-gate
 
@@ -40,6 +40,14 @@ test:
 # (trace epoch handoff, dataset cache, run memoization) fail loudly.
 race:
 	$(GO) test -race ./...
+
+# Fuzz the farm's inputs from outside for 10 s each: the sweep journal
+# loader and the sweep spec's decoding and expansion. Not part of
+# `make check`; `go test ./...` already replays both seed corpora
+# (internal/exp/farm/testdata/fuzz).
+fuzz:
+	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
+	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzSpecCells$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem

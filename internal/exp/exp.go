@@ -63,11 +63,6 @@ type Config struct {
 	// the caches along with the tiny datasets so the working-set-to-LLC
 	// ratio of DESIGN.md §2 is preserved at test scale).
 	CacheOverride *cache.Config
-	// MaxBuffered selects the trace generator's asynchronous mode when
-	// positive (any positive value behaves the same: the producer stays
-	// exactly one synchronization epoch ahead of the simulator). Kept for
-	// configuration compatibility; New defaults it to a positive value.
-	MaxBuffered int
 	// Parallelism bounds how many simulations a figure sweep runs
 	// concurrently. 0 means GOMAXPROCS; 1 restores fully serial execution.
 	// Results are memoized by grid key, never by completion order, so every
@@ -106,17 +101,19 @@ type Config struct {
 	// Aborted runs are also logged, tagged with which guard killed them
 	// (timeout, max-cycles, deadlock).
 	JSONLog io.Writer
-	// CellStart, when non-nil, is invoked by a sweep worker the moment it
-	// picks a cell off the queue, just before its simulation (or
-	// memo-cache wait) begins; the label matches the one later emitted on
-	// the cell's JSONLog line. The sweep service (internal/exp/farm) uses
-	// it for queue-depth and in-flight telemetry. It is called from
-	// worker goroutines concurrently and must not block.
-	CellStart func(label string)
+	// OnCell, when non-nil, receives two events for every cell a sweep
+	// (RunGrid or a figure driver) schedules: one when a worker picks the
+	// cell up, just before its simulation (or memo-cache wait) begins, and
+	// one when the cell has finished, on every exit path (see CellEvent).
+	// The sweep service (internal/exp/farm) learns everything it knows of
+	// a live cell from these events. It is called from worker goroutines
+	// concurrently and must not block.
+	OnCell func(CellEvent)
 	// Obs, when non-nil, builds a per-run observability recorder (see
-	// internal/obs) keyed by the run's "label/scheme" cell name. The
-	// returned close function is called after the run; its error fails
-	// the run. Return a nil recorder to skip instrumentation for a cell.
+	// internal/obs) keyed by the run's "label.scheme" name (bfs-po.prodigy,
+	// the form obs.CellPath puts into file names). The returned close
+	// function is called after the run; its error fails the run. Return a
+	// nil recorder to skip instrumentation for a cell.
 	Obs func(cell string) (*obs.Recorder, func() error, error)
 	// Ledger, when non-nil, builds a per-run prefetch-line-ledger sink
 	// keyed like Obs. The returned hook receives every prefetched line's
@@ -213,9 +210,6 @@ func New(cfg Config) *Harness {
 	if len(cfg.Datasets) == 0 {
 		cfg.Datasets = graph.DatasetNames()
 	}
-	if cfg.MaxBuffered == 0 {
-		cfg.MaxBuffered = 1 << 21
-	}
 	if cfg.ProgressInterval <= 0 {
 		cfg.ProgressInterval = 5 * time.Second
 	}
@@ -237,6 +231,13 @@ type runVariant struct {
 // RunOne simulates one (algo, dataset, scheme) cell with default knobs.
 func (h *Harness) RunOne(algo, dataset string, scheme Scheme) (*Run, error) {
 	return h.run(algo, dataset, scheme, runVariant{})
+}
+
+// run returns the memoized result for one grid cell, simulating it on
+// first request.
+func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
+	e, _, _ := h.entry(Cell{algo, dataset, scheme}, v)
+	return e.run, e.err
 }
 
 func (h *Harness) key(algo, dataset string, scheme Scheme, v runVariant) string {
@@ -261,13 +262,15 @@ func (h *Harness) canonVariant(v runVariant) runVariant {
 	return v
 }
 
-// run returns the memoized result for one grid cell, simulating it on
+// entry returns the memo entry for one grid cell, simulating the cell on
 // first request. It is safe for concurrent use: concurrent requests for
 // the same cell share a single simulation, and a panicking simulation is
-// converted into a tagged error instead of killing the sweep.
-func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
+// converted into a tagged error instead of killing the sweep. The call
+// that simulates the cell also gets the JSONL record the run wrote
+// (simulate's sum and line); every other call gets nil for both.
+func (h *Harness) entry(c Cell, v runVariant) (e *runEntry, sum *RunSummary, line []byte) {
 	v = h.canonVariant(v)
-	key := h.key(algo, dataset, scheme, v)
+	key := h.key(c.Algo, c.Dataset, c.Scheme, v)
 	h.mu.Lock()
 	e, ok := h.cache[key]
 	if !ok {
@@ -279,19 +282,21 @@ func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, 
 	e.once.Do(func() {
 		defer func() {
 			if p := recover(); p != nil {
-				e.run = nil
-				e.err = fmt.Errorf("exp: %s/%s/%s: panic: %v\n%s",
-					algo, dataset, scheme, p, debug.Stack())
+				e.run, sum, line = nil, nil, nil
+				e.err = fmt.Errorf("exp: %s: panic: %v\n%s", c, p, debug.Stack())
 			}
 		}()
-		e.run, e.err = h.simulate(algo, dataset, scheme, v)
+		e.run, sum, line, e.err = h.simulate(c, v)
 	})
-	return e.run, e.err
+	return e, sum, line
 }
 
 // simulate executes one grid cell (no memoization; called once per cell
-// through run's singleflight entry).
-func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
+// through entry's singleflight). Every error it returns names the cell
+// once, as "exp: label/scheme: ...". Besides the run it returns the
+// JSONL record the run wrote, if any (see writeJSON).
+func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, error) {
+	label, scheme := c.Label(), c.Scheme
 	start := time.Now() //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
 	cores := h.Cfg.Cores
 	if v.cores > 0 {
@@ -302,9 +307,9 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		HubSorted:        v.hubSorted,
 		SoftwarePrefetch: scheme == SchemeSoftware,
 	}
-	w, err := workloads.Build(algo, dataset, cores, opts)
+	w, err := workloads.Build(c.Algo, c.Dataset, cores, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("exp: %s: %w", c, err)
 	}
 
 	pfhr := h.Cfg.PFHREntries
@@ -342,7 +347,7 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 	case SchemeProdigy:
 		fac = core.New(d, proCfg)
 	default:
-		return nil, fmt.Errorf("exp: unknown scheme %q", scheme)
+		return nil, nil, nil, fmt.Errorf("exp: %s: unknown scheme %q", c, scheme)
 	}
 
 	ccfg := cache.ScaledDefault(cores)
@@ -393,15 +398,15 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 	if len(interrupts) > 0 {
 		scfg.Interrupt = func() bool {
 			for _, poll := range interrupts {
-				if c := poll(); c != "" {
-					interruptCause = c
+				if cause := poll(); cause != "" {
+					interruptCause = cause
 					return true
 				}
 			}
 			return false
 		}
 	}
-	run := &Run{Label: w.Label(), Scheme: scheme, W: w}
+	run := &Run{Label: label, Scheme: scheme, W: w}
 	scfg.MissHook = func(addr uint64) {
 		run.MissesTotal++
 		if w.DIG.Covers(addr) {
@@ -411,9 +416,9 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 
 	closeObs := func() error { return nil }
 	if h.Cfg.Obs != nil {
-		rec, closer, oerr := h.Cfg.Obs(w.Label() + "." + string(scheme))
+		rec, closer, oerr := h.Cfg.Obs(label + "." + string(scheme))
 		if oerr != nil {
-			return nil, fmt.Errorf("exp: %s/%s: observability setup: %w", w.Label(), scheme, oerr)
+			return nil, nil, nil, fmt.Errorf("exp: %s: observability setup: %w", c, oerr)
 		}
 		scfg.Obs = rec
 		if closer != nil {
@@ -422,10 +427,10 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 	}
 	closeLedger := func() error { return nil }
 	if h.Cfg.Ledger != nil {
-		hook, closer, lerr := h.Cfg.Ledger(w.Label() + "." + string(scheme))
+		hook, closer, lerr := h.Cfg.Ledger(label + "." + string(scheme))
 		if lerr != nil {
 			cerr := closeObs()
-			return nil, fmt.Errorf("exp: %s/%s: ledger setup: %w", w.Label(), scheme, errors.Join(lerr, cerr))
+			return nil, nil, nil, fmt.Errorf("exp: %s: ledger setup: %w", c, errors.Join(lerr, cerr))
 		}
 		scfg.LedgerHook = hook
 		if closer != nil {
@@ -433,20 +438,21 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		}
 	}
 
-	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores, h.Cfg.MaxBuffered), w.Run)
+	// Any positive buffer size selects the generator's asynchronous mode.
+	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores, 1), w.Run)
 	cerr := errors.Join(closeObs(), closeLedger())
 	if err != nil {
-		err = fmt.Errorf("exp: %s/%s: %w", w.Label(), scheme, err)
+		err = fmt.Errorf("exp: %s: %w", c, err)
 		//lint:allow determinism aborted-run wall time feeds the JSONL record, not results
-		h.emitAbort(w.Label(), scheme, v, err, interruptCause, res, time.Since(start))
-		return nil, err
+		sum, line := h.emitAbort(label, scheme, v, err, interruptCause, res, time.Since(start))
+		return nil, sum, line, err
 	}
 	if cerr != nil {
-		return nil, fmt.Errorf("exp: %s/%s: observability export: %w", w.Label(), scheme, cerr)
+		return nil, nil, nil, fmt.Errorf("exp: %s: observability export: %w", c, cerr)
 	}
 	if h.Cfg.Verify {
 		if err := w.Verify(); err != nil {
-			return nil, fmt.Errorf("exp: %s/%s: %w", w.Label(), scheme, err)
+			return nil, nil, nil, fmt.Errorf("exp: %s: %w", c, err)
 		}
 	}
 	run.Res = res
@@ -456,8 +462,8 @@ func (h *Harness) simulate(algo, dataset string, scheme Scheme, v runVariant) (*
 		// arrays so the memo cache retains only the statistics.
 		run.W = nil
 	}
-	h.emitJSON(run, v)
-	return run, nil
+	sum, line := h.writeJSON(summarize(run, v))
+	return run, sum, line, nil
 }
 
 // overrideTrigger clones a DIG with pinned look-ahead / sequence-count

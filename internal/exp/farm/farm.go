@@ -19,7 +19,6 @@
 package farm
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,8 +41,8 @@ import (
 type Config struct {
 	// Exp is the harness configuration template every sweep runs under
 	// (machine geometry, scale, parallelism, timeouts). The per-sweep
-	// fields JSONLog, Progress, Interrupt, and ReleaseWorkloads are
-	// managed by the farm; values set here for them are ignored.
+	// fields JSONLog, Progress, Interrupt, OnCell, and ReleaseWorkloads
+	// are managed by the farm; values set here for them are ignored.
 	Exp exp.Config
 	// Store, when non-nil, is the durable result cache consulted before
 	// and fed after every simulation.
@@ -260,11 +259,8 @@ type Sweep struct {
 	farm   *Farm
 	spec   Spec
 	ncells int
-	// keyByCell routes a completed summary line (identified by its
-	// "label|scheme" cell coordinates) back to its store key. It and the
-	// harness exist only while a sweep simulates.
-	keyByCell map[string]string
-	h         *exp.Harness
+	// h is the sweep's harness; it exists only while the sweep simulates.
+	h *exp.Harness
 
 	cancelCause atomic.Pointer[string]
 	done        chan struct{}
@@ -324,10 +320,6 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 			continue
 		}
 		torun = append(torun, c)
-		if s.keyByCell == nil {
-			s.keyByCell = map[string]string{}
-		}
-		s.keyByCell[cellCoord(cellLabel(c), string(c.Scheme))] = keys[i]
 	}
 	s.Log = obs.NewLineLogFrom(replayed)
 	s.Log.Instrument(f.met.stream)
@@ -360,8 +352,8 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	hcfg.Progress = nil
 	hcfg.ReleaseWorkloads = true
 	hcfg.Interrupt = s.interruptCause
-	hcfg.JSONLog = sweepWriter{s}
-	hcfg.CellStart = s.cellStarted
+	hcfg.JSONLog = nil // the done events carry every line
+	hcfg.OnCell = s.cellEvent
 	s.h = exp.New(hcfg)
 	go s.run(torun)
 	return s, nil
@@ -504,17 +496,6 @@ func (f *Farm) fail(op, sweep string, err error, attrs ...any) {
 	slog.Error("farm: "+op+" failed", append([]any{"op", op, "sweep", sweep, "err", err}, attrs...)...)
 }
 
-// cellLabel mirrors workloads.Workload.Label for a grid cell.
-func cellLabel(c exp.Cell) string {
-	if c.Dataset == "" {
-		return c.Algo
-	}
-	return c.Algo + "-" + c.Dataset
-}
-
-// cellCoord is the routing key from a summary line back to its cell.
-func cellCoord(label, scheme string) string { return label + "|" + scheme }
-
 // interruptCause is polled by every simulation this sweep runs.
 func (s *Sweep) interruptCause() string {
 	if s.farm.draining.Load() {
@@ -606,16 +587,12 @@ func (s *Sweep) run(torun []exp.Cell) {
 	s.finish()
 }
 
-// finish ends a sweep: it settles the farm gauges, freezes the status,
-// journals and retires the sweep, and closes its stream and done. Cells
-// that died without a summary line (a harness-level failure ahead of the
-// simulation, e.g. a dataset build error) would otherwise leak queue or
-// in-flight counts forever.
+// finish ends a sweep: it freezes the status, journals and retires the
+// sweep, and closes its stream and done. Every cell has sent its done
+// event by now, so the queue and in-flight counts are back to zero.
 func (s *Sweep) finish() {
 	f := s.farm
 	s.mu.Lock()
-	leakedQ, leakedIF := s.queued, s.inflight
-	s.queued, s.inflight = 0, 0
 	st := s.snapshot(time.Now()) //lint:allow determinism service telemetry wall clock; simulated results never read it
 	st.Done = true
 	if s.err != nil {
@@ -623,10 +600,8 @@ func (s *Sweep) finish() {
 	}
 	s.final = &st
 	rec := journalRecord{Status: st, Stream: s.stream}
-	s.stream, s.keyByCell, s.h = nil, nil, nil
+	s.stream, s.h = nil, nil
 	s.mu.Unlock()
-	f.met.queueDepth.Add(-int64(leakedQ))
-	f.met.inflight.Add(-int64(leakedIF))
 	f.met.activeSweeps.Add(-1)
 
 	if f.journal != nil {
@@ -642,68 +617,58 @@ func (s *Sweep) finish() {
 	f.wg.Done()
 }
 
-// cellStarted is the harness CellStart hook: a worker picked up one of
-// this sweep's cells.
-func (s *Sweep) cellStarted(string) {
-	s.mu.Lock()
-	s.queued--
-	s.inflight++
-	s.mu.Unlock()
-	m := &s.farm.met
-	m.queueDepth.Add(-1)
-	m.inflight.Add(1)
-}
-
-// observe handles one completed summary line from the harness: stream
-// it, then persist it when the run completed (abort records are never
-// cached — a canceled or timed-out cell must re-run next time). The
-// journal names the line by its store key when the store now holds it
-// byte for byte, and carries it inline otherwise.
-func (s *Sweep) observe(line []byte) {
-	s.Log.Append(line)
+// cellEvent is the harness OnCell hook. A start event moves one of this
+// sweep's cells from queued to in flight. A done event persists the
+// cell's line when the run completed (abort records are never cached: a
+// canceled or timed-out cell must re-run next time), then streams it and
+// tallies the cell; a cell that died without a line counts as aborted
+// with cause "error". The journal names the line by its store key when
+// the store now holds it byte for byte, and carries it inline otherwise.
+// The live stream and the journal take each line in one critical
+// section, so a rebuilt sweep streams its lines in the live order.
+func (s *Sweep) cellEvent(ev exp.CellEvent) {
 	f := s.farm
-	entry := journalLine{Line: string(line)}
-	var sum exp.RunSummary
-	if err := json.Unmarshal(line, &sum); err != nil {
-		f.fail("parse", s.ID, err)
+	m := &f.met
+	if !ev.Done {
 		s.mu.Lock()
-		s.stream = append(s.stream, entry)
+		s.queued--
+		s.inflight++
 		s.mu.Unlock()
+		m.queueDepth.Add(-1)
+		m.inflight.Add(1)
 		return
 	}
-	key, ok := s.keyByCell[cellCoord(sum.Label, sum.Scheme)]
-	if ok && sum.Abort == "" && sum.Variant == "" && f.cfg.Store != nil {
-		if err := f.cfg.Store.Put(key, line); err != nil {
-			f.fail("store", s.ID, err, "cell", sum.Label+"/"+sum.Scheme)
-		} else if f.cfg.Store.holds(key, line) {
+	entry := journalLine{Line: string(ev.Line)}
+	if ev.Line != nil && ev.Err == nil && f.cfg.Store != nil {
+		f.keyMu.Lock()
+		key := f.keys[ev.Cell]
+		f.keyMu.Unlock()
+		if err := f.cfg.Store.Put(key, ev.Line); err != nil {
+			f.fail("store", s.ID, err, "cell", ev.Cell.String())
+		} else if f.cfg.Store.holds(key, ev.Line) {
 			entry = journalLine{Key: key}
 		}
 	}
 	s.mu.Lock()
-	if sum.Abort == "" {
+	if ev.Line != nil {
+		s.Log.Append(ev.Line)
+		s.stream = append(s.stream, entry)
+	}
+	if ev.Err == nil {
 		s.simulated++
 	} else {
 		s.aborted++
 	}
 	s.inflight--
-	s.stream = append(s.stream, entry)
 	s.mu.Unlock()
-	m := &f.met
 	m.inflight.Add(-1)
-	if sum.Abort == "" {
+	switch {
+	case ev.Err == nil:
 		m.cellsSimulated.Inc()
-		m.cellWall(sum.Label, sum.Scheme, sum.WallMS)
-	} else {
-		m.cellAborted(sum.Abort)
+		m.cellWall(ev.Cell, ev.Summary.WallMS)
+	case ev.Summary != nil:
+		m.cellAborted(ev.Summary.Abort)
+	default:
+		m.cellAborted(exp.AbortError)
 	}
-}
-
-// sweepWriter adapts the harness's JSONL stream to the sweep. The
-// runner writes exactly one complete newline-terminated line per Write
-// call (under its log mutex), so no reassembly is needed.
-type sweepWriter struct{ s *Sweep }
-
-func (w sweepWriter) Write(p []byte) (int, error) {
-	w.s.observe(bytes.TrimRight(p, "\n"))
-	return len(p), nil
 }

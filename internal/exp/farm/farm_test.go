@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,8 +14,10 @@ import (
 	"time"
 
 	"prodigy/internal/exp"
+	"prodigy/internal/graph"
 	"prodigy/internal/obs"
 	"prodigy/internal/telemetry"
+	"prodigy/internal/workloads"
 )
 
 // quickCfg is the tiny sweep configuration the farm tests run under: one
@@ -381,6 +384,76 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// FuzzSpecCells decodes arbitrary bytes as a sweep spec and expands it.
+// Expansion never panics, and an accepted spec yields every cell of its
+// grid exactly once, in grid order (algos, then datasets, then schemes,
+// each ranked by first mention), naming only known algos, datasets and
+// schemes; non-graph algos, and only they, take no dataset.
+func FuzzSpecCells(f *testing.F) {
+	defaults := exp.Quick().Datasets
+	f.Add([]byte(`{"algos":["bfs"],"schemes":["none","prodigy"]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp Spec
+		if json.Unmarshal(data, &sp) != nil {
+			return
+		}
+		cells, err := sp.cells(defaults)
+		if err != nil {
+			return
+		}
+		datasets := sp.Datasets
+		if len(datasets) == 0 {
+			datasets = defaults
+		}
+		algoRank, dsRank, schemeRank := firstRank(sp.Algos), firstRank(datasets), firstRank(sp.Schemes)
+		want := 0
+		for a := range algoRank {
+			if workloads.IsGraphAlgo(a) {
+				want += len(dsRank) * len(schemeRank)
+			} else {
+				want += len(schemeRank)
+			}
+		}
+		if len(cells) != want {
+			t.Fatalf("%+v expands to %d cells, want %d", sp, len(cells), want)
+		}
+		prev := []int{-1, -1, -1}
+		for _, c := range cells {
+			if !slices.Contains(workloads.AllAlgos, c.Algo) {
+				t.Fatalf("cell %s: unknown algo", c)
+			}
+			if workloads.IsGraphAlgo(c.Algo) == (c.Dataset == "") {
+				t.Fatalf("cell %s: graph algo without dataset, or non-graph algo with one", c)
+			}
+			if c.Dataset != "" && !slices.Contains(graph.DatasetNames(), c.Dataset) {
+				t.Fatalf("cell %s: unknown dataset", c)
+			}
+			if k, err := exp.ParseScheme(string(c.Scheme)); err != nil || k != c.Scheme {
+				t.Fatalf("cell %s: scheme does not round-trip: %v", c, err)
+			}
+			pos := []int{algoRank[c.Algo], 0, schemeRank[string(c.Scheme)]}
+			if c.Dataset != "" {
+				pos[1] = dsRank[c.Dataset]
+			}
+			if slices.Compare(prev, pos) >= 0 {
+				t.Fatalf("cells %v repeat or leave grid order at %s", cells, c)
+			}
+			prev = pos
+		}
+	})
+}
+
+// firstRank ranks names by first mention, ignoring repeats.
+func firstRank(names []string) map[string]int {
+	rank := map[string]int{}
+	for _, n := range names {
+		if _, ok := rank[n]; !ok {
+			rank[n] = len(rank)
+		}
+	}
+	return rank
+}
+
 // TestStoreSkipsCorruptLines checks crash resilience: a truncated or
 // foreign line in results.jsonl is counted and skipped, never poisoning
 // the valid entries around it, and appends continue to work afterwards.
@@ -546,4 +619,56 @@ func TestFarmMetricsSettleAfterSweep(t *testing.T) {
 	check("farm_cells_total", map[string]string{"state": "cached"}, 2)
 	check("farm_sweeps_total", nil, 2)
 	check("farm_sweeps_active", nil, 0)
+}
+
+// TestCellDyingWithoutLineIsTallied is the regression for a cell that
+// dies before writing a summary line (here a panic in the per-run Obs
+// hook). It must leave the in-flight view as soon as it dies, not at
+// sweep end, and count once as aborted with cause "error", while the
+// stream carries only the surviving cell's line.
+func TestCellDyingWithoutLineIsTallied(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	cfg := quickCfg(1) // serial: the none cell dies before prodigy starts
+	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
+		if cell == "bfs-po.none" {
+			panic("boom")
+		}
+		held <- struct{}{}
+		<-release
+		return nil, nil, nil
+	}
+	reg := telemetry.NewRegistry()
+	f := mustNew(t, Config{Exp: cfg, Metrics: reg})
+	sw, err := f.Start(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(family string, labels map[string]string, want int64) {
+		t.Helper()
+		if got := snapValue(t, reg, family, labels); got != want {
+			t.Errorf("%s%v = %d, want %d", family, labels, got, want)
+		}
+	}
+
+	<-held
+	if st := sw.Status(); st.InFlight != 1 || st.Queued != 0 || st.Aborted != 1 {
+		t.Errorf("status while the prodigy cell runs = %+v, want 1 in flight, 0 queued, 1 aborted", st)
+	}
+	check("farm_cells_inflight", nil, 1)
+	close(release)
+	<-sw.Done()
+
+	st := sw.Status()
+	if st.Cached+st.Simulated+st.Aborted != st.Cells || st.Aborted != 1 || st.Simulated != 1 {
+		t.Errorf("final status = %+v, want every cell tallied: 1 simulated, 1 aborted", st)
+	}
+	if err := sw.Err(); err == nil || strings.Count(err.Error(), "bfs-po/none") != 1 {
+		t.Errorf("sweep error %v, want the dead cell named once", err)
+	}
+	check("farm_cells_aborted_total", map[string]string{"cause": "error"}, 1)
+	check("farm_queue_depth", nil, 0)
+	check("farm_cells_inflight", nil, 0)
+	if lines := sw.Log.Lines(); len(lines) != 1 {
+		t.Errorf("stream holds %d lines, want 1 (the dead cell writes none)", len(lines))
+	}
 }

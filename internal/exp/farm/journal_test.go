@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"prodigy/internal/exp"
 	"prodigy/internal/graph"
@@ -34,7 +36,7 @@ func seedStore(t testing.TB, f *Farm, store *Store, spec Spec, pad int) {
 	}
 	for i, c := range cells {
 		line := fmt.Sprintf(`{"label":%q,"scheme":%q,"cycles":%d,"pad":%q}`,
-			cellLabel(c), c.Scheme, 1000+i, strings.Repeat("x", pad))
+			c.Label(), c.Scheme, 1000+i, strings.Repeat("x", pad))
 		if err := store.Put(keys[i], []byte(line)); err != nil {
 			t.Fatal(err)
 		}
@@ -294,6 +296,69 @@ func TestConcurrentStartsOverlappingSpecs(t *testing.T) {
 	}
 	if store.Len() != 2 {
 		t.Fatalf("store holds %d cells, want 2", store.Len())
+	}
+}
+
+// TestJournalKeepsLiveOrder interleaves two cells' done events: the
+// completed none cell is held inside its store Put while the prodigy
+// cell aborts (canceled) and reports. The journal must record the lines
+// in the order the live stream shows them, so the sweep rebuilds byte
+// for byte.
+func TestJournalKeepsLiveOrder(t *testing.T) {
+	dir := t.TempDir()
+	store := openTestStore(t, dir)
+	goNone, goProdigy := make(chan struct{}), make(chan struct{})
+	cfg := quickCfg(2)
+	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
+		if cell == "bfs-po.none" {
+			<-goNone
+		} else {
+			<-goProdigy
+		}
+		return nil, nil, nil
+	}
+	f := mustNew(t, Config{Exp: cfg, Store: store, LogDir: dir})
+	sw, err := f.Start(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				store.mu.Unlock()
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	store.mu.Lock()
+	close(goNone)
+	wait("the none cell to block in Store.Put", func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("farm.(*Store).Put("))
+	})
+	if err := f.Cancel(sw.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(goProdigy)
+	wait("the prodigy cell to abort", func() bool { return sw.Status().Aborted == 1 })
+	store.mu.Unlock()
+	<-sw.Done()
+
+	if st := sw.Status(); st.Simulated != 1 || st.Aborted != 1 {
+		t.Fatalf("status = %+v, want 1 simulated and 1 aborted", st)
+	}
+	live := string(sw.Log.Snapshot())
+	if n := strings.Count(live, "\n"); n != 2 {
+		t.Fatalf("live stream holds %d lines, want 2:\n%s", n, live)
+	}
+	rebuilt, err := f.load(sw.ID)
+	if err != nil || rebuilt == nil {
+		t.Fatalf("load %s = %v, %v", sw.ID, rebuilt, err)
+	}
+	if got := string(rebuilt.Log.Snapshot()); got != live {
+		t.Errorf("rebuilt stream differs:\nrebuilt: %q\nlive:    %q", got, live)
 	}
 }
 

@@ -9,8 +9,7 @@ package farm
 // ways).
 
 import (
-	"strings"
-
+	"prodigy/internal/exp"
 	"prodigy/internal/obs"
 	"prodigy/internal/telemetry"
 )
@@ -40,7 +39,7 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 	errs := map[string]*telemetry.Counter{}
 	for _, op := range errorOps {
 		errs[op] = reg.Counter("farm_errors_total",
-			"Farm failures, by operation: journal append or read, result-cache put, summary parse.",
+			"Farm failures, by operation: journal append or read, result-cache put.",
 			"op", op)
 	}
 	return farmMetrics{
@@ -80,7 +79,7 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 }
 
 // errorOps are the operations farm_errors_total counts failures of.
-var errorOps = []string{"journal", "journal_read", "store", "parse"}
+var errorOps = []string{"journal", "journal_read", "store"}
 
 // failed counts one failure of op (one of errorOps).
 func (m *farmMetrics) failed(op string) { m.errors[op].Inc() }
@@ -94,10 +93,9 @@ func (m *farmMetrics) cellAborted(cause string) {
 }
 
 // cellWall records one completed cell's wall clock (µs) under its
-// algo×scheme labels. label is the summary's "algo" or "algo-dataset".
-func (m *farmMetrics) cellWall(label, scheme string, wallMS float64) {
-	algo, _, _ := strings.Cut(label, "-")
+// algo×scheme labels.
+func (m *farmMetrics) cellWall(c exp.Cell, wallMS float64) {
 	m.reg.Histogram("farm_cell_wall_us",
 		"Wall-clock per completed (live-simulated) cell, microseconds.",
-		"algo", algo, "scheme", scheme).Observe(int64(wallMS * 1000))
+		"algo", c.Algo, "scheme", string(c.Scheme)).Observe(int64(wallMS * 1000))
 }

@@ -13,6 +13,7 @@ import (
 	"prodigy/internal/cpu"
 	"prodigy/internal/sim"
 	"prodigy/internal/stats"
+	"prodigy/internal/workloads"
 )
 
 // This file is the parallel experiment runner. Every figure driver first
@@ -25,19 +26,10 @@ import (
 // runs are independent; TestParallelMatchesSerialGolden enforces the
 // guarantee.
 
-// runJob names one grid cell to simulate.
+// runJob names one grid cell to simulate, with its machine knobs.
 type runJob struct {
-	algo, dataset string
-	scheme        Scheme
-	v             runVariant
-}
-
-// label renders the job for progress and error reporting.
-func (j runJob) label() string {
-	if j.dataset == "" {
-		return j.algo + "/" + string(j.scheme)
-	}
-	return j.algo + "-" + j.dataset + "/" + string(j.scheme)
+	Cell
+	v runVariant
 }
 
 // jobList accumulates grid cells for a sweep.
@@ -58,7 +50,7 @@ func (l *jobList) add(h *Harness, algo, dataset string, scheme Scheme, v runVari
 		return
 	}
 	l.seen[key] = true
-	l.jobs = append(l.jobs, runJob{algo, dataset, scheme, v})
+	l.jobs = append(l.jobs, runJob{Cell{algo, dataset, scheme}, v})
 }
 
 // addCells appends cells × schemes with default knobs.
@@ -83,7 +75,8 @@ func (h *Harness) parallelism() int {
 // callers re-read them via run()/RunOne in their own deterministic order.
 // Workers never die with the sweep: a panicking or timed-out simulation
 // surfaces as a tagged error for its cell (and in the returned joined
-// error) while every other cell still completes.
+// error) while every other cell still completes. Each job sends
+// Config.OnCell one start and one done event, whatever its outcome.
 func (h *Harness) warm(l jobList) error {
 	jobs := l.jobs
 	if len(jobs) == 0 {
@@ -103,17 +96,17 @@ func (h *Harness) warm(l jobList) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for j := range jobc {
-				if h.Cfg.CellStart != nil {
-					h.Cfg.CellStart(j.label())
+				if h.Cfg.OnCell != nil {
+					h.Cfg.OnCell(CellEvent{Cell: j.Cell})
 				}
 				start := time.Now() //lint:allow determinism host wall time feeds the progress meter, not results
-				_, err := h.run(j.algo, j.dataset, j.scheme, j.v)
-				if err != nil {
-					err = fmt.Errorf("%s: %w", j.label(), err)
-				}
+				e, sum, line := h.entry(j.Cell, j.v)
 				//lint:allow determinism host wall time feeds the progress meter, not results
-				meter.Done(j.label(), time.Since(start))
-				errc <- err
+				meter.Done(j.String(), time.Since(start))
+				if h.Cfg.OnCell != nil {
+					h.Cfg.OnCell(CellEvent{Cell: j.Cell, Done: true, Summary: sum, Line: line, Err: e.err})
+				}
+				errc <- e.err
 			}
 		}()
 	}
@@ -141,6 +134,36 @@ type Cell struct {
 	Algo, Dataset string
 	// Scheme is the prefetching configuration.
 	Scheme Scheme
+}
+
+// Label is the cell's workload label (workloads.Label), as its
+// RunSummary carries it.
+func (c Cell) Label() string { return workloads.Label(c.Algo, c.Dataset) }
+
+// String names the cell as "label/scheme" (bfs-po/none), the one
+// spelling harness errors and progress reports use.
+func (c Cell) String() string { return c.Label() + "/" + string(c.Scheme) }
+
+// CellEvent reports a sweep cell's progress to Config.OnCell. A start
+// event carries only the cell; the done event also carries its outcome.
+type CellEvent struct {
+	// Cell is the grid cell (ablation variants report their base cell).
+	Cell Cell
+	// Done is false when a worker picks the cell up and true once the
+	// cell has finished: completed, aborted by a guard, failed before
+	// simulating, or panicked.
+	Done bool
+	// Summary is the cell's JSONL record and Line its exact encoded
+	// bytes, without the newline: the line Config.JSONLog receives. Both
+	// are nil when the cell wrote no record (it failed before simulating
+	// or panicked) and when this job did not simulate it: a cell another
+	// job or sweep of the harness already ran reports only its memoized
+	// error, its record having gone out with that job's event. Line alone
+	// is nil when the record could not be encoded.
+	Summary *RunSummary
+	Line    []byte
+	// Err is the cell's error; nil when it completed.
+	Err error
 }
 
 // RunGrid simulates every cell, fanned out across Config.Parallelism
@@ -310,40 +333,14 @@ func abortKind(err error, cause string) string {
 
 // summarize builds the JSON record for a completed run.
 func summarize(r *Run, v runVariant) RunSummary {
-	s := RunSummary{
-		Label:           r.Label,
-		Scheme:          string(r.Scheme),
-		Cycles:          r.Res.Cycles,
-		Retired:         r.Res.Agg.Retired,
-		IPC:             r.Res.IPC(),
-		DRAMUtilization: r.Res.DRAMUtilization,
-		WallMS:          float64(r.Wall.Microseconds()) / 1e3,
-		CPIStack:        map[string]float64{},
-		PF:              pfSummaryOf(r.Res),
-	}
-	if v != (runVariant{}) {
-		s.Variant = fmt.Sprintf("%+v", v)
-	}
-	if total := float64(r.Res.Agg.Total()); total > 0 {
-		for _, k := range cpu.StallKinds {
-			s.CPIStack[k.String()] = float64(r.Res.Agg.Cycles[k]) / total
-		}
-	}
-	return s
+	return summaryOf(r.Label, r.Scheme, v, r.Res, r.Wall)
 }
 
-// emitJSON writes the run's summary line to Config.JSONLog, if set.
-func (h *Harness) emitJSON(r *Run, v runVariant) {
-	h.writeJSON(summarize(r, v))
-}
-
-// emitAbort logs a failed run to Config.JSONLog so a sweep record shows
-// which cells died and why, not just which completed. res carries the
-// partial statistics the simulator collected up to the abort point
-// (zero-valued when the machine never ran, e.g. a config error); cause
-// is the interrupt cause recorded by simulate, empty for non-interrupt
-// aborts.
-func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr error, cause string, res sim.Result, wall time.Duration) {
+// summaryOf builds the JSON record of a run from its result, complete or
+// partial; the abort path adds its cause. CPIStack is always the
+// (possibly empty) map: aborted and completed records share one schema
+// ("cpi_stack":{} when there is nothing to attribute, never null).
+func summaryOf(label string, scheme Scheme, v runVariant, res sim.Result, wall time.Duration) RunSummary {
 	s := RunSummary{
 		Label:           label,
 		Scheme:          string(scheme),
@@ -352,45 +349,59 @@ func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr er
 		IPC:             res.IPC(),
 		DRAMUtilization: res.DRAMUtilization,
 		WallMS:          float64(wall.Microseconds()) / 1e3,
-		// CPIStack is always the (possibly empty) map, matching summarize:
-		// aborted and completed records share one schema ("cpi_stack":{}
-		// when there is nothing to attribute, never null).
-		CPIStack: map[string]float64{},
-		Abort:    abortKind(runErr, cause),
-		Error:    runErr.Error(),
-		PF:       pfSummaryOf(res),
+		CPIStack:        map[string]float64{},
+		PF:              pfSummaryOf(res),
 	}
-	for _, stack := range res.Stacks {
-		s.RetiredPerCore = append(s.RetiredPerCore, stack.Retired)
+	if v != (runVariant{}) {
+		s.Variant = fmt.Sprintf("%+v", v)
 	}
 	if total := float64(res.Agg.Total()); total > 0 {
 		for _, k := range cpu.StallKinds {
 			s.CPIStack[k.String()] = float64(res.Agg.Cycles[k]) / total
 		}
 	}
-	if v != (runVariant{}) {
-		s.Variant = fmt.Sprintf("%+v", v)
-	}
-	h.writeJSON(s)
+	return s
 }
 
-// writeJSON serializes one summary line under the log mutex.
-func (h *Harness) writeJSON(s RunSummary) {
-	if h.Cfg.JSONLog == nil {
-		return
+// emitAbort records a failed run so a sweep record shows which cells
+// died and why, not just which completed. res carries the partial
+// statistics the simulator collected up to the abort point (zero-valued
+// when the machine never ran, e.g. a config error); cause is the
+// interrupt cause recorded by simulate, empty for non-interrupt aborts.
+func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr error, cause string, res sim.Result, wall time.Duration) (*RunSummary, []byte) {
+	s := summaryOf(label, scheme, v, res, wall)
+	s.Abort = abortKind(runErr, cause)
+	s.Error = runErr.Error()
+	for _, stack := range res.Stacks {
+		s.RetiredPerCore = append(s.RetiredPerCore, stack.Retired)
+	}
+	return h.writeJSON(s)
+}
+
+// writeJSON encodes one summary line and writes it to Config.JSONLog
+// under the log mutex. It returns the summary and its line (without the
+// newline) for the cell's done event; both are nil when neither JSONLog
+// nor OnCell wants records, and the line is nil when the summary cannot
+// be encoded.
+func (h *Harness) writeJSON(s RunSummary) (*RunSummary, []byte) {
+	if h.Cfg.JSONLog == nil && h.Cfg.OnCell == nil {
+		return nil, nil
 	}
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A silently dropped record would leave an invisible hole in the
 		// sweep log; report it like the write-failure path below.
 		h.logErrorf("exp: json log marshal failed (%s/%s): %v\n", s.Label, s.Scheme, err)
-		return
+		return &s, nil
 	}
-	h.jsonMu.Lock()
-	defer h.jsonMu.Unlock()
-	if _, err := h.Cfg.JSONLog.Write(append(b, '\n')); err != nil {
-		h.logErrorf("exp: json log write failed: %v\n", err)
+	if h.Cfg.JSONLog != nil {
+		h.jsonMu.Lock()
+		defer h.jsonMu.Unlock()
+		if _, err := h.Cfg.JSONLog.Write(append(b, '\n')); err != nil {
+			h.logErrorf("exp: json log write failed: %v\n", err)
+		}
 	}
+	return &s, b
 }
 
 // logErrorf reports a harness-internal failure on stderr; tests redirect

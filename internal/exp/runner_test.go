@@ -131,7 +131,7 @@ func TestSingleflightSharesOneSimulation(t *testing.T) {
 }
 
 // TestPanicBecomesTaggedError checks a crashing simulation is converted
-// into an error identifying the cell instead of killing the sweep, and
+// into an error naming the cell once instead of killing the sweep, and
 // that the rest of the grid still completes.
 func TestPanicBecomesTaggedError(t *testing.T) {
 	cfg := goldenCfg(2)
@@ -151,8 +151,10 @@ func TestPanicBecomesTaggedError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error for the bad cell")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "panic: injected crash") || !strings.Contains(msg, "bfs/lj/none") {
-		t.Fatalf("error not tagged with panicking cell: %v", err)
+	// The cell is named exactly once, in its one spelling.
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "exp: bfs-lj/none: panic: injected crash") || strings.Count(msg, "bfs-lj/none") != 1 || strings.Contains(msg, "bfs/lj") {
+		t.Fatalf("error not tagged once with panicking cell: %v", err)
 	}
 	// The healthy cell completed despite its neighbour crashing.
 	if _, err := h.RunOne("bfs", "po", SchemeNone); err != nil {
@@ -161,6 +163,122 @@ func TestPanicBecomesTaggedError(t *testing.T) {
 	// The panic is memoized as an error, not retried into a second crash.
 	if _, err := h.RunOne("bfs", "lj", SchemeNone); err == nil {
 		t.Fatal("memoized panic should stay an error")
+	}
+}
+
+// TestCellErrorsNameCellOnce checks the failures ahead of the simulation
+// (a workload build error, an observability setup error) name their cell
+// exactly once, as label/scheme, like the panic and abort paths.
+func TestCellErrorsNameCellOnce(t *testing.T) {
+	cfg := goldenCfg(1)
+	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
+		if cell == "bfs-po.prodigy" {
+			return nil, nil, errors.New("no recorder")
+		}
+		return nil, nil, nil
+	}
+	h := New(cfg)
+	cases := []struct {
+		cell Cell
+		want string
+	}{
+		{Cell{"bfs", "zz", SchemeNone}, "exp: bfs-zz/none: "},
+		{Cell{"bfs", "po", SchemeProdigy}, "exp: bfs-po/prodigy: observability setup: no recorder"},
+		{Cell{"spmv", "", "nosuch"}, "exp: spmv/nosuch: unknown scheme"},
+	}
+	for _, c := range cases {
+		_, err := h.RunGrid([]Cell{c.cell})
+		if err == nil {
+			t.Fatalf("%s: no error", c.cell)
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, c.want) || strings.Count(msg, c.cell.String()) != 1 {
+			t.Errorf("%s: error %q, want one tag and prefix %q", c.cell, msg, c.want)
+		}
+	}
+}
+
+// TestCellEventsEveryExitPath checks the OnCell contract: every cell of
+// a sweep sends one start and then one done event, whether it completed,
+// was aborted by a guard, failed before simulating, or panicked, and the
+// done event carries exactly the bytes JSONLog received.
+func TestCellEventsEveryExitPath(t *testing.T) {
+	var jsonl bytes.Buffer
+	var mu sync.Mutex
+	events := map[Cell][]CellEvent{}
+	var lines [][]byte
+	var cancelRun bool
+	cfg := goldenCfg(1) // serial: Obs and Interrupt see one cell at a time
+	cfg.JSONLog = &jsonl
+	cfg.OnCell = func(ev CellEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		events[ev.Cell] = append(events[ev.Cell], ev)
+		if ev.Line != nil {
+			lines = append(lines, ev.Line)
+		}
+	}
+	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
+		if cell == "bfs-po.prodigy" {
+			panic("injected crash")
+		}
+		cancelRun = cell == "pr-po.none"
+		return nil, nil, nil
+	}
+	cfg.Interrupt = func() string {
+		if cancelRun {
+			return AbortCanceled
+		}
+		return ""
+	}
+	completed := Cell{"bfs", "po", SchemeNone}
+	aborted := Cell{"pr", "po", SchemeNone}
+	panicked := Cell{"bfs", "po", SchemeProdigy}
+	unbuilt := Cell{"bfs", "zz", SchemeNone}
+	cells := []Cell{completed, aborted, panicked, unbuilt}
+	h := New(cfg)
+	if _, err := h.RunGrid(cells); err == nil {
+		t.Fatal("sweep with failing cells reported no error")
+	}
+	for _, c := range cells {
+		evs := events[c]
+		if len(evs) != 2 || evs[0].Done || !evs[1].Done {
+			t.Fatalf("%s: events %+v, want one start then one done", c, evs)
+		}
+		if evs[0].Summary != nil || evs[0].Line != nil || evs[0].Err != nil {
+			t.Errorf("%s: start event carries an outcome: %+v", c, evs[0])
+		}
+		done := evs[1]
+		switch c {
+		case completed:
+			if done.Err != nil || done.Summary == nil || done.Summary.Abort != "" || done.Line == nil {
+				t.Errorf("%s: done event %+v, want a completed record", c, done)
+			}
+		case aborted:
+			if done.Err == nil || done.Summary == nil || done.Summary.Abort != AbortCanceled || done.Line == nil {
+				t.Errorf("%s: done event %+v, want a canceled record", c, done)
+			}
+		default:
+			if done.Err == nil || done.Summary != nil || done.Line != nil {
+				t.Errorf("%s: done event %+v, want an error and no record", c, done)
+			}
+		}
+	}
+	want := append(bytes.Join(lines, []byte("\n")), '\n')
+	if len(lines) != 2 || !bytes.Equal(jsonl.Bytes(), want) {
+		t.Errorf("event lines differ from the JSON log:\nlog    %s\nevents %s", jsonl.Bytes(), want)
+	}
+
+	// A memoized cell sends its events again but not its record, which
+	// went out (and into the JSON log) with the job that simulated it.
+	if _, err := h.RunGrid([]Cell{completed}); err != nil {
+		t.Fatal(err)
+	}
+	if evs := events[completed]; len(evs) != 4 || evs[3].Err != nil || evs[3].Summary != nil || evs[3].Line != nil {
+		t.Errorf("memoized %s: events %+v, want a done event without a record", completed, evs)
+	}
+	if !bytes.Equal(jsonl.Bytes(), want) {
+		t.Errorf("memoized cell wrote to the JSON log again:\n%s", jsonl.Bytes())
 	}
 }
 

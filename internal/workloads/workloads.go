@@ -49,11 +49,15 @@ type Workload struct {
 
 // Label returns "algo-dataset" (or just the algorithm for non-graph
 // kernels), matching the paper's workload labels (e.g. "pr-lj").
-func (w *Workload) Label() string {
-	if w.Dataset == "" {
-		return w.Name
+func (w *Workload) Label() string { return Label(w.Name, w.Dataset) }
+
+// Label names a workload as "algo-dataset", or the algorithm alone when
+// dataset is empty.
+func Label(algo, dataset string) string {
+	if dataset == "" {
+		return algo
 	}
-	return w.Name + "-" + w.Dataset
+	return algo + "-" + dataset
 }
 
 // Options tune workload construction.
