@@ -41,13 +41,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fuzz the farm's inputs from outside for 10 s each: the sweep journal
-# loader and the sweep spec's decoding and expansion. Not part of
-# `make check`; `go test ./...` already replays both seed corpora
-# (internal/exp/farm/testdata/fuzz).
+# Fuzz for 10 s each: the farm's inputs from outside (the sweep journal
+# loader and the sweep spec's decoding and expansion), and the DRAM
+# controller against its retained slice-queue reference. Not part of
+# `make check`; `go test ./...` already replays the seed corpora
+# (internal/exp/farm/testdata/fuzz, internal/dram/testdata/fuzz).
 fuzz:
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzSpecCells$$' -fuzztime 10s
+	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzControllerVsRef$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem

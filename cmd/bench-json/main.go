@@ -76,10 +76,11 @@ type Doc struct {
 
 // gated lists the benchmarks whose allocs/op may never grow past the
 // committed baseline: the demand hot path and the prefetch-fill path,
-// both carrying the always-on lifecycle telemetry, plus the latency-
-// histogram record path that sits behind sim.Config.LatencyHook during
-// memlat calibration runs.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkFillPrefetch", "BenchmarkHistogramRecord"}
+// both carrying the always-on lifecycle telemetry, the DRAM controller
+// under a standing prefetch backlog, plus the latency-histogram record
+// path that sits behind sim.Config.LatencyHook during memlat calibration
+// runs.
+var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.
 var qualityCells = []struct {
@@ -100,7 +101,7 @@ const qualityTolerance = 0.002
 var suites = []struct{ pkg, pattern string }{
 	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkFillPrefetch"},
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
-	{"./internal/dram", "BenchmarkControllerRequest"},
+	{"./internal/dram", "BenchmarkControllerRequest|BenchmarkControllerBacklog"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},
 }
 

@@ -281,19 +281,30 @@ func (b *bank) invalidate(lineAddr uint64) (uint8, bool) {
 	if i < 0 {
 		return stInvalid, false
 	}
+	return b.invalidateIdx(i), true
+}
+
+// invalidateIdx drops the line in slot i, returning its
+// pre-invalidation state.
+func (b *bank) invalidateIdx(i int) uint8 {
 	st := b.lines[i].state
 	b.lines[i] = line{}
 	b.setTag(i, 0)
-	return st, true
+	return st
 }
 
-// downgradeIdx moves an Exclusive/Modified copy to Shared, reporting
+// downgrade moves an Exclusive/Modified copy to Shared, reporting
 // whether a writeback was generated.
 func (b *bank) downgrade(lineAddr uint64) (wroteBack bool) {
 	i := b.findIdx(lineAddr)
 	if i < 0 {
 		return false
 	}
+	return b.downgradeIdx(i)
+}
+
+// downgradeIdx is downgrade for the line in slot i.
+func (b *bank) downgradeIdx(i int) (wroteBack bool) {
 	ln := &b.lines[i]
 	if ln.state == stModified || ln.state == stExclusive {
 		wroteBack = ln.state == stModified
@@ -559,6 +570,13 @@ func (h *Hierarchy) lifeTimely(tag uint8) {
 // serviceFromL3 handles coherence when core reads/writes a line present in
 // L3: downgrades or invalidates other cores' private copies as needed and
 // returns the state the requester's private copies should take.
+//
+// This loop, upgrade and evictL3 probe each core's L2 first and skip its
+// L1 when the L2 misses: every L1 fill follows an L2 fill or hit, an L2
+// victim takes its L1 copy with it, and every coherence invalidation
+// drops both, so a core's L1 lines are always a subset of its L2 lines.
+// The writebacks and invalidations counted are those of the levels that
+// actually held the line.
 func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) uint8 {
 	others := *sh &^ (1 << uint(core))
 	if write {
@@ -566,13 +584,15 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) u
 			if others&(1<<uint(c)) == 0 {
 				continue
 			}
-			if st, ok := h.l1[c].invalidate(la); ok && st == stModified {
-				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
-			}
-			if st, ok := h.l2[c].invalidate(la); ok && st == stModified {
-				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
+			if i := h.l2[c].findIdx(la); i >= 0 {
+				if st, ok := h.l1[c].invalidate(la); ok && st == stModified {
+					h.Stats.Writebacks++
+					h.obs.Add(h.obsWriteBk, 1)
+				}
+				if h.l2[c].invalidateIdx(i) == stModified {
+					h.Stats.Writebacks++
+					h.obs.Add(h.obsWriteBk, 1)
+				}
 			}
 			h.Stats.Invalidations++
 		}
@@ -587,11 +607,15 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) u
 		if others&(1<<uint(c)) == 0 {
 			continue
 		}
+		i := h.l2[c].findIdx(la)
+		if i < 0 {
+			continue
+		}
 		if h.l1[c].downgrade(la) {
 			h.Stats.Writebacks++
 			h.obs.Add(h.obsWriteBk, 1)
 		}
-		if h.l2[c].downgrade(la) {
+		if h.l2[c].downgradeIdx(i) {
 			h.Stats.Writebacks++
 			h.obs.Add(h.obsWriteBk, 1)
 		}
@@ -605,12 +629,15 @@ func (h *Hierarchy) upgrade(core int, la uint64) {
 		if c == core {
 			continue
 		}
+		i := h.l2[c].findIdx(la)
+		if i < 0 {
+			continue
+		}
 		if _, ok := h.l1[c].invalidate(la); ok {
 			h.Stats.Invalidations++
 		}
-		if _, ok := h.l2[c].invalidate(la); ok {
-			h.Stats.Invalidations++
-		}
+		h.l2[c].invalidateIdx(i)
+		h.Stats.Invalidations++
 	}
 	h.l1[core].setModified(la)
 	h.l2[core].setModified(la)
@@ -708,10 +735,14 @@ func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 	ln := &h.l3.lines[i]
 	dirty := ln.state == stModified
 	for c := 0; c < h.cfg.Cores; c++ {
+		j := h.l2[c].findIdx(victimAddr)
+		if j < 0 {
+			continue
+		}
 		if st, ok := h.l1[c].invalidate(victimAddr); ok && st == stModified {
 			dirty = true
 		}
-		if st, ok := h.l2[c].invalidate(victimAddr); ok && st == stModified {
+		if h.l2[c].invalidateIdx(j) == stModified {
 			dirty = true
 		}
 	}

@@ -265,6 +265,10 @@ func TestScaledDefaultShape(t *testing.T) {
 
 // Property: after any access sequence, every L1-resident line is also
 // L2-resident (L1 ⊆ L2) and every private line is L3-resident (inclusion).
+// With prefetch fills and writes interleaved on three cores, L1 ⊆ L2 still
+// holds after every operation: serviceFromL3, upgrade and evictL3 rely on
+// it to skip a core's L1 when its L2 misses. (Prefetch fills can break
+// L2 ⊆ L3, so the mixed run checks only the first.)
 func TestQuickInclusion(t *testing.T) {
 	f := func(ops []uint16) bool {
 		h := mustNew(t, tinyConfig(2))
@@ -292,6 +296,38 @@ func TestQuickInclusion(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+
+	const cores = 3
+	from := [...]Level{LvlL2, LvlL3, LvlMem}
+	mixed := func(ops []uint32) bool {
+		h := mustNew(t, tinyConfig(cores))
+		for i, op := range ops {
+			addr := uint64(op%256) * 64
+			core := int(op>>8) % cores
+			switch lvl := from[(op>>12)%3]; (op >> 16) % 4 {
+			case 0:
+				h.Access(core, addr, false)
+			case 1:
+				h.Access(core, addr, true)
+			case 2:
+				h.FillPrefetch(core, addr, lvl)
+			case 3:
+				h.FillPrefetchL2(core, addr, lvl)
+			}
+			for c := 0; c < cores; c++ {
+				for _, tag := range h.l1[c].tags {
+					if tag != 0 && h.l2[c].findIdx(tag-1) < 0 {
+						t.Logf("op %d (%#x): core %d holds line %#x in L1 but not L2", i, op, c, tag-1)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(mixed, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -49,15 +49,25 @@ type Stats struct {
 // whose slot is displaced keeps the (optimistic) completion it was
 // promised — only the slot bookkeeping shifts — so bandwidth accounting
 // stays exact while displaced prefetches may report slightly early fills.
+//
+// The low-priority slots still queued are always back to back. Each is
+// booked at pfFree, which is the previous slot's end whenever any slot is
+// still queued (an arrival later than that finds every earlier slot
+// already in service). A demand whose slot overlaps the head of the queue
+// pushes the head back by one ServiceInterval, and with it every slot
+// that follows less than two intervals behind its predecessor — all of
+// them, since each follows exactly one interval behind. So the queue is
+// one run of `queued` slots ending at pfFree: a demand displaces the
+// whole backlog by moving pfFree. Every operation costs O(1) amortized
+// however long the backlog grows; advance retires each slot once.
 type Controller struct {
 	cfg Config
 	// demandTail is the end of the last demand service slot.
 	demandTail int64
-	// lp holds the start cycles of low-priority slots not yet in service
-	// (a FIFO; lpHead indexes its logical front). Entries are discarded as
-	// simulated time passes them.
-	lp     []int64
-	lpHead int
+	// queued counts the low-priority slots not yet in service: the run
+	// [pfFree - queued*ServiceInterval, pfFree). They are retired as
+	// simulated time passes their start cycles.
+	queued int64
 	// serviceEnd is the end of the most recent low-priority slot known to
 	// have entered service — the non-preemptible occupancy a demand must
 	// respect.
@@ -92,20 +102,35 @@ func (c *Controller) Attach(r *obs.Recorder) {
 	c.delayID = r.Counter("dram.queue_delay")
 	c.readID = r.Counter("dram.reads")
 	c.writeID = r.Counter("dram.writes")
-	r.GaugeFunc("dram.backlog", func(cycle int64) float64 {
-		b := c.demandTail
-		if c.pfFree > b {
-			b = c.pfFree
-		}
-		if b -= cycle; b < 0 {
-			b = 0
-		}
-		return float64(b)
-	})
-	r.GaugeFunc("dram.queue_depth", func(cycle int64) float64 {
-		c.advance(cycle)
-		return float64(len(c.lp) - c.lpHead)
-	})
+	r.GaugeFunc("dram.backlog", c.backlog)
+	r.GaugeFunc("dram.queue_depth", c.queueDepth)
+}
+
+// backlog is the "dram.backlog" gauge: cycles of service booked ahead of
+// cycle.
+func (c *Controller) backlog(cycle int64) float64 {
+	b := c.demandTail
+	if c.pfFree > b {
+		b = c.pfFree
+	}
+	if b -= cycle; b < 0 {
+		b = 0
+	}
+	return float64(b)
+}
+
+// queueDepth is the "dram.queue_depth" gauge: low-priority slots still
+// queued at cycle.
+func (c *Controller) queueDepth(cycle int64) float64 {
+	c.advance(cycle)
+	return float64(c.queued)
+}
+
+// head returns the start cycle of the first queued low-priority slot.
+//
+//hot:inline
+func (c *Controller) head() int64 {
+	return c.pfFree - c.queued*c.cfg.ServiceInterval
 }
 
 // advance retires every low-priority slot that has entered service by
@@ -113,13 +138,9 @@ func (c *Controller) Attach(r *obs.Recorder) {
 //
 //hot:inline
 func (c *Controller) advance(now int64) {
-	for c.lpHead < len(c.lp) && c.lp[c.lpHead] <= now {
-		c.serviceEnd = c.lp[c.lpHead] + c.cfg.ServiceInterval
-		c.lpHead++
-	}
-	if c.lpHead == len(c.lp) {
-		c.lp = c.lp[:0]
-		c.lpHead = 0
+	for c.queued > 0 && c.head() <= now {
+		c.serviceEnd = c.head() + c.cfg.ServiceInterval
+		c.queued--
 	}
 }
 
@@ -148,21 +169,12 @@ func (c *Controller) Request(now int64) int64 {
 		start = c.serviceEnd
 	}
 	c.demandTail = start + c.cfg.ServiceInterval
-	// Displace queued low-priority slots that the demand's slot now
-	// overlaps; back-to-back neighbours cascade.
-	bound := c.demandTail
-	for i := c.lpHead; i < len(c.lp); i++ {
-		if c.lp[i] >= bound {
-			break
-		}
-		c.lp[i] += c.cfg.ServiceInterval
-		bound = c.lp[i] + c.cfg.ServiceInterval
-		if i == len(c.lp)-1 {
-			c.pfFree = bound
-		}
-	}
-	if c.lpHead == len(c.lp) && c.pfFree < c.demandTail {
-		c.pfFree = c.demandTail
+	if c.queued == 0 {
+		c.pfFree = max(c.pfFree, c.demandTail)
+	} else if c.head() < c.demandTail {
+		// The demand's slot overlaps the head of the queue: the whole
+		// back-to-back run moves back one slot.
+		c.pfFree += c.cfg.ServiceInterval
 	}
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
@@ -196,8 +208,7 @@ func (c *Controller) lowPriorityStart(now int64) int64 {
 	if c.pfFree > start {
 		start = c.pfFree
 	}
-	//lint:allow hotpath-alloc slot queue reaches steady-state capacity; advance compacts it in place, so growth is amortized across the run
-	c.lp = append(c.lp, start)
+	c.queued++
 	c.pfFree = start + c.cfg.ServiceInterval
 	return start
 }
