@@ -42,14 +42,19 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz for 10 s each: the farm's inputs from outside (the sweep journal
-# loader and the sweep spec's decoding and expansion), and the DRAM
-# controller against its retained slice-queue reference. Not part of
-# `make check`; `go test ./...` already replays the seed corpora
-# (internal/exp/farm/testdata/fuzz, internal/dram/testdata/fuzz).
+# loader and the sweep spec's decoding and expansion), the DRAM
+# controller against its retained slice-queue reference, the
+# fingerprinted cache bank against its retained filter-and-scan
+# reference, and cache/TLB geometry validation. Not part of `make
+# check`; `go test ./...` already replays the seed corpora
+# (internal/exp/farm/testdata/fuzz, internal/dram/testdata/fuzz,
+# internal/cache/testdata/fuzz).
 fuzz:
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzSpecCells$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzControllerVsRef$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzBankVsRef$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheGeometry$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -64,12 +69,13 @@ bench-json:
 	$(GO) run ./cmd/bench-json
 
 # Wall-clock regression gate (part of `make check`): time
-# `prodigy-bench -quick` (best of 5, to squeeze out scheduler noise) and
-# fail if it lands more than 10% above the latest committed
-# BENCH_<n>.json baseline. Catches simulator throughput regressions
+# `prodigy-bench -quick` as many times as the latest committed
+# BENCH_<n>.json baseline did and fail if the median exceeds the
+# baseline's median by more than both batches' spreads (slowest minus
+# fastest run) added together. Catches simulator throughput regressions
 # without rerunning the full bench-json suite.
 quick-gate:
-	$(GO) run ./cmd/bench-json -quick-gate -quick-runs 5
+	$(GO) run ./cmd/bench-json -quick-gate
 
 # Smoke test for the prodigy-stat regression gate: a plain diff of the
 # committed fixtures must pass, and a tight -fail-on threshold must fail

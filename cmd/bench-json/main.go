@@ -16,12 +16,14 @@
 // the host.
 //
 // -quick-gate runs only the wall-clock check: it times
-// `prodigy-bench -quick` (best of -quick-runs) and fails if the best run
-// is more than 10% slower than the committed baseline's quick_bench_ms.
-// `make check` runs this mode, so simulator throughput regressions fail
-// tier-1 verification on the machine that committed the baseline. The
-// 10% margin absorbs scheduler noise; a fresh checkout with no baseline
-// passes trivially.
+// `prodigy-bench -quick` as many times as the committed baseline did and
+// fails if the median exceeds the baseline's median by more than the two
+// batches' spreads (slowest minus fastest run) added together, a gap
+// that neither batch's own noise explains. `make check` runs this mode,
+// so simulator throughput regressions fail tier-1 verification on the
+// machine that committed the baseline. The margin is the noise the runs
+// measured, not a fixed percentage; a fresh checkout with no baseline,
+// or a baseline without per-run walls, passes trivially.
 package main
 
 import (
@@ -65,9 +67,13 @@ type Doc struct {
 	// Benchmarks maps benchmark name (without the -cpu suffix) to its
 	// per-op metrics.
 	Benchmarks map[string]Bench `json:"benchmarks"`
-	// QuickBenchMS is the best-of-N wall time of `prodigy-bench -quick`.
-	QuickBenchMS int64 `json:"quick_bench_ms"`
-	QuickRuns    int   `json:"quick_runs"`
+	// QuickBenchMS is the median wall time of QuickRuns runs of
+	// `prodigy-bench -quick`; QuickRunsMS lists every run's wall time in
+	// run order and QuickSpreadMS is the slowest minus the fastest.
+	QuickBenchMS  int64   `json:"quick_bench_ms"`
+	QuickRuns     int     `json:"quick_runs"`
+	QuickRunsMS   []int64 `json:"quick_runs_ms,omitempty"`
+	QuickSpreadMS int64   `json:"quick_spread_ms,omitempty"`
 	// Quality maps quick-sweep cell ("algo-dataset/scheme") to its
 	// prefetch-quality ratios. Deterministic (simulated cycles only), so
 	// unlike ns/op it is gated: accuracy/coverage must not regress.
@@ -75,12 +81,12 @@ type Doc struct {
 }
 
 // gated lists the benchmarks whose allocs/op may never grow past the
-// committed baseline: the demand hot path and the prefetch-fill path,
-// both carrying the always-on lifecycle telemetry, the DRAM controller
-// under a standing prefetch backlog, plus the latency-histogram record
-// path that sits behind sim.Config.LatencyHook during memlat calibration
-// runs.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
+// committed baseline: the demand hot path, the DRAM-miss path and the
+// prefetch-fill path, all carrying the always-on lifecycle telemetry,
+// the DRAM controller under a standing prefetch backlog, plus the
+// latency-histogram record path that sits behind sim.Config.LatencyHook
+// during memlat calibration runs.
+var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.
 var qualityCells = []struct {
@@ -99,7 +105,7 @@ const qualityTolerance = 0.002
 // suites lists the hot-path benchmarks (package -> -bench regexp). The
 // sim filter must not match BenchmarkRunObs*, which run full simulations.
 var suites = []struct{ pkg, pattern string }{
-	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkFillPrefetch"},
+	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkHierarchyMiss|BenchmarkFillPrefetch"},
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
 	{"./internal/dram", "BenchmarkControllerRequest|BenchmarkControllerBacklog"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},
@@ -107,14 +113,14 @@ var suites = []struct{ pkg, pattern string }{
 
 func main() {
 	out := flag.String("out", latestBench("."), "output (and baseline) JSON file; defaults to the highest-numbered BENCH_<n>.json")
-	quickRuns := flag.Int("quick-runs", 3, "prodigy-bench -quick repetitions (best is kept); 0 skips")
+	quickRuns := flag.Int("quick-runs", 5, "prodigy-bench -quick repetitions (the median is recorded); 0 skips")
 	quickGate := flag.Bool("quick-gate", false,
-		"only time prodigy-bench -quick and fail if >10% slower than the committed baseline")
+		"only time prodigy-bench -quick as often as the committed baseline did and fail if the median exceeds the baseline's by more than both batches' spreads")
 	flag.Parse()
 
 	var err error
 	if *quickGate {
-		err = runQuickGate(*out, *quickRuns)
+		err = runQuickGate(*out)
 	} else {
 		err = run(*out, *quickRuns)
 	}
@@ -140,26 +146,47 @@ func latestBench(dir string) string {
 }
 
 // runQuickGate is the wall-clock regression gate `make check` runs: no
-// microbenchmarks, no file rewrite — just time the quick bench and
-// compare it against the committed baseline.
-func runQuickGate(out string, runs int) error {
+// microbenchmarks, no file rewrite — just time the quick bench the way
+// the committed baseline was timed (same number of runs, same
+// statistic) and compare the medians, allowing the spread the baseline
+// recorded plus the spread of the runs just taken. A shared host's load
+// drifts between batches, so one batch's spread alone understates the
+// noise between two batches.
+func runQuickGate(out string) error {
 	baseline := readBaseline(out)
-	if baseline == nil || baseline.QuickBenchMS == 0 || runs <= 0 {
-		fmt.Printf("== quick gate: no committed wall-clock baseline in %s; nothing to gate\n", out)
+	if baseline == nil || len(baseline.QuickRunsMS) == 0 {
+		fmt.Printf("== quick gate: no per-run wall-clock baseline in %s; nothing to gate\n", out)
 		return nil
 	}
-	ms, err := timeQuickBench(runs)
+	runs, err := timeQuickBench(len(baseline.QuickRunsMS))
 	if err != nil {
 		return err
 	}
-	limit := baseline.QuickBenchMS + baseline.QuickBenchMS/10
+	ms, limit := median(runs), baseline.QuickBenchMS+baseline.QuickSpreadMS+spread(runs)
+	verdict := fmt.Sprintf("median of %d = %d ms %v, limit %d ms (baseline median %d ms + its spread %d ms + this spread %d ms, %s)",
+		len(runs), ms, runs, limit, baseline.QuickBenchMS, baseline.QuickSpreadMS, spread(runs), out)
 	if ms > limit {
-		return fmt.Errorf("prodigy-bench -quick regressed: best of %d = %d ms > %d ms (baseline %d ms +10%%, %s)",
-			runs, ms, limit, baseline.QuickBenchMS, out)
+		return fmt.Errorf("prodigy-bench -quick regressed: %s", verdict)
 	}
-	fmt.Printf("== quick gate: best of %d = %d ms <= %d ms (baseline %d ms +10%%): ok\n",
-		runs, ms, limit, baseline.QuickBenchMS)
+	fmt.Printf("== quick gate: %s: ok\n", verdict)
 	return nil
+}
+
+// median returns the middle value of runs (the upper middle for an even
+// count).
+func median(runs []int64) int64 {
+	s := append([]int64(nil), runs...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
+}
+
+// spread returns the slowest minus the fastest of runs.
+func spread(runs []int64) int64 {
+	lo, hi := runs[0], runs[0]
+	for _, r := range runs {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	return hi - lo
 }
 
 func run(out string, quickRuns int) error {
@@ -193,12 +220,13 @@ func run(out string, quickRuns int) error {
 	}
 
 	if quickRuns > 0 {
-		ms, err := timeQuickBench(quickRuns)
+		runs, err := timeQuickBench(quickRuns)
 		if err != nil {
 			return err
 		}
-		doc.QuickBenchMS = ms
-		fmt.Printf("== prodigy-bench -quick: best of %d = %d ms\n", quickRuns, ms)
+		doc.QuickRunsMS, doc.QuickBenchMS, doc.QuickSpreadMS = runs, median(runs), spread(runs)
+		fmt.Printf("== prodigy-bench -quick: median of %d = %d ms, spread %d ms %v\n",
+			quickRuns, doc.QuickBenchMS, doc.QuickSpreadMS, runs)
 	}
 
 	if err := measureQuality(&doc); err != nil {
@@ -369,28 +397,25 @@ func parseBenchLines(raw []byte, dst map[string]Bench) error {
 	return nil
 }
 
-// timeQuickBench builds cmd/prodigy-bench and returns the best wall time
-// (ms) of runs invocations of `-quick`. Best-of, not mean: scheduling
-// noise only ever adds time.
-func timeQuickBench(runs int) (int64, error) {
+// timeQuickBench builds cmd/prodigy-bench and returns the wall time
+// (ms) of each of runs invocations of `-quick`, in run order.
+func timeQuickBench(runs int) ([]int64, error) {
 	tmp, err := os.MkdirTemp("", "bench-json-")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer os.RemoveAll(tmp) //lint:allow errcheck best-effort temp-dir cleanup
 	bin := filepath.Join(tmp, "prodigy-bench")
 	if raw, err := exec.Command("go", "build", "-o", bin, "./cmd/prodigy-bench").CombinedOutput(); err != nil {
-		return 0, fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
+		return nil, fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
 	}
-	best := int64(-1)
+	walls := make([]int64, 0, runs)
 	for i := 0; i < runs; i++ {
 		start := time.Now()
 		if raw, err := exec.Command(bin, "-quick").CombinedOutput(); err != nil {
-			return 0, fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
+			return nil, fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
 		}
-		if ms := time.Since(start).Milliseconds(); best < 0 || ms < best {
-			best = ms
-		}
+		walls = append(walls, time.Since(start).Milliseconds())
 	}
-	return best, nil
+	return walls, nil
 }

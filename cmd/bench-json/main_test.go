@@ -20,3 +20,16 @@ func TestLatestBenchNumericOrder(t *testing.T) {
 		t.Fatalf("latestBench = %s, want %s", got, want)
 	}
 }
+
+func TestMedianSpread(t *testing.T) {
+	runs := []int64{812, 735, 917, 760, 790}
+	if got := median(runs); got != 790 {
+		t.Fatalf("median = %d, want 790", got)
+	}
+	if got := spread(runs); got != 182 {
+		t.Fatalf("spread = %d, want 182", got)
+	}
+	if runs[0] != 812 {
+		t.Fatalf("median reordered its argument: %v", runs)
+	}
+}

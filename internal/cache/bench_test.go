@@ -79,3 +79,31 @@ func BenchmarkHierarchyAccessObs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHierarchyMiss drives the DRAM path on four cores. Six ops in
+// eight are cores 0 and 1 missing to fresh lines: each chooses an LRU
+// victim in a full 16-way L3 set, back-invalidates it from every core's
+// private caches, and fills L2 and L1 over their own victims (one in six
+// is a write, so victims go dirty). The other two are cores 2 and 3
+// reading a 64-line hot region that nothing else displaces from their L1
+// and L2. Private hits do not refresh the L3's LRU order, so the hot
+// lines age out of the L3 while cached, and the eviction fan-out finds
+// two copies to invalidate before the next hot read misses to DRAM.
+// Like the demand and prefetch benchmarks, it must stay at 0 allocs/op.
+func BenchmarkHierarchyMiss(b *testing.B) {
+	h, err := New(ScaledDefault(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := uint64(h.Config().LineSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := uint64(i)
+		if i&7 < 6 {
+			h.Access(i&1, 1<<24+n*line, i&7 == 5)
+		} else {
+			h.Access(2+i&1, (n>>3%64)*line, false)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"prodigy/internal/obs"
 )
@@ -66,13 +67,23 @@ type Config struct {
 	L1Lat, L2Lat, L3Lat int
 }
 
+// maxCores is the most cores a hierarchy can serve: the L3 directory
+// keeps each line's sharers as one bit per core in a uint64.
+const maxCores = 64
+
+// maxLines bounds each level's capacity in lines (4 Mi lines, 256 MiB
+// of 64 B lines; the paper's unscaled Table-I L3 at 32 cores is 1 Mi
+// lines), so an absurd size is refused instead of failing an allocation.
+const maxLines = 1 << 22
+
 // Validate reports whether cfg describes a buildable hierarchy. The set
 // index is computed with a mask, so each level's set count must be a
-// power of two; a bad sweep configuration surfaces here as an error from
-// New (and sim.NewMachine) instead of a panic inside a runner worker.
+// power of two, and each level must hold at least one full set; a bad
+// sweep configuration surfaces here as an error from New (and
+// sim.NewMachine) instead of a panic inside a runner worker.
 func (cfg Config) Validate() error {
-	if cfg.Cores <= 0 {
-		return fmt.Errorf("cache: Cores = %d, want > 0", cfg.Cores)
+	if cfg.Cores <= 0 || cfg.Cores > maxCores {
+		return fmt.Errorf("cache: Cores = %d, want 1..%d", cfg.Cores, maxCores)
 	}
 	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		return fmt.Errorf("cache: LineSize = %d, want a power of two", cfg.LineSize)
@@ -88,6 +99,15 @@ func (cfg Config) Validate() error {
 		if l.size <= 0 || l.assoc <= 0 {
 			return fmt.Errorf("cache: %s size %d / assoc %d, want both > 0", l.name, l.size, l.assoc)
 		}
+		lines := l.size / cfg.LineSize
+		if lines > maxLines {
+			return fmt.Errorf("cache: %s holds %d lines (size %d, line %d), want at most %d",
+				l.name, lines, l.size, cfg.LineSize, maxLines)
+		}
+		if l.assoc > lines {
+			return fmt.Errorf("cache: %s assoc %d exceeds its %d lines (size %d, line %d)",
+				l.name, l.assoc, lines, l.size, cfg.LineSize)
+		}
 		sets := setCount(l.size, l.assoc, cfg.LineSize)
 		if sets&(sets-1) != 0 {
 			return fmt.Errorf("cache: %s set count %d (size %d, assoc %d, line %d) not a power of two",
@@ -97,12 +117,9 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// setCount is a level's number of sets; Validate guarantees at least one.
 func setCount(sizeBytes, assoc, lineSize int) int {
-	numSets := sizeBytes / lineSize / assoc
-	if numSets == 0 {
-		numSets = 1
-	}
-	return numSets
+	return sizeBytes / lineSize / assoc
 }
 
 // ScaledDefault returns the Table I configuration with capacities scaled
@@ -120,19 +137,21 @@ func ScaledDefault(cores int) Config {
 }
 
 // Prefetch-tag encoding: the issuing core in the low bits plus one flag
-// recording whether the fill was serviced from DRAM. One packed byte
-// (it occupies what was padding in line), so tagging costs no space and
-// no extra set state.
+// recording whether the fill was serviced from DRAM, packed into one
+// byte of line, so tagging costs no extra set state.
 const (
 	pfCoreMask uint8 = 0x7F
 	pfMemBit   uint8 = 0x80
 )
 
-// line is one cache line's metadata beyond its tag. The tag lives in
-// the bank's dense tags array (structure-of-arrays split) so the
-// hot-path set scan walks contiguous uint64s instead of striding over
-// these wider structs; tags[i] and lines[i] describe the same slot, and
-// tags[i] == 0 if and only if lines[i].state == stInvalid.
+// line is one cache line's coherence and prefetch state. The rest of a
+// slot lives in the bank's dense arrays (structure-of-arrays split): its
+// tag in tags, a one-byte fingerprint of the tag in the fps words and
+// its last-use tick in lru, so a set probe reads one word per eight ways
+// and touches a tag only where a fingerprint matched, and a victim
+// search reads 4 B per way. tags[i], lane i of fps, lru[i] and lines[i]
+// describe the same slot, and lane i is fpInvalid if and only if
+// lines[i].state == stInvalid.
 type line struct {
 	state      uint8
 	prefetched bool
@@ -141,137 +160,212 @@ type line struct {
 	// and records DRAM service (pfMemBit); meaningful only while
 	// prefetched && !used.
 	pfTag uint8
-	lru   uint32
 }
 
-// bank is one set-associative cache.
+// Fingerprint lanes. Byte lane i&7 of fps[i>>3] (little-endian)
+// describes slot i: the fingerprint of its line (0..127), fpInvalid for
+// an empty slot, or fpPad for a slot that only rounds a set up to a
+// multiple of eight ways. The high bit of a lane is set exactly when the
+// lane holds no line, so XORing a word with a broadcast fingerprint
+// leaves a zero lane only where a resident line's fingerprint matches
+// (zeroLanes never flags a lane whose high bit differs), and XORing it
+// with broadcast fpInvalid leaves a zero lane exactly at each empty way.
+// Neither search needs a per-set mask.
+const (
+	fpMul     = 0x9E3779B97F4A7C15 // 64-bit Fibonacci hashing multiplier
+	lanes01   = 0x0101010101010101
+	lanes80   = 0x8080808080808080
+	fpInvalid = 0x80
+	fpPad     = 0xFF
+)
+
+// fingerprint maps a line address to the top seven bits of its
+// Fibonacci hash.
+//
+//hot:inline
+func fingerprint(lineAddr uint64) uint64 {
+	return lineAddr * fpMul >> 57
+}
+
+// zeroLanes flags (bit 7 of each byte) the zero bytes of x. The lowest
+// flag is exact; a flag above it may be spurious (the borrow out of a
+// zero byte sets it on a byte equal to 1), so callers verify every
+// candidate. A byte of 0x80 or more is never flagged.
+//
+//hot:inline
+func zeroLanes(x uint64) uint64 {
+	return (x - lanes01) &^ x & lanes80
+}
+
+// bank is one set-associative cache. Its fingerprint words are laid out
+// in planes of nsets words: word p*nsets+s holds ways 8p..8p+7 of set s,
+// and the slots of word w are w*8..w*8+7, so the ways of a set lie in
+// ascending slot order and a probe walks the set's words by stepping
+// nsets. Ways past assoc in the last plane are padding and never hold a
+// line.
 type bank struct {
-	// tags[i] is slot i's full line address + 1 (0 = invalid), kept
-	// separate from lines so findIdx/findOrVictim scan a dense array.
-	tags    []uint64
-	lines   []line
+	// tags[i] is the line address held in slot i, meaningful only while
+	// the slot holds a line; a probe reads it only to confirm a
+	// fingerprint match.
+	tags  []uint64
+	fps   []uint64
+	lines []line
+	// lru[i] is the bank tick of slot i's last fill or hit; the victim of
+	// a full set is its least lru.
+	lru     []uint32
 	assoc   int
+	nsets   int
 	setMask uint64
 	tick    uint32
-	// filter counts resident lines per line-address hash bucket: a zero
-	// bucket proves the line is absent, letting findIdx skip the set
-	// scan. Prefetch probes miss every level most of the time, so the
-	// reject path is the common one. The counter cannot overflow: a
-	// bucket counts at most every resident line in the bank, which is
-	// far below 2^16. setTag keeps it exact.
-	filter []uint16
-	fmask  uint64
 	// sharers is per-set-way core presence (L3 directory only), indexed
 	// like lines.
 	sharers []uint64
 }
 
-// filterFib is the 64-bit Fibonacci hashing multiplier; the shifted
-// product spreads line addresses that alias in their low bits.
-const filterFib = 0x9E3779B97F4A7C15
-
-//hot:inline
-func (b *bank) fhash(lineAddr uint64) uint64 {
-	return (lineAddr * filterFib) >> 32 & b.fmask
-}
-
-// setTag points slot i at a new tag (0 = invalidate), keeping the
-// presence filter in step. Every tag write goes through here.
-func (b *bank) setTag(i int, tag uint64) {
-	if old := b.tags[i]; old != 0 {
-		b.filter[b.fhash(old-1)]--
-	}
-	if tag != 0 {
-		b.filter[b.fhash(tag-1)]++
-	}
-	b.tags[i] = tag
-}
-
 // newBank assumes Config.Validate already approved the geometry (power
-// of two set count).
+// of two set count, bounded line count).
 func newBank(sizeBytes, assoc, lineSize int, directory bool) *bank {
 	numSets := setCount(sizeBytes, assoc, lineSize)
-	fsize := 4
-	for fsize < 4*numSets*assoc {
-		fsize *= 2
-	}
+	words := (assoc + 7) / 8 * numSets
 	b := &bank{
-		tags:    make([]uint64, numSets*assoc),
-		lines:   make([]line, numSets*assoc),
+		tags:    make([]uint64, 8*words),
+		fps:     make([]uint64, words),
+		lines:   make([]line, 8*words),
+		lru:     make([]uint32, 8*words),
 		assoc:   assoc,
+		nsets:   numSets,
 		setMask: uint64(numSets - 1),
-		filter:  make([]uint16, fsize),
-		fmask:   uint64(fsize - 1),
+	}
+	// In the last plane, lanes assoc%8..7 are padding.
+	var pad uint64
+	if assoc&7 != 0 {
+		pad = fpPad * lanes01 << (8 * (assoc & 7))
+	}
+	for w := range b.fps {
+		b.fps[w] = fpInvalid * lanes01
+		if w >= words-numSets {
+			b.fps[w] |= pad
+		}
 	}
 	if directory {
-		b.sharers = make([]uint64, numSets*assoc)
+		b.sharers = make([]uint64, 8*words)
 	}
 	return b
 }
 
+// slot returns the global slot index of way k of set s.
+func (b *bank) slot(s, k int) int {
+	return (k>>3*b.nsets+s)<<3 | k&7
+}
+
+// setLane writes slot i's fingerprint lane.
+func (b *bank) setLane(i int, fp uint64) {
+	sh := uint(i&7) * 8
+	w := &b.fps[i>>3]
+	*w = *w&^(0xFF<<sh) | fp<<sh
+}
+
 // findIdx returns the global slot index of lineAddr in b.lines, or -1.
-// This is the hot-path lookup: one scan over the set, no slicing.
+// This is the hot-path lookup, inlined at every call site: one XOR and
+// zero test per eight ways, and a tag compare only on a way whose
+// fingerprint matched. Tags are unique within a set, so the first
+// confirmed way is the only one. The fingerprint and zero test are
+// written out rather than called: the helpers' inlining overhead would
+// take the function past the inlining budget.
 //
 //hot:inline
 func (b *bank) findIdx(lineAddr uint64) int {
-	if b.filter[b.fhash(lineAddr)] == 0 {
-		return -1
-	}
-	s := int(lineAddr&b.setMask) * b.assoc
-	tag := lineAddr + 1
-	for i := s; i < s+b.assoc; i++ {
-		if b.tags[i] == tag {
-			return i
+	for w := int(lineAddr & b.setMask); w < len(b.fps); w += b.nsets {
+		x := b.fps[w] ^ lineAddr*fpMul>>57*lanes01 // broadcast fingerprint
+		for m := (x - lanes01) &^ x & lanes80; m != 0; m &= m - 1 {
+			if i := w<<3 | bits.TrailingZeros64(m)>>3; b.tags[i] == lineAddr {
+				return i
+			}
 		}
 	}
 	return -1
 }
 
-// findOrVictim scans the set once, returning (slot, true) on a hit and
-// (victim slot, false) on a miss. The victim is the first invalid way if
-// any, else the least-recently-used way (first index on ties) — the same
-// policy the old separate lookup+victim pair implemented in two scans.
+// victim returns the slot a fill of lineAddr takes when lineAddr is not
+// in the bank: the first empty way if any, else the least-recently-used
+// way (first way on ties). Fills that follow a miss at this level call
+// it directly instead of searching the set for the line again.
+func (b *bank) victim(lineAddr uint64) int {
+	s := int(lineAddr & b.setMask)
+	for w := s; w < len(b.fps); w += b.nsets {
+		if m := zeroLanes(b.fps[w] ^ fpInvalid*lanes01); m != 0 {
+			return w<<3 | bits.TrailingZeros64(m)>>3
+		}
+	}
+	// The set is full: take the least lru, the lowest slot on ties, as the
+	// minimum of lru<<32 | slot (slots fit in 32 bits: Validate bounds the
+	// lines per level), which compiles to branch-free selects. A whole
+	// word's eight ways reduce as a tree, so the selects do not form one
+	// long dependency chain.
+	best := ^uint64(0)
+	for w, k := s, 0; k < b.assoc; w, k = w+b.nsets, k+8 {
+		i := w << 3
+		l := b.lru[i : i+8 : i+8]
+		if k+8 <= b.assoc {
+			best = min(best,
+				min(min(lruKey(l[0], i), lruKey(l[1], i+1)), min(lruKey(l[2], i+2), lruKey(l[3], i+3))),
+				min(min(lruKey(l[4], i+4), lruKey(l[5], i+5)), min(lruKey(l[6], i+6), lruKey(l[7], i+7))))
+			continue
+		}
+		for j, lru := range l[:b.assoc-k] {
+			best = min(best, lruKey(lru, i+j))
+		}
+	}
+	return int(uint32(best))
+}
+
+// lruKey orders slot i, last used at tick lru, for victim: by lru, then
+// by slot.
+func lruKey(lru uint32, i int) uint64 {
+	return uint64(lru)<<32 | uint64(i)
+}
+
+// findOrVictim returns (slot, true) if lineAddr is resident, else
+// (victim slot, false). Only fills of lines that may already be
+// resident (prefetch fills) need it.
 func (b *bank) findOrVictim(lineAddr uint64) (int, bool) {
-	s := int(lineAddr&b.setMask) * b.assoc
-	tag := lineAddr + 1
-	invalid := -1
-	victim, bestLRU := s, uint32(^uint32(0))
-	for i := s; i < s+b.assoc; i++ {
-		if b.tags[i] == tag {
-			return i, true
-		}
-		if b.tags[i] == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
-		} else if ln := &b.lines[i]; ln.lru < bestLRU {
-			victim, bestLRU = i, ln.lru
-		}
+	if i := b.findIdx(lineAddr); i >= 0 {
+		return i, true
 	}
-	if invalid >= 0 {
-		return invalid, false
-	}
-	return victim, false
+	return b.victim(lineAddr), false
+}
+
+// fill installs ln for lineAddr in slot i, dropping whatever the slot
+// held, and makes it the set's most recently used way.
+func (b *bank) fill(i int, lineAddr uint64, ln line) {
+	b.lines[i] = ln
+	b.tags[i] = lineAddr
+	b.setLane(i, fingerprint(lineAddr))
+	b.touchIdx(i)
 }
 
 // lookup returns the way index within the set, or -1 (kept for tests and
 // inspection; the hot path uses findIdx).
 func (b *bank) lookup(lineAddr uint64) int {
 	if i := b.findIdx(lineAddr); i >= 0 {
-		return i - int(lineAddr&b.setMask)*b.assoc
+		return b.wayOf(int(lineAddr&b.setMask), i)
 	}
 	return -1
 }
 
+// wayOf returns the way of set s that slot i holds (the inverse of slot).
+func (b *bank) wayOf(s, i int) int {
+	return (i>>3-s)/b.nsets*8 + i&7
+}
+
 func (b *bank) way(lineAddr uint64, w int) *line {
-	s := int(lineAddr&b.setMask) * b.assoc
-	return &b.lines[s+w]
+	return &b.lines[b.slot(int(lineAddr&b.setMask), w)]
 }
 
 //hot:inline
 func (b *bank) touchIdx(i int) {
 	b.tick++
-	b.lines[i].lru = b.tick
+	b.lru[i] = b.tick
 }
 
 // invalidate drops the line if present, returning its pre-invalidation
@@ -289,7 +383,7 @@ func (b *bank) invalidate(lineAddr uint64) (uint8, bool) {
 func (b *bank) invalidateIdx(i int) uint8 {
 	st := b.lines[i].state
 	b.lines[i] = line{}
-	b.setTag(i, 0)
+	b.setLane(i, fpInvalid)
 	return st
 }
 
@@ -317,13 +411,6 @@ func (b *bank) downgradeIdx(i int) (wroteBack bool) {
 func (b *bank) markUsed(lineAddr uint64) {
 	if i := b.findIdx(lineAddr); i >= 0 {
 		b.lines[i].used = true
-	}
-}
-
-// setModified upgrades the line's state if present.
-func (b *bank) setModified(lineAddr uint64) {
-	if i := b.findIdx(lineAddr); i >= 0 {
-		b.lines[i].state = stModified
 	}
 }
 
@@ -383,7 +470,9 @@ type Hierarchy struct {
 	// which side of an event each index refers to).
 	Life []LifeStats
 	// OnL3Evict, when set, is called with the evicted line address
-	// (used by DROPLET-style prefetchers that watch DRAM traffic).
+	// (used by DROPLET-style prefetchers that watch DRAM traffic). It
+	// runs in the middle of a fill and must not call back into the
+	// hierarchy.
 	OnL3Evict func(lineAddr uint64)
 
 	// Interval-metrics hooks (inert when obs is nil).
@@ -482,13 +571,14 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 			res.PrefetchHit = LvlL1
 			h.Stats.PrefetchL1Hits++
 			h.lifeTimely(ln.pfTag)
-			h.markUsed(core, la)
+			h.l2[core].markUsed(la)
+			h.l3.markUsed(la)
 		}
 		ln.used = true
 		h.Stats.DemandL1Hits++
 		h.obs.Add(h.obsL1Hit, 1)
 		if write && ln.state != stModified {
-			h.upgrade(core, la)
+			h.upgrade(core, la, i, h.l2[core].findIdx(la))
 		}
 		return res
 	}
@@ -503,15 +593,16 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 			res.PrefetchHit = LvlL2
 			h.Stats.PrefetchL2Hits++
 			h.lifeTimely(ln.pfTag)
-			h.markUsed(core, la)
+			h.l3.markUsed(la)
 		}
 		ln.used = true
 		st := ln.state
-		h.fillL1(core, la, st, ln.prefetched, true, ln.pfTag)
+		j := l1.victim(la)
+		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, pfTag: ln.pfTag})
 		h.Stats.DemandL2Hits++
 		h.obs.Add(h.obsL2Hit, 1)
 		if write && st != stModified {
-			h.upgrade(core, la)
+			h.upgrade(core, la, j, i)
 		}
 		return res
 	}
@@ -531,7 +622,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		pfTag := ln.pfTag
 		sh := &h.l3.sharers[i]
 		state := h.serviceFromL3(core, la, sh, write)
-		h.fillPrivate(core, la, state, prefetched, true, pfTag)
+		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, pfTag: pfTag})
 		// Re-resolve the directory entry: the private fills may have
 		// evicted other lines but never move this one, so the slot index
 		// is still valid.
@@ -549,8 +640,8 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	if write {
 		state = stModified
 	}
-	h.fillL3(core, la, state == stModified, false, 0)
-	h.fillPrivate(core, la, state, false, true, 0)
+	h.fillL3(core, h.l3.victim(la), la, line{state: state})
+	h.fillPrivate(core, la, line{state: state, used: true})
 	return Result{Lat: h.cfg.L3Lat, Level: LvlMem}
 }
 
@@ -623,8 +714,9 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) u
 	return stShared
 }
 
-// upgrade acquires write permission for a line core already holds.
-func (h *Hierarchy) upgrade(core int, la uint64) {
+// upgrade acquires write permission for a line core already holds, in
+// slot i1 of its L1 and slot i2 (-1 if absent) of its L2.
+func (h *Hierarchy) upgrade(core int, la uint64, i1, i2 int) {
 	for c := 0; c < h.cfg.Cores; c++ {
 		if c == core {
 			continue
@@ -639,8 +731,10 @@ func (h *Hierarchy) upgrade(core int, la uint64) {
 		h.l2[c].invalidateIdx(i)
 		h.Stats.Invalidations++
 	}
-	h.l1[core].setModified(la)
-	h.l2[core].setModified(la)
+	h.l1[core].lines[i1].state = stModified
+	if i2 >= 0 {
+		h.l2[core].lines[i2].state = stModified
+	}
 	if i := h.l3.findIdx(la); i >= 0 {
 		h.l3.sharers[i] = 1 << uint(core)
 	}
@@ -654,34 +748,24 @@ func (h *Hierarchy) markUsed(core int, la uint64) {
 	h.l3.markUsed(la)
 }
 
-func (h *Hierarchy) fillPrivate(core int, la uint64, state uint8, prefetched, used bool, pfTag uint8) {
-	h.fillL2(core, la, state, prefetched, used, pfTag)
-	h.fillL1(core, la, state, prefetched, used, pfTag)
+// fillPrivate installs la, which missed core's L1 and L2, in both.
+func (h *Hierarchy) fillPrivate(core int, la uint64, ln line) {
+	h.fillL2(core, h.l2[core].victim(la), la, ln)
+	h.fillL1(core, h.l1[core].victim(la), la, ln)
 }
 
-func (h *Hierarchy) fillL1(core int, la uint64, state uint8, prefetched, used bool, pfTag uint8) {
-	b := h.l1[core]
-	i, hit := b.findOrVictim(la)
-	if hit {
-		b.touchIdx(i)
-		return
-	}
+// fillL1, fillL2 and fillL3 install la as ln in slot i of their level, a
+// victim slot that victim or findOrVictim chose, evicting what it holds.
+func (h *Hierarchy) fillL1(core, i int, la uint64, ln line) {
 	// A dirty L1 victim falls back to L2/L3 silently (inclusive hierarchy:
 	// the outer levels still hold the line and the directory bit).
-	b.lines[i] = line{state: state, prefetched: prefetched, used: used, pfTag: pfTag}
-	b.setTag(i, la+1)
-	b.touchIdx(i)
+	h.l1[core].fill(i, la, ln)
 }
 
-func (h *Hierarchy) fillL2(core int, la uint64, state uint8, prefetched, used bool, pfTag uint8) {
+func (h *Hierarchy) fillL2(core, i int, la uint64, ln line) {
 	b := h.l2[core]
-	i, hit := b.findOrVictim(la)
-	if hit {
-		b.touchIdx(i)
-		return
-	}
-	if b.tags[i] != 0 {
-		victimAddr := b.tags[i] - 1
+	if b.lines[i].state != stInvalid {
+		victimAddr := b.tags[i]
 		dirty := b.lines[i].state == stModified
 		// L1 must stay a subset of L2.
 		if st, ok := h.l1[core].invalidate(victimAddr); ok && st == stModified {
@@ -702,30 +786,21 @@ func (h *Hierarchy) fillL2(core int, la uint64, state uint8, prefetched, used bo
 			}
 		}
 	}
-	b.lines[i] = line{state: state, prefetched: prefetched, used: used, pfTag: pfTag}
-	b.setTag(i, la+1)
-	b.touchIdx(i)
+	b.fill(i, la, ln)
 }
 
-func (h *Hierarchy) fillL3(core int, la uint64, modified, prefetched bool, pfTag uint8) {
+// fillL3 takes ln's state as Modified or else Exclusive: the L3 copy is
+// never installed Shared.
+func (h *Hierarchy) fillL3(core, i int, la uint64, ln line) {
 	b := h.l3
-	i, hit := b.findOrVictim(la)
-	if hit {
-		b.touchIdx(i)
-		b.sharers[i] |= 1 << uint(core)
-		return
+	if b.lines[i].state != stInvalid {
+		h.evictL3(b.tags[i], i)
 	}
-	if b.tags[i] != 0 {
-		h.evictL3(b.tags[i]-1, i)
+	if ln.state != stModified {
+		ln.state = stExclusive
 	}
-	st := uint8(stExclusive)
-	if modified {
-		st = stModified
-	}
-	b.lines[i] = line{state: st, prefetched: prefetched, pfTag: pfTag}
-	b.setTag(i, la+1)
+	b.fill(i, la, ln)
 	b.sharers[i] = 1 << uint(core)
-	b.touchIdx(i)
 }
 
 // evictL3 back-invalidates every private copy (inclusive hierarchy) and
@@ -816,14 +891,26 @@ func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Onl
 			h.Life[core].FillsMem++
 		}
 	}
-	if fromLevel == LvlMem {
-		h.fillL3(core, la, false, true, pfTag)
-	} else if i := h.l3.findIdx(la); i >= 0 {
+	// The line may have become resident at any level since the prefetch
+	// was issued, so each level is searched before it is filled.
+	if i := h.l3.findIdx(la); i >= 0 {
 		h.l3.sharers[i] |= 1 << uint(core)
 		h.l3.touchIdx(i)
+	} else if fromLevel == LvlMem {
+		h.fillL3(core, h.l3.victim(la), la, line{prefetched: true, pfTag: pfTag})
 	}
-	h.fillL2(core, la, stShared, true, false, pfTag)
-	if !l2Only {
-		h.fillL1(core, la, stShared, true, false, pfTag)
+	ln := line{state: stShared, prefetched: true, pfTag: pfTag}
+	if i, hit := h.l2[core].findOrVictim(la); hit {
+		h.l2[core].touchIdx(i)
+	} else {
+		h.fillL2(core, i, la, ln)
+	}
+	if l2Only {
+		return
+	}
+	if i, hit := h.l1[core].findOrVictim(la); hit {
+		h.l1[core].touchIdx(i)
+	} else {
+		h.fillL1(core, i, la, ln)
 	}
 }

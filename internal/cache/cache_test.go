@@ -317,9 +317,10 @@ func TestQuickInclusion(t *testing.T) {
 				h.FillPrefetchL2(core, addr, lvl)
 			}
 			for c := 0; c < cores; c++ {
-				for _, tag := range h.l1[c].tags {
-					if tag != 0 && h.l2[c].findIdx(tag-1) < 0 {
-						t.Logf("op %d (%#x): core %d holds line %#x in L1 but not L2", i, op, c, tag-1)
+				l1 := h.l1[c]
+				for j, la := range l1.tags {
+					if l1.lines[j].state != stInvalid && h.l2[c].findIdx(la) < 0 {
+						t.Logf("op %d (%#x): core %d holds line %#x in L1 but not L2", i, op, c, la)
 						return false
 					}
 				}

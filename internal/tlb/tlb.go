@@ -19,6 +19,11 @@ func Default() Config {
 	return Config{Entries: 64, Assoc: 4, PageBits: 12, WalkLat: 20}
 }
 
+// maxEntries bounds a TLB's size (16 MiB of entries; real TLBs hold a
+// few thousand), so an absurd size is refused instead of failing an
+// allocation.
+const maxEntries = 1 << 20
+
 // Validate reports the first problem with the geometry, mirroring
 // cache.Config.Validate: a bad sweep point must surface as a run error
 // from sim.NewMachine, not a panic (or, worse, a silently clamped
@@ -26,6 +31,9 @@ func Default() Config {
 func (cfg Config) Validate() error {
 	if cfg.Entries <= 0 || cfg.Assoc <= 0 {
 		return fmt.Errorf("tlb: entries (%d) and assoc (%d) must be positive", cfg.Entries, cfg.Assoc)
+	}
+	if cfg.Entries > maxEntries {
+		return fmt.Errorf("tlb: %d entries, want at most %d", cfg.Entries, maxEntries)
 	}
 	if cfg.Assoc > cfg.Entries {
 		return fmt.Errorf("tlb: assoc %d exceeds entries %d", cfg.Assoc, cfg.Entries)

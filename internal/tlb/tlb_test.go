@@ -132,3 +132,12 @@ func TestValidateAcceptsDefault(t *testing.T) {
 		t.Fatalf("Default config invalid: %v", err)
 	}
 }
+
+// TestValidateRejectsHugeTLB: 1<<62 entries is a power-of-two set count
+// that used to pass Validate and panic in makeslice.
+func TestValidateRejectsHugeTLB(t *testing.T) {
+	cfg := Config{Entries: 1 << 62, Assoc: 1, PageBits: 12, WalkLat: 20}
+	if tb, err := New(cfg); err == nil || tb != nil {
+		t.Fatalf("New accepted %d entries", cfg.Entries)
+	}
+}
