@@ -68,11 +68,12 @@ bench:
 bench-json:
 	$(GO) run ./cmd/bench-json
 
-# Wall-clock regression gate (part of `make check`): time
+# Wall-clock and memory regression gate (part of `make check`): time
 # `prodigy-bench -quick` as many times as the latest committed
-# BENCH_<n>.json baseline did and fail if the median exceeds the
-# baseline's median by more than both batches' spreads (slowest minus
-# fastest run) added together. Catches simulator throughput regressions
+# BENCH_<n>.json baseline did and fail if the median wall time, or the
+# median peak RSS, exceeds the baseline's median by more than both
+# batches' spreads (largest minus smallest run) added together. Catches
+# simulator throughput regressions and runs that stay pinned in memory
 # without rerunning the full bench-json suite.
 quick-gate:
 	$(GO) run ./cmd/bench-json -quick-gate

@@ -23,21 +23,27 @@
 // so simulator throughput regressions fail tier-1 verification on the
 // machine that committed the baseline. The margin is the noise the runs
 // measured, not a fixed percentage; a fresh checkout with no baseline,
-// or a baseline without per-run walls, passes trivially.
+// or a baseline without per-run walls, passes trivially. The same runs'
+// peak resident set sizes are gated the same way (median against the
+// baseline's median plus both spreads), skipped when the baseline has
+// no quick_peak_rss_mib.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"prodigy/internal/exp"
@@ -74,6 +80,11 @@ type Doc struct {
 	QuickRuns     int     `json:"quick_runs"`
 	QuickRunsMS   []int64 `json:"quick_runs_ms,omitempty"`
 	QuickSpreadMS int64   `json:"quick_spread_ms,omitempty"`
+	// QuickPeakRSSMiB is the median peak resident set size of the same
+	// runs (each child's Maxrss) and QuickRSSSpreadMiB the largest minus
+	// the smallest.
+	QuickPeakRSSMiB   float64 `json:"quick_peak_rss_mib,omitempty"`
+	QuickRSSSpreadMiB float64 `json:"quick_rss_spread_mib,omitempty"`
 	// Quality maps quick-sweep cell ("algo-dataset/scheme") to its
 	// prefetch-quality ratios. Deterministic (simulated cycles only), so
 	// unlike ns/op it is gated: accuracy/coverage must not regress.
@@ -158,17 +169,35 @@ func runQuickGate(out string) error {
 		fmt.Printf("== quick gate: no per-run wall-clock baseline in %s; nothing to gate\n", out)
 		return nil
 	}
-	runs, err := timeQuickBench(len(baseline.QuickRunsMS))
+	q, err := timeQuickBench(len(baseline.QuickRunsMS))
 	if err != nil {
 		return err
 	}
-	ms, limit := median(runs), baseline.QuickBenchMS+baseline.QuickSpreadMS+spread(runs)
+	var failed []string
+	ms, limit := median(q.walls), baseline.QuickBenchMS+baseline.QuickSpreadMS+spread(q.walls)
 	verdict := fmt.Sprintf("median of %d = %d ms %v, limit %d ms (baseline median %d ms + its spread %d ms + this spread %d ms, %s)",
-		len(runs), ms, runs, limit, baseline.QuickBenchMS, baseline.QuickSpreadMS, spread(runs), out)
+		len(q.walls), ms, q.walls, limit, baseline.QuickBenchMS, baseline.QuickSpreadMS, spread(q.walls), out)
 	if ms > limit {
-		return fmt.Errorf("prodigy-bench -quick regressed: %s", verdict)
+		failed = append(failed, "prodigy-bench -quick regressed: "+verdict)
+	} else {
+		fmt.Printf("== quick gate: %s: ok\n", verdict)
 	}
-	fmt.Printf("== quick gate: %s: ok\n", verdict)
+	if baseline.QuickPeakRSSMiB == 0 {
+		fmt.Printf("== quick RSS gate: no peak-RSS baseline in %s; nothing to gate\n", out)
+	} else {
+		rss, rssSpread := q.peakRSSMiB()
+		rssLimit := baseline.QuickPeakRSSMiB + baseline.QuickRSSSpreadMiB + rssSpread
+		verdict := fmt.Sprintf("median peak RSS %.1f MiB, limit %.1f MiB (baseline median %.1f MiB + its spread %.1f MiB + this spread %.1f MiB, %s)",
+			rss, rssLimit, baseline.QuickPeakRSSMiB, baseline.QuickRSSSpreadMiB, rssSpread, out)
+		if rss > rssLimit {
+			failed = append(failed, "prodigy-bench -quick peak RSS regressed: "+verdict)
+		} else {
+			fmt.Printf("== quick RSS gate: %s: ok\n", verdict)
+		}
+	}
+	if len(failed) > 0 {
+		return errors.New(strings.Join(failed, "\n"))
+	}
 	return nil
 }
 
@@ -220,13 +249,14 @@ func run(out string, quickRuns int) error {
 	}
 
 	if quickRuns > 0 {
-		runs, err := timeQuickBench(quickRuns)
+		q, err := timeQuickBench(quickRuns)
 		if err != nil {
 			return err
 		}
-		doc.QuickRunsMS, doc.QuickBenchMS, doc.QuickSpreadMS = runs, median(runs), spread(runs)
-		fmt.Printf("== prodigy-bench -quick: median of %d = %d ms, spread %d ms %v\n",
-			quickRuns, doc.QuickBenchMS, doc.QuickSpreadMS, runs)
+		doc.QuickRunsMS, doc.QuickBenchMS, doc.QuickSpreadMS = q.walls, median(q.walls), spread(q.walls)
+		doc.QuickPeakRSSMiB, doc.QuickRSSSpreadMiB = q.peakRSSMiB()
+		fmt.Printf("== prodigy-bench -quick: median of %d = %d ms, spread %d ms %v; peak RSS median %.1f MiB, spread %.1f MiB\n",
+			quickRuns, doc.QuickBenchMS, doc.QuickSpreadMS, q.walls, doc.QuickPeakRSSMiB, doc.QuickRSSSpreadMiB)
 	}
 
 	if err := measureQuality(&doc); err != nil {
@@ -397,25 +427,45 @@ func parseBenchLines(raw []byte, dst map[string]Bench) error {
 	return nil
 }
 
-// timeQuickBench builds cmd/prodigy-bench and returns the wall time
-// (ms) of each of runs invocations of `-quick`, in run order.
-func timeQuickBench(runs int) ([]int64, error) {
+// quickBatch is what timing `prodigy-bench -quick` measured, one entry per
+// run in run order: wall time (ms) and peak resident set size (KiB, the
+// child's Maxrss).
+type quickBatch struct {
+	walls, rssKiB []int64
+}
+
+// peakRSSMiB returns the median and spread of the runs' peak RSS in MiB,
+// to 0.1 MiB.
+func (q quickBatch) peakRSSMiB() (med, spr float64) {
+	mib := func(kib int64) float64 { return math.Round(float64(kib)*10/1024) / 10 }
+	return mib(median(q.rssKiB)), mib(spread(q.rssKiB))
+}
+
+// timeQuickBench builds cmd/prodigy-bench and measures runs invocations
+// of `-quick`.
+func timeQuickBench(runs int) (quickBatch, error) {
+	var q quickBatch
 	tmp, err := os.MkdirTemp("", "bench-json-")
 	if err != nil {
-		return nil, err
+		return q, err
 	}
 	defer os.RemoveAll(tmp) //lint:allow errcheck best-effort temp-dir cleanup
 	bin := filepath.Join(tmp, "prodigy-bench")
 	if raw, err := exec.Command("go", "build", "-o", bin, "./cmd/prodigy-bench").CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
+		return q, fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
 	}
-	walls := make([]int64, 0, runs)
 	for i := 0; i < runs; i++ {
+		cmd := exec.Command(bin, "-quick")
 		start := time.Now()
-		if raw, err := exec.Command(bin, "-quick").CombinedOutput(); err != nil {
-			return nil, fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
+		if raw, err := cmd.CombinedOutput(); err != nil {
+			return q, fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
 		}
-		walls = append(walls, time.Since(start).Milliseconds())
+		q.walls = append(q.walls, time.Since(start).Milliseconds())
+		ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+		if !ok {
+			return q, fmt.Errorf("prodigy-bench -quick: no resource usage on this platform")
+		}
+		q.rssKiB = append(q.rssKiB, ru.Maxrss) // KiB on Linux
 	}
-	return walls, nil
+	return q, nil
 }

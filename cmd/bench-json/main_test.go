@@ -33,3 +33,11 @@ func TestMedianSpread(t *testing.T) {
 		t.Fatalf("median reordered its argument: %v", runs)
 	}
 }
+
+func TestPeakRSSMiB(t *testing.T) {
+	q := quickBatch{rssKiB: []int64{14336, 13312, 15155, 13824, 14000}}
+	med, spr := q.peakRSSMiB()
+	if med != 13.7 || spr != 1.8 {
+		t.Fatalf("peakRSSMiB = %.1f, %.1f; want 13.7, 1.8", med, spr)
+	}
+}

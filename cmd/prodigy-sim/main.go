@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -126,7 +127,7 @@ func main() {
 		if i > 0 {
 			fmt.Println(strings.Repeat("-", 64))
 		}
-		report(run, cfg)
+		report(os.Stdout, run, cfg)
 	}
 }
 
@@ -212,17 +213,17 @@ func openLedger(path string) (func(sim.PFLineEvent), func() error, error) {
 }
 
 // report prints the full human-readable statistics for one run.
-func report(run *exp.Run, cfg exp.Config) {
+func report(w io.Writer, run *exp.Run, cfg exp.Config) {
 
-	fmt.Printf("workload %s  scheme %s  cores %d\n", run.Label, run.Scheme, cfg.Cores)
-	fmt.Printf("cycles %d   retired %d   IPC %.3f\n\n", run.Res.Cycles, run.Res.Agg.Retired, run.Res.IPC())
+	fmt.Fprintf(w, "workload %s  scheme %s  cores %d\n", run.Label, run.Scheme, cfg.Cores)
+	fmt.Fprintf(w, "cycles %d   retired %d   IPC %.3f\n\n", run.Res.Cycles, run.Res.Agg.Retired, run.Res.IPC())
 
 	t := stats.NewTable("CPI stack (fraction of cycles)", "class", "fraction")
 	total := float64(run.Res.Agg.Total())
 	for _, k := range cpu.StallKinds {
 		t.AddRow(k.String(), float64(run.Res.Agg.Cycles[k])/total)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 
 	c := run.Res.Cache
 	t2 := stats.NewTable("Memory system", "counter", "value")
@@ -238,22 +239,22 @@ func report(run *exp.Run, cfg exp.Config) {
 	t2.AddRow("DRAM utilization", fmt.Sprintf("%.1f%%", 100*run.Res.DRAMUtilization))
 	t2.AddRow("TLB miss rate", fmt.Sprintf("%.2f%%", 100*run.Res.TLBMissRate))
 	t2.AddRow("branches/mispredicts", fmt.Sprintf("%d/%d", run.Res.Branches, run.Res.Mispredicts))
-	fmt.Println(t2)
+	fmt.Fprintln(w, t2)
 
 	if q := run.Res.PFQAgg; q.Issued > 0 {
-		fmt.Printf("prefetch quality: accuracy %.1f%%  coverage %.1f%%  timeliness %.1f%%"+
+		fmt.Fprintf(w, "prefetch quality: accuracy %.1f%%  coverage %.1f%%  timeliness %.1f%%"+
 			"  (issued %d  timely %d  late %d  evicted-unused %d  redundant %d  dropped %d)\n\n",
 			100*q.Accuracy(), 100*q.Coverage(), 100*q.Timeliness(),
 			q.Issued, q.Timely, q.Late, q.EvictedUnused, q.Redundant, q.Dropped)
 	}
 
-	for i, p := range run.Res.Prefetchers {
-		if pp, ok := p.(*core.Prodigy); ok {
-			fmt.Printf("core %d prodigy: %+v\n", i, pp.Stats)
+	for i, s := range run.Res.SchemeStats {
+		if ps, ok := s.(core.Stats); ok {
+			fmt.Fprintf(w, "core %d prodigy: %+v\n", i, ps)
 		}
 	}
 
 	eb := exp.EnergyOf(run, cfg.Cores)
-	fmt.Printf("\nenergy (nJ): core %.0f  cache %.0f  dram %.0f  other %.0f  total %.0f\n",
+	fmt.Fprintf(w, "\nenergy (nJ): core %.0f  cache %.0f  dram %.0f  other %.0f  total %.0f\n",
 		eb.Core, eb.Cache, eb.DRAM, eb.Other, eb.Total())
 }

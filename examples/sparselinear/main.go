@@ -14,6 +14,9 @@ import (
 )
 
 func main() {
+	// QuickConfig sets Verify: every run re-checks its numerical result
+	// against an independent reference, and RunOne fails if it is wrong,
+	// so outputs are shown to stay correct under prefetching.
 	cfg := prodigy.QuickConfig()
 	h := prodigy.NewHarness(cfg)
 
@@ -29,11 +32,6 @@ func main() {
 		fmt.Printf("%-6s baseline %9d cycles -> prodigy %9d cycles  (%.2fx, DRAM misses %d -> %d)\n",
 			algo, base.Res.Cycles, pro.Res.Cycles, base.Speedup(pro),
 			base.Res.Cache.DemandMem, pro.Res.Cache.DemandMem)
-		// Outputs stay correct under prefetching: verify re-checks the
-		// numerical result against an independent reference.
-		if err := pro.W.Verify(); err != nil {
-			log.Fatalf("%s verification failed: %v", algo, err)
-		}
 	}
 	fmt.Println("\nall kernels verified against float64 references")
 }

@@ -222,6 +222,9 @@ func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 // Name identifies the scheme.
 func (p *Prodigy) Name() string { return "prodigy" }
 
+// SchemeStats implements prefetch.StatsReporter: a copy of Stats.
+func (p *Prodigy) SchemeStats() any { return p.Stats }
+
 // IssueStats implements prefetch.IssueReporter: Requested counts the
 // lines handed to the memory system (trigger + single + ranged),
 // SkippedResident the probe-elided requests, and DroppedInternal the

@@ -7,10 +7,10 @@ import (
 
 // prodigyIssueCounts sums per-core Prodigy line counters for a run.
 func prodigyIssueCounts(r *Run) (single, ranged uint64) {
-	for _, p := range r.Res.Prefetchers {
-		if pp, ok := p.(*core.Prodigy); ok {
-			single += pp.Stats.LinesSingle
-			ranged += pp.Stats.LinesRanged
+	for _, s := range r.Res.SchemeStats {
+		if ps, ok := s.(core.Stats); ok {
+			single += ps.LinesSingle
+			ranged += ps.LinesRanged
 		}
 	}
 	return single, ranged

@@ -6,11 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"prodigy/internal/core"
+	"prodigy/internal/graph"
+	"prodigy/internal/memspace"
 	"prodigy/internal/sim"
+	"prodigy/internal/trace"
+	"prodigy/internal/workloads"
 )
 
 // TestAbortKindClassification pins the abort taxonomy: the typed sim
@@ -107,7 +115,8 @@ func TestSummaryGoldenSchema(t *testing.T) {
 	cfg := goldenCfg(1)
 	cfg.JSONLog = &jsonl
 	h := New(cfg)
-	h.emitAbort("x", SchemeNone, runVariant{}, errors.New("boom"), "", sim.Result{}, 0)
+	_, line := h.emitAbort("x", SchemeNone, runVariant{}, errors.New("boom"), "", sim.Result{}, 0)
+	h.logLine(line)
 	wantAborted := `{"label":"x","scheme":"none","cycles":0,"retired":0,"ipc":0,"cpi_stack":{},"dram_util":0,"wall_ms":0,"abort":"error","error":"boom"}` + "\n"
 	if jsonl.String() != wantAborted {
 		t.Errorf("aborted zero-progress record:\n got %s\nwant %s", jsonl.String(), wantAborted)
@@ -124,7 +133,8 @@ func TestWriteJSONMarshalErrorReported(t *testing.T) {
 	cfg.JSONLog = &jsonl
 	h := New(cfg)
 	h.errw = &errs
-	h.writeJSON(RunSummary{Label: "bfs-po", Scheme: "none", IPC: math.NaN(), CPIStack: map[string]float64{}})
+	_, line := h.encodeJSON(RunSummary{Label: "bfs-po", Scheme: "none", IPC: math.NaN(), CPIStack: map[string]float64{}})
+	h.logLine(line)
 	if jsonl.Len() != 0 {
 		t.Errorf("unmarshalable summary wrote %q to the JSON log", jsonl.String())
 	}
@@ -134,51 +144,83 @@ func TestWriteJSONMarshalErrorReported(t *testing.T) {
 	}
 }
 
-// TestReleaseWorkloadsDropsDatasets is the regression for the memo-cache
-// workload leak: with ReleaseWorkloads set, every completed entry must
-// drop its workload reference once verified, across repeated sweeps, so
-// a long-running sweep service retains only statistics — while the
-// default keeps Run.W for callers that read it (examples, DIG coverage).
-func TestReleaseWorkloadsDropsDatasets(t *testing.T) {
-	cells := []Cell{
-		{"bfs", "po", SchemeNone},
-		{"bfs", "po", SchemeProdigy},
-		{"spmv", "", SchemeProdigy},
+// TestFinishedRunsPinNothing is the regression for finished runs that
+// kept whole simulations alive: a Result holding live prefetchers (whose
+// Env closures capture the machine, its trace readers and the memory
+// image) and a Run holding its workload. Every scheme runs through the
+// harness, plus one direct Prodigy sim.Run; with every Run and Result
+// still referenced, the memory image and the trace generator of each
+// simulation must be collectable.
+func TestFinishedRunsPinNothing(t *testing.T) {
+	var mu sync.Mutex
+	type watched struct {
+		what  string
+		freed *atomic.Bool
 	}
-	retained := func(h *Harness) (with, total int) {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		for _, e := range h.cache {
-			if e.run == nil {
-				continue
-			}
-			total++
-			if e.run.W != nil {
-				with++
-			}
-		}
-		return with, total
+	var all []watched
+	watch := func(what string, sp *memspace.Space, g *trace.Gen) {
+		fs, fg := new(atomic.Bool), new(atomic.Bool)
+		runtime.AddCleanup(sp, func(f *atomic.Bool) { f.Store(true) }, fs)
+		runtime.AddCleanup(g, func(f *atomic.Bool) { f.Store(true) }, fg)
+		mu.Lock()
+		all = append(all, watched{what + " memspace", fs}, watched{what + " trace.Gen", fg})
+		mu.Unlock()
 	}
 
-	cfg := goldenCfg(2)
-	cfg.ReleaseWorkloads = true
-	h := New(cfg)
-	// Repeated sweeps over an overlapping grid: the second pass replays
-	// from the memo cache and must not resurrect or re-pin workloads.
-	for i := 0; i < 3; i++ {
-		if _, err := h.RunGrid(cells); err != nil {
-			t.Fatal(err)
-		}
+	h := New(goldenCfg(2))
+	h.built = func(c Cell, sp *memspace.Space, g *trace.Gen) { watch(c.String(), sp, g) }
+	var cells []Cell
+	for _, s := range Schemes() {
+		cells = append(cells, Cell{"pr", "po", s})
 	}
-	if with, total := retained(h); total != len(cells) || with != 0 {
-		t.Errorf("release harness retains %d/%d workloads, want 0/%d", with, total, len(cells))
-	}
-
-	keep := New(goldenCfg(2))
-	if _, err := keep.RunGrid(cells[:1]); err != nil {
+	runs, err := h.RunGrid(cells)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if with, total := retained(keep); with != total || total != 1 {
-		t.Errorf("default harness retains %d/%d workloads, want every completed run to keep W", with, total)
+	res := directProdigyRun(t, watch)
+
+	if len(all) != 2*(len(cells)+1) {
+		t.Fatalf("watching %d objects, want %d", len(all), 2*(len(cells)+1))
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		var live []string
+		for _, w := range all {
+			if !w.freed.Load() {
+				live = append(live, w.what)
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d per-run objects still reachable from finished runs: %v", len(live), len(all), live)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.KeepAlive(h)
+	runtime.KeepAlive(runs)
+	runtime.KeepAlive(res)
+}
+
+// directProdigyRun simulates bfs-po under Prodigy with sim.Run, outside
+// the harness, and returns only the Result.
+func directProdigyRun(t *testing.T, watch func(string, *memspace.Space, *trace.Gen)) *sim.Result {
+	w, err := workloads.Build("bfs", "po", 2, workloads.Options{Scale: graph.ScaleTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Default(2)
+	cfg.Prefetcher = core.New(w.DIG, core.DefaultConfig())
+	gen := trace.NewGen(2, 1)
+	watch("direct sim.Run bfs-po/prodigy", w.Space, gen)
+	res, err := sim.Run(cfg, w.Space, gen, w.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SchemeStats[0] == nil {
+		t.Fatal("direct Prodigy run reported no scheme counters")
+	}
+	return &res
 }

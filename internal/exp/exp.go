@@ -23,6 +23,7 @@ import (
 	"prodigy/internal/dram"
 	"prodigy/internal/energy"
 	"prodigy/internal/graph"
+	"prodigy/internal/memspace"
 	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 	"prodigy/internal/sim"
@@ -82,13 +83,6 @@ type Config struct {
 	// (AbortCanceled when a sweep server cancels in-flight cells,
 	// AbortShutdown while draining). Return "" to let the run continue.
 	Interrupt func() (cause string)
-	// ReleaseWorkloads drops each memoized run's workload reference (the
-	// functional memory image, dataset arrays, and instruction-stream
-	// closures) once the run has completed and — when Verify is set — been
-	// verified. Figure reductions never read Run.W, so one-shot drivers
-	// lose nothing; a long-running sweep service must set this or every
-	// dataset it ever simulated stays pinned in the memo cache.
-	ReleaseWorkloads bool
 	// Progress, when non-nil, receives one-line sweep progress reports
 	// (runs completed/total, ETA, slowest run so far) every
 	// ProgressInterval, plus a final summary per sweep.
@@ -97,7 +91,9 @@ type Config struct {
 	ProgressInterval time.Duration
 	// JSONLog, when non-nil, receives one JSON object per line for every
 	// simulation executed (cycles, CPI stack, wall time, ...) for
-	// machine-readable trend tracking. Cached replays are not re-emitted.
+	// machine-readable trend tracking. A sweep writes its lines in grid
+	// order, never completion order, so the log is byte-identical at any
+	// parallelism apart from wall_ms. Cached replays are not re-emitted.
 	// Aborted runs are also logged, tagged with which guard killed them
 	// (timeout, max-cycles, deadlock).
 	JSONLog io.Writer
@@ -147,12 +143,14 @@ func Quick() Config {
 	}
 }
 
-// Run is one simulation outcome plus its workload context.
+// Run is one simulation outcome. It holds plain data only: the
+// workload, its memory image, the machine and the trace generator live
+// for one simulation and are unreachable once it returns, so a memoized
+// Run costs its statistics and nothing more.
 type Run struct {
 	Label  string
 	Scheme Scheme
 	Res    sim.Result
-	W      *workloads.Workload
 	// MissesInDIG / MissesTotal classify LLC misses against the DIG
 	// ranges (Fig. 13/16).
 	MissesInDIG, MissesTotal uint64
@@ -190,6 +188,9 @@ type Harness struct {
 	errw io.Writer
 	// mshrOverride adjusts the per-core prefetch MSHR cap (tests).
 	mshrOverride int
+	// built, when set, is handed each simulation's memory image and
+	// trace generator just before the run (tests watch their lifetime).
+	built func(Cell, *memspace.Space, *trace.Gen)
 }
 
 // runEntry memoizes one grid cell. The per-entry Once gives run()
@@ -236,7 +237,8 @@ func (h *Harness) RunOne(algo, dataset string, scheme Scheme) (*Run, error) {
 // run returns the memoized result for one grid cell, simulating it on
 // first request.
 func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
-	e, _, _ := h.entry(Cell{algo, dataset, scheme}, v)
+	e, _, line := h.entry(Cell{algo, dataset, scheme}, v)
+	h.logLine(line)
 	return e.run, e.err
 }
 
@@ -266,8 +268,9 @@ func (h *Harness) canonVariant(v runVariant) runVariant {
 // first request. It is safe for concurrent use: concurrent requests for
 // the same cell share a single simulation, and a panicking simulation is
 // converted into a tagged error instead of killing the sweep. The call
-// that simulates the cell also gets the JSONL record the run wrote
-// (simulate's sum and line); every other call gets nil for both.
+// that simulates the cell also gets the run's JSONL record (simulate's
+// sum and line), which it passes on to Config.JSONLog; every other call
+// gets nil for both.
 func (h *Harness) entry(c Cell, v runVariant) (e *runEntry, sum *RunSummary, line []byte) {
 	v = h.canonVariant(v)
 	key := h.key(c.Algo, c.Dataset, c.Scheme, v)
@@ -294,7 +297,7 @@ func (h *Harness) entry(c Cell, v runVariant) (e *runEntry, sum *RunSummary, lin
 // simulate executes one grid cell (no memoization; called once per cell
 // through entry's singleflight). Every error it returns names the cell
 // once, as "exp: label/scheme: ...". Besides the run it returns the
-// JSONL record the run wrote, if any (see writeJSON).
+// JSONL record of the run, if any (see encodeJSON).
 func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, error) {
 	label, scheme := c.Label(), c.Scheme
 	start := time.Now() //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
@@ -406,7 +409,7 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 			return false
 		}
 	}
-	run := &Run{Label: label, Scheme: scheme, W: w}
+	run := &Run{Label: label, Scheme: scheme}
 	scfg.MissHook = func(addr uint64) {
 		run.MissesTotal++
 		if w.DIG.Covers(addr) {
@@ -439,7 +442,11 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 	}
 
 	// Any positive buffer size selects the generator's asynchronous mode.
-	res, err := sim.Run(scfg, w.Space, trace.NewGen(cores, 1), w.Run)
+	gen := trace.NewGen(cores, 1)
+	if h.built != nil {
+		h.built(c, w.Space, gen)
+	}
+	res, err := sim.Run(scfg, w.Space, gen, w.Run)
 	cerr := errors.Join(closeObs(), closeLedger())
 	if err != nil {
 		err = fmt.Errorf("exp: %s: %w", c, err)
@@ -457,12 +464,7 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 	}
 	run.Res = res
 	run.Wall = time.Since(start) //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
-	if h.Cfg.ReleaseWorkloads {
-		// Completed (and, when requested, verified): drop the dataset
-		// arrays so the memo cache retains only the statistics.
-		run.W = nil
-	}
-	sum, line := h.writeJSON(summarize(run, v))
+	sum, line := h.encodeJSON(summarize(run, v))
 	return run, sum, line, nil
 }
 

@@ -238,6 +238,16 @@ func TestRangedFraction(t *testing.T) {
 	if r.Avg < 0.2 || r.Avg > 0.95 {
 		t.Errorf("ranged fraction avg = %.2f, outside plausible band", r.Avg)
 	}
+	// The statistic's inputs for one cell, pinned exactly: the per-core
+	// Prodigy line counters, summed (prodigy-sim -tiny -cores 2 prints
+	// the same counters per core).
+	run, err := sharedHarness.RunOne("bfs", "po", SchemeProdigy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single, ranged := prodigyIssueCounts(run); single != 5435 || ranged != 1441 {
+		t.Errorf("bfs-po Prodigy lines: single %d, ranged %d; want 5435, 1441", single, ranged)
+	}
 }
 
 func TestFig12PFHR(t *testing.T) {

@@ -41,8 +41,8 @@ import (
 type Config struct {
 	// Exp is the harness configuration template every sweep runs under
 	// (machine geometry, scale, parallelism, timeouts). The per-sweep
-	// fields JSONLog, Progress, Interrupt, OnCell, and ReleaseWorkloads
-	// are managed by the farm; values set here for them are ignored.
+	// fields JSONLog, Progress, Interrupt, and OnCell are managed by the
+	// farm; values set here for them are ignored.
 	Exp exp.Config
 	// Store, when non-nil, is the durable result cache consulted before
 	// and fed after every simulation.
@@ -350,7 +350,6 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	}
 	hcfg := f.cfg.Exp
 	hcfg.Progress = nil
-	hcfg.ReleaseWorkloads = true
 	hcfg.Interrupt = s.interruptCause
 	hcfg.JSONLog = nil // the done events carry every line
 	hcfg.OnCell = s.cellEvent

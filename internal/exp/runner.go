@@ -91,11 +91,17 @@ func (h *Harness) warm(l jobList) error {
 	stopProgress := h.startProgress(meter)
 	defer stopProgress()
 
-	errc := make(chan error, len(jobs))
-	jobc := make(chan runJob)
+	type result struct {
+		i    int
+		line []byte
+		err  error
+	}
+	resc := make(chan result, len(jobs))
+	jobc := make(chan int)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for j := range jobc {
+			for i := range jobc {
+				j := jobs[i]
 				if h.Cfg.OnCell != nil {
 					h.Cfg.OnCell(CellEvent{Cell: j.Cell})
 				}
@@ -106,19 +112,33 @@ func (h *Harness) warm(l jobList) error {
 				if h.Cfg.OnCell != nil {
 					h.Cfg.OnCell(CellEvent{Cell: j.Cell, Done: true, Summary: sum, Line: line, Err: e.err})
 				}
-				errc <- e.err
+				resc <- result{i, line, e.err}
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobc <- j
-	}
-	close(jobc)
+	go func() {
+		for i := range jobs {
+			jobc <- i
+		}
+		close(jobc)
+	}()
 
+	// Config.JSONLog receives the lines in job order, whatever order the
+	// workers finish in: a finished job's line waits in lines until every
+	// earlier job has reported.
+	lines := make([][]byte, len(jobs))
+	reported := make([]bool, len(jobs))
+	next := 0
 	var errs []error
 	for range jobs {
-		if err := <-errc; err != nil {
-			errs = append(errs, err)
+		r := <-resc
+		if r.err != nil {
+			errs = append(errs, r.err)
+		}
+		lines[r.i], reported[r.i] = r.line, true
+		for ; next < len(jobs) && reported[next]; next++ {
+			h.logLine(lines[next])
+			lines[next] = nil
 		}
 	}
 	// Joined in deterministic order so the same failures always render the
@@ -375,33 +395,40 @@ func (h *Harness) emitAbort(label string, scheme Scheme, v runVariant, runErr er
 	for _, stack := range res.Stacks {
 		s.RetiredPerCore = append(s.RetiredPerCore, stack.Retired)
 	}
-	return h.writeJSON(s)
+	return h.encodeJSON(s)
 }
 
-// writeJSON encodes one summary line and writes it to Config.JSONLog
-// under the log mutex. It returns the summary and its line (without the
-// newline) for the cell's done event; both are nil when neither JSONLog
-// nor OnCell wants records, and the line is nil when the summary cannot
-// be encoded.
-func (h *Harness) writeJSON(s RunSummary) (*RunSummary, []byte) {
+// encodeJSON encodes one summary line. It returns the summary and its
+// line (without the newline) for the cell's done event and the JSONL
+// log; both are nil when neither JSONLog nor OnCell wants records, and
+// the line is nil when the summary cannot be encoded.
+func (h *Harness) encodeJSON(s RunSummary) (*RunSummary, []byte) {
 	if h.Cfg.JSONLog == nil && h.Cfg.OnCell == nil {
 		return nil, nil
 	}
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A silently dropped record would leave an invisible hole in the
-		// sweep log; report it like the write-failure path below.
+		// sweep log; report it like logLine's write failures.
 		h.logErrorf("exp: json log marshal failed (%s/%s): %v\n", s.Label, s.Scheme, err)
 		return &s, nil
 	}
-	if h.Cfg.JSONLog != nil {
-		h.jsonMu.Lock()
-		defer h.jsonMu.Unlock()
-		if _, err := h.Cfg.JSONLog.Write(append(b, '\n')); err != nil {
-			h.logErrorf("exp: json log write failed: %v\n", err)
-		}
-	}
 	return &s, b
+}
+
+// logLine writes one encoded summary line to Config.JSONLog under the log
+// mutex; a nil line (no record, or one that failed to encode) writes
+// nothing. The newline goes on a copy: line is shared with the cell's
+// done event.
+func (h *Harness) logLine(line []byte) {
+	if h.Cfg.JSONLog == nil || line == nil {
+		return
+	}
+	h.jsonMu.Lock()
+	defer h.jsonMu.Unlock()
+	if _, err := h.Cfg.JSONLog.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+		h.logErrorf("exp: json log write failed: %v\n", err)
+	}
 }
 
 // logErrorf reports a harness-internal failure on stderr; tests redirect

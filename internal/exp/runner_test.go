@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -25,11 +26,15 @@ func goldenCfg(parallelism int) Config {
 
 // TestParallelMatchesSerialGolden is the determinism guarantee: figure
 // tables rendered from a parallel sweep must be byte-identical to serial
-// execution. Run with -race, this test also exercises the worker pool for
-// data races (Parallelism 4 > 1).
+// execution, and so must the JSONL log once wall_ms is blanked (lines in
+// grid order, not completion order). Run with -race, this test also
+// exercises the worker pool for data races (Parallelism 4 > 1).
 func TestParallelMatchesSerialGolden(t *testing.T) {
-	serial := New(goldenCfg(1))
-	parallel := New(goldenCfg(4))
+	var serialLog, parallelLog bytes.Buffer
+	scfg, pcfg := goldenCfg(1), goldenCfg(4)
+	scfg.JSONLog, pcfg.JSONLog = &serialLog, &parallelLog
+	serial := New(scfg)
+	parallel := New(pcfg)
 
 	type figure struct {
 		name  string
@@ -71,6 +76,15 @@ func TestParallelMatchesSerialGolden(t *testing.T) {
 			t.Errorf("%s: parallel table differs from serial\n--- serial ---\n%s--- parallel ---\n%s",
 				f.name, want, got)
 		}
+	}
+	wall := regexp.MustCompile(`"wall_ms":[0-9.e+-]+`)
+	want := wall.ReplaceAllString(serialLog.String(), `"wall_ms":0`)
+	got := wall.ReplaceAllString(parallelLog.String(), `"wall_ms":0`)
+	if n := strings.Count(want, "\n"); n < 10 {
+		t.Fatalf("serial sweep logged %d JSONL lines, want the figures' cells", n)
+	}
+	if got != want {
+		t.Errorf("parallel JSONL differs from serial (wall_ms blanked)\n--- serial ---\n%s--- parallel ---\n%s", want, got)
 	}
 }
 

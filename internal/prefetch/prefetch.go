@@ -85,6 +85,15 @@ type IssueReporter interface {
 	IssueStats() IssueStats
 }
 
+// StatsReporter is implemented by prefetchers that keep scheme-specific
+// counters (e.g. Prodigy's core.Stats). SchemeStats returns a copy of
+// them held by value: the engine stores it in the run's result, which
+// must not keep the prefetcher itself, nor the machine and memory its
+// Env closures capture, reachable after the run.
+type StatsReporter interface {
+	SchemeStats() any
+}
+
 // Prefetcher is a per-core hardware prefetcher.
 type Prefetcher interface {
 	// Name identifies the scheme in results tables.

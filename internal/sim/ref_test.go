@@ -195,13 +195,6 @@ func refSpace(t *testing.T, seed int64, n int) (*memspace.Space, *memspace.U32, 
 	return space, idx, data, d
 }
 
-// refComparable strips Result down to its value content (the Prefetchers
-// field holds per-machine instance pointers that can never compare equal).
-func refComparable(r Result) Result {
-	r.Prefetchers = nil
-	return r
-}
-
 // TestSchedulerMatchesReferenceStepper runs randomized small workloads
 // through both loops — the event-driven wakeup scheduler (Machine.Run) and
 // the retained per-cycle reference stepper (refRun) — and requires the
@@ -259,9 +252,8 @@ func TestSchedulerMatchesReferenceStepper(t *testing.T) {
 			if got.Cycles != want.Cycles {
 				t.Fatalf("cycles: scheduler %d vs reference %d", got.Cycles, want.Cycles)
 			}
-			if !reflect.DeepEqual(refComparable(got), refComparable(want)) {
-				t.Fatalf("results diverged:\nscheduler: %+v\nreference: %+v",
-					refComparable(got), refComparable(want))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("results diverged:\nscheduler: %+v\nreference: %+v", got, want)
 			}
 			if got.Agg.Retired == 0 {
 				t.Fatal("trial retired nothing; program generation is broken")

@@ -246,9 +246,11 @@ type Result struct {
 	TLBMissRate float64
 	// DRAMUtilization is the controller-pipe busy fraction (§VI-F).
 	DRAMUtilization float64
-	// Prefetchers exposes the per-core prefetcher instances so callers can
-	// type-assert for scheme-specific stats (e.g. *core.Prodigy).
-	Prefetchers []prefetch.Prefetcher
+	// SchemeStats holds each core's scheme-specific counters, copied out
+	// of the prefetcher at the end of the run (prefetch.StatsReporter;
+	// e.g. a core.Stats value for Prodigy). An entry is nil for schemes
+	// without such counters. Callers type-assert for the scheme's type.
+	SchemeStats []any
 	// PFQ is the per-core prefetch-lifecycle quality; PFQAgg is the
 	// machine-wide sum. Both are populated on clean and aborted runs.
 	PFQ    []PrefetchQuality
@@ -854,7 +856,7 @@ const farFuture = int64(1) << 62
 //
 //hot:cold
 func (m *Machine) collect(now int64) Result {
-	res := Result{Cycles: now, Prefetchers: m.pfs}
+	res := Result{Cycles: now, SchemeStats: make([]any, len(m.pfs))}
 	var tlbMiss float64
 	for i, c := range m.cores {
 		c.FinishAt(now)
@@ -893,6 +895,9 @@ func (m *Machine) collect(now int64) Result {
 			is := ir.IssueStats()
 			q.Redundant += is.SkippedResident
 			q.Dropped += is.DroppedInternal
+		}
+		if sr, ok := m.pfs[c].(prefetch.StatsReporter); ok {
+			res.SchemeStats[c] = sr.SchemeStats()
 		}
 		res.PFQAgg.Add(*q)
 	}

@@ -231,7 +231,7 @@ func (g *Gen) Reader(core int) *Reader { return g.readers[core] }
 func (g *Gen) pop(s *Stream, used []Instr) ([]Instr, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if cap(used) > 0 {
+	if cap(used) > 0 && !g.aborted {
 		//lint:allow hotpath-alloc chunk recycling: the free list is bounded by the chunks in flight per epoch, so growth stops after the first epoch
 		g.free = append(g.free, used[:0])
 	}
@@ -293,7 +293,9 @@ func (g *Gen) handoff(closing bool) {
 // Abort permanently unblocks the producer and discards everything it
 // publishes from now on. The simulator calls it when abandoning a run
 // early (error, interrupt, panic): the producer goroutine cannot be
-// killed, so it is let run to completion against a closed sink.
+// killed, so it is let run to completion against a closed sink. It also
+// calls it after every clean finish, so Abort drops the recycled chunk
+// buffers too: a generator something still references holds none.
 func (g *Gen) Abort() {
 	g.mu.Lock()
 	g.aborted = true
@@ -301,6 +303,7 @@ func (g *Gen) Abort() {
 		s.chunks = nil
 		s.closed = true
 	}
+	g.free = nil
 	g.mu.Unlock()
 	g.cond.Broadcast()
 }

@@ -154,6 +154,43 @@ func TestAbortUnblocksProducer(t *testing.T) {
 	}
 }
 
+// TestFinishedGenHoldsNoBuffers checks that after Abort — which the
+// simulator calls on every exit path — a generator keeps no chunk
+// buffers, whether its consumer drained every stream or walked away
+// early: a finished generator that is still referenced must not pin an
+// epoch's worth of recycled chunks.
+func TestFinishedGenHoldsNoBuffers(t *testing.T) {
+	for _, consume := range []int{-1, 5} { // everything; a few, then abort
+		g := NewGen(1, 1)
+		wait := g.Run(func(g *Gen) {
+			for e := 0; e < 20; e++ {
+				for i := 0; i < 3*chunkSize; i++ {
+					g.Load(0, 1, uint64(i))
+				}
+				g.Barrier()
+			}
+		})
+		r := g.Reader(0)
+		for i := 0; i != consume && r.Next(); i++ {
+		}
+		g.Abort()
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		for r.Next() { // drain what an early abort left
+		}
+		g.mu.Lock()
+		held := len(g.free) + len(g.streams[0].chunks) + len(g.pending[0])
+		if g.bufs[0] != nil || r.cur != nil {
+			held++
+		}
+		g.mu.Unlock()
+		if held != 0 {
+			t.Errorf("consume %d: finished generator holds %d chunk buffers, want 0", consume, held)
+		}
+	}
+}
+
 func TestProducerPanicBecomesError(t *testing.T) {
 	g := NewGen(1, 1)
 	wait := g.Run(func(g *Gen) {
