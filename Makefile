@@ -45,7 +45,9 @@ race:
 # loader and the sweep spec's decoding and expansion), the DRAM
 # controller against its retained slice-queue reference, the
 # fingerprinted cache bank against its retained filter-and-scan
-# reference, and cache/TLB geometry validation. Not part of `make
+# reference, the cache hierarchy's directory-guided coherence walks
+# against the retained every-core walks, and cache/TLB geometry
+# validation. Not part of `make
 # check`; `go test ./...` already replays the seed corpora
 # (internal/exp/farm/testdata/fuzz, internal/dram/testdata/fuzz,
 # internal/cache/testdata/fuzz).
@@ -54,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzSpecCells$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzControllerVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzBankVsRef$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHierarchyVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheGeometry$$' -fuzztime 10s
 
 bench:

@@ -6,12 +6,13 @@
 // §Performance).
 //
 // When the output file already exists it doubles as the baseline: the
-// run fails (exit 1) if allocs/op on BenchmarkHierarchyAccess,
-// BenchmarkFillPrefetch, or BenchmarkHistogramRecord (the memlat
-// latency-recording path) regresses above the committed value, or if the
-// quick sweep's Prodigy accuracy or coverage drops below the committed
-// baseline (beyond a small tolerance), so the hot path stays
-// allocation-free and the prefetcher stays effective by construction.
+// run fails (exit 1) if allocs/op on any benchmark in gated (the cache
+// demand, miss, shared-read and prefetch-fill paths, the DRAM backlog
+// and the memlat latency-recording path) regresses above the committed
+// value, or if the quick sweep's Prodigy accuracy or coverage drops
+// below the committed baseline (beyond a small tolerance), so the hot
+// path stays allocation-free and the prefetcher stays effective by
+// construction.
 // ns/op and wall time are recorded but not gated here — they vary with
 // the host.
 //
@@ -89,15 +90,23 @@ type Doc struct {
 	// prefetch-quality ratios. Deterministic (simulated cycles only), so
 	// unlike ns/op it is gated: accuracy/coverage must not regress.
 	Quality map[string]Quality `json:"quality,omitempty"`
+	// ParentBenchmarks records, for a change that claims a
+	// microbenchmark gain, the parent commit's per-op metrics for the
+	// benchmarks it names, measured on the same host by alternating
+	// parent and change test binaries. bench-json neither measures nor
+	// gates it and drops it when it rewrites the file, so a copy made
+	// for the next change does not carry a stale claim: it is entered by
+	// hand after the run.
+	ParentBenchmarks map[string]Bench `json:"parent_benchmarks,omitempty"`
 }
 
 // gated lists the benchmarks whose allocs/op may never grow past the
-// committed baseline: the demand hot path, the DRAM-miss path and the
-// prefetch-fill path, all carrying the always-on lifecycle telemetry,
-// the DRAM controller under a standing prefetch backlog, plus the
-// latency-histogram record path that sits behind sim.Config.LatencyHook
-// during memlat calibration runs.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
+// committed baseline: the demand hot path, the DRAM-miss path, the
+// shared-read coherence walks and the prefetch-fill path, all carrying
+// the always-on lifecycle telemetry, the DRAM controller under a
+// standing prefetch backlog, plus the latency-histogram record path that
+// sits behind sim.Config.LatencyHook during memlat calibration runs.
+var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.
 var qualityCells = []struct {
@@ -116,7 +125,7 @@ const qualityTolerance = 0.002
 // suites lists the hot-path benchmarks (package -> -bench regexp). The
 // sim filter must not match BenchmarkRunObs*, which run full simulations.
 var suites = []struct{ pkg, pattern string }{
-	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkHierarchyMiss|BenchmarkFillPrefetch"},
+	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkHierarchyMiss|BenchmarkHierarchySharedRead|BenchmarkFillPrefetch"},
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
 	{"./internal/dram", "BenchmarkControllerRequest|BenchmarkControllerBacklog"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},

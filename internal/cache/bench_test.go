@@ -107,3 +107,24 @@ func BenchmarkHierarchyMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHierarchySharedRead drives the coherence walks on eight cores
+// that read-share a region larger than the L3. The cores read each line
+// in turn: the first read misses to DRAM and evicts the L3's least
+// recently used line, which all eight cores read and so hold sharer bits
+// for; the other seven hit in L3 with the earlier readers as sharers,
+// the first of them downgrading the Exclusive copy. Like the other
+// hierarchy benchmarks, it must stay at 0 allocs/op.
+func BenchmarkHierarchySharedRead(b *testing.B) {
+	h, err := New(ScaledDefault(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := uint64(h.Config().LineSize)
+	const region = 3 << 10 // lines; the L3 holds 2 Ki
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Access(i&7, uint64(i>>3%region)*line, false)
+	}
+}

@@ -68,7 +68,8 @@ type Config struct {
 }
 
 // maxCores is the most cores a hierarchy can serve: the L3 directory
-// keeps each line's sharers as one bit per core in a uint64.
+// keeps each line's sharers and possible owners, and the hierarchy its
+// cores holding orphan lines, as one bit per core in a uint64.
 const maxCores = 64
 
 // maxLines bounds each level's capacity in lines (4 Mi lines, 256 MiB
@@ -218,8 +219,21 @@ type bank struct {
 	setMask uint64
 	tick    uint32
 	// sharers is per-set-way core presence (L3 directory only), indexed
-	// like lines.
+	// like lines. A bit is set when its core takes a private copy and
+	// cleared only when a write takes the line from it, not when the copy
+	// leaves: the stale bits are part of the model (an L3 read hit
+	// grants Exclusive only when no other bit is set, and a write counts
+	// one invalidation per other bit; docs/SIMULATION.md). Every private
+	// copy of a line L3 holds belongs to a core with its bit set or is an
+	// orphan (see Hierarchy.orphanMask).
 	sharers []uint64
+	// owners (L3 directory only), indexed like lines, is a superset of the
+	// sharer cores whose private copy may be Exclusive or Modified, so an
+	// L3 read hit downgrades only those cores.
+	owners []uint64
+	// orphan (L2 banks only), indexed like lines, flags a line that a
+	// prefetch fill installed while L3 held no copy of it.
+	orphan []bool
 }
 
 // newBank assumes Config.Validate already approved the geometry (power
@@ -249,6 +263,7 @@ func newBank(sizeBytes, assoc, lineSize int, directory bool) *bank {
 	}
 	if directory {
 		b.sharers = make([]uint64, 8*words)
+		b.owners = make([]uint64, 8*words)
 	}
 	return b
 }
@@ -423,8 +438,13 @@ type Stats struct {
 	DemandL3Hits   uint64
 	DemandMem      uint64
 
-	// LLCMisses counts demand accesses that missed the whole hierarchy
-	// (== DemandMem); kept separately for the Fig. 13/16 classifiers.
+	// Writebacks counts dirty data leaving a level: a Modified L3
+	// victim or a dirty private copy it back-invalidates (one per L3
+	// eviction), each Modified level a remote access downgrades or
+	// invalidates, and a dirty L2 victim with no L3 copy.
+	// Invalidations counts each other sharer a write serviced from L3
+	// takes the line from, held or not, and each level an upgrade
+	// invalidates.
 	Writebacks    uint64
 	Invalidations uint64
 
@@ -434,6 +454,12 @@ type Stats struct {
 	PrefetchL2Hits  uint64
 	PrefetchL3Hits  uint64
 	PrefetchEvicted uint64 // prefetched line left hierarchy unused
+
+	// OrphanFills counts prefetch fills that installed a line in an L2
+	// while L3 held no copy of it: the line left L3 between the
+	// prefetch's L3 probe and its fill, and the private copy breaks
+	// inclusion until it leaves (see Hierarchy.orphanMask).
+	OrphanFills uint64
 }
 
 // LifeStats is one core's slice of the prefetch-lifecycle ledger. Fill
@@ -465,7 +491,15 @@ type Hierarchy struct {
 	lineShift uint
 	l1, l2    []*bank
 	l3        *bank
-	Stats     Stats
+	// orphans[c] counts core c's L2 lines flagged orphan, and orphanMask
+	// has bit c set exactly when orphans[c] > 0. With the sharer bits,
+	// the mask names every core that can hold a line privately: a line
+	// not in L3 is held only as an orphan, and a line in L3 only by its
+	// sharers and orphan holders. The coherence walks probe just those
+	// cores.
+	orphans    []int32
+	orphanMask uint64
+	Stats      Stats
 	// Life is the per-core prefetch-lifecycle ledger (see LifeStats for
 	// which side of an event each index refers to).
 	Life []LifeStats
@@ -515,13 +549,15 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, Life: make([]LifeStats, cfg.Cores)}
+	h := &Hierarchy{cfg: cfg, Life: make([]LifeStats, cfg.Cores), orphans: make([]int32, cfg.Cores)}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		h.lineShift++
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, newBank(cfg.L1Size, cfg.L1Assoc, cfg.LineSize, false))
-		h.l2 = append(h.l2, newBank(cfg.L2Size, cfg.L2Assoc, cfg.LineSize, false))
+		l2 := newBank(cfg.L2Size, cfg.L2Assoc, cfg.LineSize, false)
+		l2.orphan = make([]bool, len(l2.lines))
+		h.l2 = append(h.l2, l2)
 	}
 	h.l3 = newBank(cfg.L3Size, cfg.L3Assoc, cfg.LineSize, true)
 	return h, nil
@@ -620,13 +656,8 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		ln.used = true
 		prefetched := ln.prefetched
 		pfTag := ln.pfTag
-		sh := &h.l3.sharers[i]
-		state := h.serviceFromL3(core, la, sh, write)
+		state := h.serviceFromL3(core, la, i, write)
 		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, pfTag: pfTag})
-		// Re-resolve the directory entry: the private fills may have
-		// evicted other lines but never move this one, so the slot index
-		// is still valid.
-		*sh |= 1 << uint(core)
 		h.Stats.DemandL3Hits++
 		h.obs.Add(h.obsL3Hit, 1)
 		return res
@@ -658,69 +689,80 @@ func (h *Hierarchy) lifeTimely(tag uint8) {
 	h.obs.Add(h.obsPFTimely, 1)
 }
 
-// serviceFromL3 handles coherence when core reads/writes a line present in
-// L3: downgrades or invalidates other cores' private copies as needed and
-// returns the state the requester's private copies should take.
+// serviceFromL3 handles coherence when core reads/writes the line la held
+// in slot i of L3: downgrades or invalidates other cores' private copies
+// as needed, records core as a sharer and returns the state the
+// requester's private copies should take.
 //
-// This loop, upgrade and evictL3 probe each core's L2 first and skip its
+// The coherence walks (this one, upgrade and evictL3) visit only the
+// cores the directory names, and probe each one's L2 first, skipping its
 // L1 when the L2 misses: every L1 fill follows an L2 fill or hit, an L2
 // victim takes its L1 copy with it, and every coherence invalidation
 // drops both, so a core's L1 lines are always a subset of its L2 lines.
 // The writebacks and invalidations counted are those of the levels that
 // actually held the line.
-func (h *Hierarchy) serviceFromL3(core int, la uint64, sh *uint64, write bool) uint8 {
-	others := *sh &^ (1 << uint(core))
+func (h *Hierarchy) serviceFromL3(core int, la uint64, i int, write bool) uint8 {
+	sh, own := &h.l3.sharers[i], &h.l3.owners[i]
+	me := uint64(1) << uint(core)
+	others := *sh &^ me
 	if write {
-		for c := 0; c < h.cfg.Cores; c++ {
-			if others&(1<<uint(c)) == 0 {
-				continue
-			}
-			if i := h.l2[c].findIdx(la); i >= 0 {
+		for m := others; m != 0; m &= m - 1 {
+			c := bits.TrailingZeros64(m)
+			if j := h.l2[c].findIdx(la); j >= 0 {
 				if st, ok := h.l1[c].invalidate(la); ok && st == stModified {
 					h.Stats.Writebacks++
 					h.obs.Add(h.obsWriteBk, 1)
 				}
-				if h.l2[c].invalidateIdx(i) == stModified {
+				if h.invalidateL2(c, j) == stModified {
 					h.Stats.Writebacks++
 					h.obs.Add(h.obsWriteBk, 1)
 				}
 			}
 			h.Stats.Invalidations++
 		}
-		*sh = 1 << uint(core)
+		*sh, *own = me, me
 		return stModified
 	}
+	*sh |= me
 	if others == 0 {
+		*own = me
 		return stExclusive
 	}
-	// Downgrade any modified owner to shared.
-	for c := 0; c < h.cfg.Cores; c++ {
-		if others&(1<<uint(c)) == 0 {
-			continue
-		}
-		i := h.l2[c].findIdx(la)
-		if i < 0 {
+	// Downgrade the other sharers that may hold the line Exclusive or
+	// Modified. A sharer outside owners holds it Shared or not at all,
+	// where a downgrade changes nothing. Afterwards every copy is Shared.
+	for m := others & *own; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		j := h.l2[c].findIdx(la)
+		if j < 0 {
 			continue
 		}
 		if h.l1[c].downgrade(la) {
 			h.Stats.Writebacks++
 			h.obs.Add(h.obsWriteBk, 1)
 		}
-		if h.l2[c].downgradeIdx(i) {
+		if h.l2[c].downgradeIdx(j) {
 			h.Stats.Writebacks++
 			h.obs.Add(h.obsWriteBk, 1)
 		}
 	}
+	*own = 0
 	return stShared
 }
 
 // upgrade acquires write permission for a line core already holds, in
-// slot i1 of its L1 and slot i2 (-1 if absent) of its L2.
+// slot i1 of its L1 and slot i2 (-1 if absent) of its L2. Every other
+// copy is invalidated: with an L3 copy, the holders are its sharers and
+// the orphan holders; without one, the orphan holders only.
 func (h *Hierarchy) upgrade(core int, la uint64, i1, i2 int) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
+	me := uint64(1) << uint(core)
+	holders := h.orphanMask
+	l3i := h.l3.findIdx(la)
+	if l3i >= 0 {
+		holders |= h.l3.sharers[l3i]
+	}
+	for m := holders &^ me; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		i := h.l2[c].findIdx(la)
 		if i < 0 {
 			continue
@@ -728,15 +770,36 @@ func (h *Hierarchy) upgrade(core int, la uint64, i1, i2 int) {
 		if _, ok := h.l1[c].invalidate(la); ok {
 			h.Stats.Invalidations++
 		}
-		h.l2[c].invalidateIdx(i)
+		h.invalidateL2(c, i)
 		h.Stats.Invalidations++
 	}
 	h.l1[core].lines[i1].state = stModified
 	if i2 >= 0 {
 		h.l2[core].lines[i2].state = stModified
 	}
-	if i := h.l3.findIdx(la); i >= 0 {
-		h.l3.sharers[i] = 1 << uint(core)
+	if l3i >= 0 {
+		h.l3.sharers[l3i], h.l3.owners[l3i] = me, me
+	}
+}
+
+// invalidateL2 drops the line in slot i of core's L2, returning its
+// pre-invalidation state.
+func (h *Hierarchy) invalidateL2(core, i int) uint8 {
+	h.unorphan(core, i)
+	return h.l2[core].invalidateIdx(i)
+}
+
+// unorphan clears the orphan flag of slot i in core's L2, if set, before
+// the slot's line leaves.
+//
+//hot:inline
+func (h *Hierarchy) unorphan(core, i int) {
+	if h.orphanMask&(1<<uint(core)) == 0 || !h.l2[core].orphan[i] {
+		return
+	}
+	h.l2[core].orphan[i] = false
+	if h.orphans[core]--; h.orphans[core] == 0 {
+		h.orphanMask &^= 1 << uint(core)
 	}
 }
 
@@ -765,6 +828,7 @@ func (h *Hierarchy) fillL1(core, i int, la uint64, ln line) {
 func (h *Hierarchy) fillL2(core, i int, la uint64, ln line) {
 	b := h.l2[core]
 	if b.lines[i].state != stInvalid {
+		h.unorphan(core, i)
 		victimAddr := b.tags[i]
 		dirty := b.lines[i].state == stModified
 		// L1 must stay a subset of L2.
@@ -779,8 +843,8 @@ func (h *Hierarchy) fillL2(core, i int, la uint64, ln line) {
 			if li := h.l3.findIdx(victimAddr); li >= 0 {
 				h.l3.lines[li].state = stModified
 			} else {
-				// Inclusion should make this unreachable; account the
-				// writeback directly rather than lose it.
+				// An orphan line that its core wrote has no L3 copy to
+				// take the dirtiness, so the writeback is counted here.
 				h.Stats.Writebacks++
 				h.obs.Add(h.obsWriteBk, 1)
 			}
@@ -800,16 +864,18 @@ func (h *Hierarchy) fillL3(core, i int, la uint64, ln line) {
 		ln.state = stExclusive
 	}
 	b.fill(i, la, ln)
-	b.sharers[i] = 1 << uint(core)
+	b.sharers[i], b.owners[i] = 1<<uint(core), 1<<uint(core)
 }
 
 // evictL3 back-invalidates every private copy (inclusive hierarchy) and
 // accounts writebacks and unused-prefetch evictions. i is the victim's
-// global slot index in the L3 bank.
+// global slot index in the L3 bank. Only the victim's sharers and the
+// cores holding orphan lines can hold a copy.
 func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 	ln := &h.l3.lines[i]
 	dirty := ln.state == stModified
-	for c := 0; c < h.cfg.Cores; c++ {
+	for m := h.l3.sharers[i] | h.orphanMask; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
 		j := h.l2[c].findIdx(victimAddr)
 		if j < 0 {
 			continue
@@ -817,7 +883,7 @@ func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 		if st, ok := h.l1[c].invalidate(victimAddr); ok && st == stModified {
 			dirty = true
 		}
-		if h.l2[c].invalidateIdx(j) == stModified {
+		if h.invalidateL2(c, j) == stModified {
 			dirty = true
 		}
 	}
@@ -892,18 +958,33 @@ func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Onl
 		}
 	}
 	// The line may have become resident at any level since the prefetch
-	// was issued, so each level is searched before it is filled.
-	if i := h.l3.findIdx(la); i >= 0 {
-		h.l3.sharers[i] |= 1 << uint(core)
-		h.l3.touchIdx(i)
+	// was issued, so each level is searched before it is filled. It may
+	// also have left L3 since a prefetch serviced there probed it; the
+	// private copy is then an orphan.
+	l3i := h.l3.findIdx(la)
+	if l3i >= 0 {
+		h.l3.sharers[l3i] |= 1 << uint(core)
+		h.l3.touchIdx(l3i)
 	} else if fromLevel == LvlMem {
-		h.fillL3(core, h.l3.victim(la), la, line{prefetched: true, pfTag: pfTag})
+		l3i = h.l3.victim(la)
+		h.fillL3(core, l3i, la, line{prefetched: true, pfTag: pfTag})
 	}
 	ln := line{state: stShared, prefetched: true, pfTag: pfTag}
 	if i, hit := h.l2[core].findOrVictim(la); hit {
 		h.l2[core].touchIdx(i)
+		// A copy kept from before may be Exclusive or Modified (an orphan
+		// its core wrote), and core is now a sharer of the L3 copy.
+		if l3i >= 0 && h.l2[core].lines[i].state >= stExclusive {
+			h.l3.owners[l3i] |= 1 << uint(core)
+		}
 	} else {
 		h.fillL2(core, i, la, ln)
+		if l3i < 0 {
+			h.l2[core].orphan[i] = true
+			h.orphans[core]++
+			h.orphanMask |= 1 << uint(core)
+			h.Stats.OrphanFills++
+		}
 	}
 	if l2Only {
 		return

@@ -194,3 +194,49 @@ func TestUpgradeInvalidatesOtherCopiesPerLevel(t *testing.T) {
 		}
 	}
 }
+
+// A prefetch fill serviced from L3 can land after its line has left L3,
+// installing an orphan line: a private copy with no L3 copy. When its
+// core writes the orphan and the L2 later evicts it, there is no L3 copy
+// to take the dirtiness, so fillL2 counts the writeback itself. The
+// reference hierarchy runs alongside to pin the count it produces.
+func TestDirtyOrphanL2VictimCountsWriteback(t *testing.T) {
+	h := mustNew(t, tinyConfig(2))
+	ref, err := newRefHierarchy(tinyConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	access := func(core int, addr uint64, write bool) {
+		h.Access(core, addr, write)
+		ref.Access(core, addr, write)
+	}
+	const a = 0x50000
+	// Core 1 reads a, then four more lines of its L3 set: the last evicts
+	// a from L3 and so from core 1's private levels.
+	for k := uint64(0); k <= 4; k++ {
+		access(1, a+k*l3SetStride, false)
+	}
+	if lvl := h.Probe(0, a); lvl != LvlNone {
+		t.Fatalf("setup: line at %v, want gone from the hierarchy", lvl)
+	}
+	// A prefetch that found a in L3 before the eviction fills now.
+	h.FillPrefetch(0, a, LvlL3)
+	ref.FillPrefetch(0, a, LvlL3)
+	inL3 := h.l3.findIdx(h.LineAddr(a)) >= 0
+	if in1, in2, _, _ := copyAt(h, 0, a); !in1 || !in2 || inL3 || h.Stats.OrphanFills != 1 {
+		t.Fatalf("orphan fill: L1=%v L2=%v L3=%v OrphanFills=%d, want a private copy only, counted once",
+			in1, in2, inL3, h.Stats.OrphanFills)
+	}
+	// Core 0 writes the orphan, then evicts it from its L2 with two reads
+	// to the same L2 set.
+	access(0, a, true)
+	access(0, a+l2SetStride, false)
+	access(0, a+2*l2SetStride, false)
+	if in1, in2, _, _ := copyAt(h, 0, a); in1 || in2 {
+		t.Fatalf("core 0 still holds the orphan (L1=%v L2=%v)", in1, in2)
+	}
+	wantCounts(t, h, 1, 0)
+	if ref.Stats.Writebacks != 1 {
+		t.Fatalf("reference Writebacks = %d, want 1", ref.Stats.Writebacks)
+	}
+}

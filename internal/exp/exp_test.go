@@ -6,6 +6,7 @@ import (
 
 	"prodigy/internal/cpu"
 	"prodigy/internal/stats"
+	"prodigy/internal/workloads"
 )
 
 // qh returns a shared quick harness; runs are memoized inside it, so the
@@ -391,5 +392,29 @@ func TestSoftwarePFWeakerThanProdigy(t *testing.T) {
 	pro := stats.Geomean(r.ProdigySpeedup)
 	if pro < soft {
 		t.Errorf("Prodigy %.2fx below software prefetching %.2fx", pro, soft)
+	}
+}
+
+// TestQuickGridOrphanFills pins, per scheme, how many prefetch fills on
+// the quick graph grid install a line in an L2 after the line has left
+// L3 (cache.Stats.OrphanFills). Each such fill breaks L2 ⊆ L3 until the
+// line leaves; fixing that moves cycles, so the count is pinned to make
+// any change to it visible.
+func TestQuickGridOrphanFills(t *testing.T) {
+	want := map[Scheme]uint64{SchemeAJ: 60, SchemeProdigy: 147}
+	for _, s := range Schemes() {
+		var n uint64
+		for _, a := range workloads.GraphAlgos {
+			for _, d := range sharedHarness.Cfg.Datasets {
+				r, err := sharedHarness.RunOne(a, d, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += r.Res.Cache.OrphanFills
+			}
+		}
+		if n != want[s] {
+			t.Errorf("%s: %d orphan fills on the quick graph grid, want %d", s, n, want[s])
+		}
 	}
 }
