@@ -37,7 +37,8 @@ test:
 
 # The experiment runner fans simulations across goroutines; run the whole
 # suite under the race detector so regressions in the concurrency story
-# (trace epoch handoff, dataset cache, run memoization) fail loudly.
+# (the trace coroutine's strict alternation with the simulator, dataset
+# cache, run memoization) fail loudly.
 race:
 	$(GO) test -race ./...
 

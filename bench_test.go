@@ -302,7 +302,7 @@ func BenchmarkSimThroughputBFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultMachine(8)
 		cfg.Prefetcher = NewProdigy(w.DIG, DefaultProdigyConfig())
-		res, err := RunMachine(cfg, w.Space, NewTraceGen(8, 1<<21), w.Run)
+		res, err := RunMachine(cfg, w.Space, NewTraceGen(8), w.Run)
 		if err != nil {
 			b.Fatal(err)
 		}

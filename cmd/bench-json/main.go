@@ -12,9 +12,10 @@
 // value, or if the quick sweep's Prodigy accuracy or coverage drops
 // below the committed baseline (beyond a small tolerance), so the hot
 // path stays allocation-free and the prefetcher stays effective by
-// construction.
-// ns/op and wall time are recorded but not gated here — they vary with
-// the host.
+// construction. When the baseline has per-run walls, the new quick batch
+// must also pass the -quick-gate comparison below before it may replace
+// them, so a batch timed on a busy host cannot loosen the gate.
+// ns/op is recorded but not gated — it varies with the host.
 //
 // -quick-gate runs only the wall-clock check: it times
 // `prodigy-bench -quick` as many times as the committed baseline did and
@@ -168,10 +169,7 @@ func latestBench(dir string) string {
 // runQuickGate is the wall-clock regression gate `make check` runs: no
 // microbenchmarks, no file rewrite — just time the quick bench the way
 // the committed baseline was timed (same number of runs, same
-// statistic) and compare the medians, allowing the spread the baseline
-// recorded plus the spread of the runs just taken. A shared host's load
-// drifts between batches, so one batch's spread alone understates the
-// noise between two batches.
+// statistic) and compare the batches with gateQuick.
 func runQuickGate(out string) error {
 	baseline := readBaseline(out)
 	if baseline == nil || len(baseline.QuickRunsMS) == 0 {
@@ -182,6 +180,18 @@ func runQuickGate(out string) error {
 	if err != nil {
 		return err
 	}
+	return gateQuick(baseline, q, out)
+}
+
+// gateQuick compares a batch of `prodigy-bench -quick` runs with the
+// baseline's per-run walls: the median wall time, and the median peak RSS
+// when the baseline has one, must not exceed the baseline's median by
+// more than the spread the baseline recorded plus the spread of the new
+// batch. A shared host's load drifts between batches, so one batch's
+// spread alone understates the noise between two batches. Both the gate
+// and a rewrite of the baseline apply it, so a batch taken on a busy host
+// can neither pass the gate nor replace the baseline with a looser one.
+func gateQuick(baseline *Doc, q quickBatch, out string) error {
 	var failed []string
 	ms, limit := median(q.walls), baseline.QuickBenchMS+baseline.QuickSpreadMS+spread(q.walls)
 	verdict := fmt.Sprintf("median of %d = %d ms %v, limit %d ms (baseline median %d ms + its spread %d ms + this spread %d ms, %s)",
@@ -257,9 +267,10 @@ func run(out string, quickRuns int) error {
 			name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 	}
 
+	var q quickBatch
 	if quickRuns > 0 {
-		q, err := timeQuickBench(quickRuns)
-		if err != nil {
+		var err error
+		if q, err = timeQuickBench(quickRuns); err != nil {
 			return err
 		}
 		doc.QuickRunsMS, doc.QuickBenchMS, doc.QuickSpreadMS = q.walls, median(q.walls), spread(q.walls)
@@ -290,6 +301,11 @@ func run(out string, quickRuns int) error {
 		}
 		if err := gateQuality(baseline, &doc, out); err != nil {
 			return err
+		}
+		if len(q.walls) > 0 && len(baseline.QuickRunsMS) > 0 {
+			if err := gateQuick(baseline, q, out); err != nil {
+				return fmt.Errorf("not replacing the baseline: %w", err)
+			}
 		}
 	}
 

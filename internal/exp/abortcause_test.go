@@ -178,9 +178,31 @@ func TestFinishedRunsPinNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := directProdigyRun(t, watch)
+	// Runs the simulator stops early (the MaxCycles guard, an external
+	// interrupt) return with the workload kernel suspended in a barrier;
+	// ending it must release the generator and the memory image too.
+	maxCycles, interrupted := goldenCfg(1), goldenCfg(1)
+	maxCycles.MaxCycles = 1000
+	polls := 0
+	interrupted.Interrupt = func() string {
+		if polls++; polls > 2 {
+			return AbortCanceled
+		}
+		return ""
+	}
+	var stopped []*Harness
+	for _, cfg := range []Config{maxCycles, interrupted} {
+		hs := New(cfg)
+		what := fmt.Sprintf("stopped run #%d", len(stopped))
+		hs.built = func(c Cell, sp *memspace.Space, g *trace.Gen) { watch(what+" "+c.String(), sp, g) }
+		if _, err := hs.RunOne("bfs", "po", SchemeProdigy); err == nil {
+			t.Fatalf("%s: run was not stopped early", what)
+		}
+		stopped = append(stopped, hs)
+	}
 
-	if len(all) != 2*(len(cells)+1) {
-		t.Fatalf("watching %d objects, want %d", len(all), 2*(len(cells)+1))
+	if want := 2 * (len(cells) + 1 + len(stopped)); len(all) != want {
+		t.Fatalf("watching %d objects, want %d", len(all), want)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -202,6 +224,7 @@ func TestFinishedRunsPinNothing(t *testing.T) {
 	runtime.KeepAlive(h)
 	runtime.KeepAlive(runs)
 	runtime.KeepAlive(res)
+	runtime.KeepAlive(stopped)
 }
 
 // directProdigyRun simulates bfs-po under Prodigy with sim.Run, outside
@@ -213,7 +236,7 @@ func directProdigyRun(t *testing.T, watch func(string, *memspace.Space, *trace.G
 	}
 	cfg := sim.Default(2)
 	cfg.Prefetcher = core.New(w.DIG, core.DefaultConfig())
-	gen := trace.NewGen(2, 1)
+	gen := trace.NewGen(2, 0)
 	watch("direct sim.Run bfs-po/prodigy", w.Space, gen)
 	res, err := sim.Run(cfg, w.Space, gen, w.Run)
 	if err != nil {

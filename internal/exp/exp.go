@@ -441,8 +441,7 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 		}
 	}
 
-	// Any positive buffer size selects the generator's asynchronous mode.
-	gen := trace.NewGen(cores, 1)
+	gen := trace.NewGen(cores, 0)
 	if h.built != nil {
 		h.built(c, w.Space, gen)
 	}

@@ -140,7 +140,7 @@ func RunMemlatPoint(p MemlatPoint, base sim.Config) (MemlatResult, error) {
 	cfg.Prefetcher = nil
 	h := &stats.Histogram{}
 	cfg.LatencyHook = func(core int, lat int64, lvl cache.Level) { h.Record(lat) }
-	res, err := sim.Run(cfg, w.Space, trace.NewGen(1, 1<<16), w.Run)
+	res, err := sim.Run(cfg, w.Space, trace.NewGen(1, 0), w.Run)
 	if err != nil {
 		return MemlatResult{}, fmt.Errorf("memlat %s: %w", p.Name, err)
 	}

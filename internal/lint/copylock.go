@@ -9,9 +9,9 @@ import (
 
 // CopyLock flags by-value copies of types that transitively contain a
 // sync lock or atomic value — value receivers, value parameters, `x := *p`
-// dereference copies, and range-value copies. Copying a trace.Gen or
-// exp.Harness forks its mutex state and silently desynchronizes the
-// producer/consumer handoff PR 1 introduced.
+// dereference copies, and range-value copies. Copying an exp.Harness, for
+// one, forks its mutex state and silently desynchronizes its run
+// memoization.
 type CopyLock struct{}
 
 // Name implements Analyzer.

@@ -1,5 +1,5 @@
 // Package copylock is a lint fixture: by-value copies of a mutex-bearing
-// struct, mimicking trace.Gen.
+// struct, the shape of any type that guards its state with a lock.
 package copylock
 
 import "sync"

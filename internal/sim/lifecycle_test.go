@@ -176,7 +176,7 @@ func TestQualityAggAcrossCores(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(2)
 	cfg.Prefetcher = prefetch.Stride(prefetch.DefaultStrideConfig())
-	res, err := Run(cfg, space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+	res, err := Run(cfg, space, trace.NewGen(2, 0), func(g *trace.Gen) {
 		for i := 0; i < len(arr.Data); i++ {
 			g.Load(i%2, 1, arr.Addr(i))
 		}

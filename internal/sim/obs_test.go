@@ -19,7 +19,7 @@ func runIrregular(t testing.TB, n int, rec *obs.Recorder) Result {
 	cfg := Default(1)
 	cfg.Prefetcher = core.New(d, core.DefaultConfig())
 	cfg.Obs = rec
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), irregularWorkload(idx, data))
+	res, err := Run(cfg, space, trace.NewGen(1, 0), irregularWorkload(idx, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestIntervalBoundariesExactAcrossSkips(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.Obs = rec
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+	res, err := Run(cfg, space, trace.NewGen(1, 0), func(g *trace.Gen) {
 		// One load per cache line: every access is a fresh DRAM miss, so
 		// the core sleeps for the full memory latency between wakeups.
 		for i := 0; i < len(arr.Data); i += 16 {

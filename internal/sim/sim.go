@@ -1053,8 +1053,8 @@ func (m *Machine) Run() (Result, error) {
 }
 
 // Run assembles a machine and runs a workload generator to completion. The
-// producer emits instruction streams into gen while the machine consumes
-// them.
+// producer runs as a coroutine of the machine, emitting each epoch's
+// instruction streams into gen when the machine's cores ask for them.
 func Run(cfg Config, space *memspace.Space, gen *trace.Gen, producer func(*trace.Gen)) (Result, error) {
 	m, err := NewMachine(cfg, space, gen)
 	if err != nil {
@@ -1064,11 +1064,12 @@ func Run(cfg Config, space *memspace.Space, gen *trace.Gen, producer func(*trace
 		return Result{}, err
 	}
 	wait := gen.Run(producer)
+	// Abort on every exit, a machine panic included: a producer the
+	// machine stopped early (error, interrupt, MaxCycles) unwinds from the
+	// barrier it is suspended in instead of pinning the generator and the
+	// memory image. After a clean finish it only drops the buffers.
+	defer gen.Abort()
 	res, err := m.Run()
-	// Unblock the producer if the machine stopped early (error, interrupt):
-	// it cannot be killed, so it runs to completion against a closed sink.
-	// On a clean finish the streams are already closed and this is a no-op.
-	gen.Abort()
 	if perr := wait(); perr != nil && err == nil {
 		res, err = Result{}, perr
 	}

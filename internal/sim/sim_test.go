@@ -37,7 +37,7 @@ func TestSequentialScanCompletes(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 4096)
 	cfg := Default(1)
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSequentialScanCompletes(t *testing.T) {
 func TestStackAccountingMatchesCycles(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 2048)
-	res, err := Run(Default(1), space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(Default(1), space, trace.NewGen(1, 0), seqWorkload(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() Result {
 		space := memspace.New()
 		arr := space.AllocU32("a", 2048)
-		res, err := Run(Default(2), space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+		res, err := Run(Default(2), space, trace.NewGen(2, 0), func(g *trace.Gen) {
 			for i := range arr.Data {
 				g.Load(i%2, 1, arr.Addr(i))
 			}
@@ -95,7 +95,7 @@ func TestBarrierSynchronizesCores(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 8192)
 	// Core 0 does 10x the work before the barrier; core 1 must wait.
-	res, err := Run(Default(2), space, trace.NewGen(2, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(2), space, trace.NewGen(2, 0), func(g *trace.Gen) {
 		for i := 0; i < 5000; i++ {
 			g.Load(0, 1, arr.Addr(i%8192))
 		}
@@ -120,7 +120,7 @@ func TestStridePrefetcherSpeedsUpScan(t *testing.T) {
 		arr := space.AllocU32("a", 1<<16)
 		cfg := Default(1)
 		cfg.Prefetcher = fac
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+		res, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestProdigySpeedsUpIrregularWorkload(t *testing.T) {
 		if withProdigy {
 			cfg.Prefetcher = core.New(d, core.DefaultConfig())
 		}
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), irregularWorkload(idx, data))
+		res, err := Run(cfg, space, trace.NewGen(1, 0), irregularWorkload(idx, data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestPrefetchUsefulnessTracked(t *testing.T) {
 	space, idx, data, d := irregularSetup(t, n)
 	cfg := Default(1)
 	cfg.Prefetcher = core.New(d, core.DefaultConfig())
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), irregularWorkload(idx, data))
+	res, err := Run(cfg, space, trace.NewGen(1, 0), irregularWorkload(idx, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSoftwarePrefetchInstructions(t *testing.T) {
 	mk := func(soft bool) Result {
 		space, idx, data, _ := irregularSetup(t, n)
 		cfg := Default(1)
-		res, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+		res, err := Run(cfg, space, trace.NewGen(1, 0), func(g *trace.Gen) {
 			const dist = 8
 			for i := range idx.Data {
 				if soft && i+dist < n {
@@ -262,7 +262,7 @@ func TestMultiCorePartitionedScan(t *testing.T) {
 	const cores = 4
 	space := memspace.New()
 	arr := space.AllocU32("a", 1<<14)
-	res, err := Run(Default(cores), space, trace.NewGen(cores, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(cores), space, trace.NewGen(cores, 0), func(g *trace.Gen) {
 		per := len(arr.Data) / cores
 		for c := 0; c < cores; c++ {
 			for i := c * per; i < (c+1)*per; i++ {
@@ -291,7 +291,7 @@ func TestInFlightMergeCountsLatePrefetch(t *testing.T) {
 	cfg := Default(1)
 	// Prefetcher that prefetches the demanded line + next line once.
 	cfg.Prefetcher = prefetch.Stride(prefetch.StrideConfig{TableSize: 8, Degree: 8})
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+	res, err := Run(cfg, space, trace.NewGen(1, 0), func(g *trace.Gen) {
 		// Strided misses back-to-back: the stride prefetcher issues ahead,
 		// then demands arrive before fills complete.
 		for i := 0; i < len(arr.Data); i += 16 {
@@ -309,7 +309,7 @@ func TestInFlightMergeCountsLatePrefetch(t *testing.T) {
 func TestIPCAndLevels(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 256)
-	res, err := Run(Default(1), space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {
+	res, err := Run(Default(1), space, trace.NewGen(1, 0), func(g *trace.Gen) {
 		// Touch everything (cold), then re-scan (hot): second pass hits L1.
 		for pass := 0; pass < 2; pass++ {
 			for i := range arr.Data {
@@ -406,7 +406,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.MaxCycles = 100 // far below what the workload needs
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 	if err == nil {
 		t.Fatal("expected MaxCycles error")
 	}
@@ -417,7 +417,7 @@ func TestInterruptAborts(t *testing.T) {
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.Interrupt = func() bool { return true }
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("expected interrupt error, got %v", err)
 	}
@@ -431,7 +431,7 @@ func TestInterruptPolledDuringRun(t *testing.T) {
 	polls := 0
 	cfg := Default(1)
 	cfg.Interrupt = func() bool { polls++; return polls > 3 }
-	_, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	_, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 	if err == nil {
 		t.Fatal("expected interrupt error")
 	}
@@ -443,7 +443,7 @@ func TestInterruptPolledDuringRun(t *testing.T) {
 	arr2 := space2.AllocU32("a", 1<<14)
 	cfg2 := Default(1)
 	cfg2.Interrupt = func() bool { return false }
-	res, err := Run(cfg2, space2, trace.NewGen(1, 1<<20), seqWorkload(arr2))
+	res, err := Run(cfg2, space2, trace.NewGen(1, 0), seqWorkload(arr2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestNewMachineRejectsBadConfig(t *testing.T) {
 		t.Fatal("NewMachine accepted a non-power-of-two cache geometry")
 	}
 	// The same bad point must surface as a run error, not a panic.
-	if _, err := Run(cfg, space, trace.NewGen(1, 1<<20), func(g *trace.Gen) {}); err == nil {
+	if _, err := Run(cfg, space, trace.NewGen(1, 0), func(g *trace.Gen) {}); err == nil {
 		t.Fatal("Run accepted a bad config")
 	}
 }
@@ -493,12 +493,81 @@ func TestMergedStoreDrainsThroughStoreBuffer(t *testing.T) {
 	}
 }
 
+// epochWorkload loads every element of arr once per epoch, ending each
+// epoch with a Barrier. It counts in *finished the epochs whose Barrier
+// returned and sets *exited when the kernel leaves, by return or by
+// unwinding.
+func epochWorkload(arr *memspace.U32, epochs int, finished *int, exited *bool) func(*trace.Gen) {
+	return func(g *trace.Gen) {
+		defer func() { *exited = true }()
+		for e := 0; e < epochs; e++ {
+			for i := range arr.Data {
+				g.Load(0, 1, arr.Addr(i))
+			}
+			g.Barrier()
+			*finished++
+		}
+	}
+}
+
+// TestMaxCyclesStopsProducer: a run the MaxCycles guard stops ends its
+// workload kernel in the barrier it is suspended in. The kernel must not
+// go on to run its remaining epochs against a trace nobody reads.
+func TestMaxCyclesStopsProducer(t *testing.T) {
+	const epochs, n = 50, 1024
+	space := memspace.New()
+	arr := space.AllocU32("a", n)
+	cfg := Default(1)
+	cfg.MaxCycles = 5000
+	finished, exited := 0, false
+	_, err := Run(cfg, space, trace.NewGen(1, 0), epochWorkload(arr, epochs, &finished, &exited))
+	if !errors.Is(err, ErrMaxCycles) {
+		t.Fatalf("err = %v, want ErrMaxCycles", err)
+	}
+	if !exited {
+		t.Fatal("Run returned with the workload kernel still suspended")
+	}
+	if finished >= epochs {
+		t.Fatalf("kernel finished all %d epochs after the machine stopped", epochs)
+	}
+}
+
+// TestMachinePanicUnwindsProducer: when the machine panics mid-run, Run
+// still ends the suspended workload kernel on its way out, so the
+// kernel's stack does not keep the generator and the memory image alive.
+func TestMachinePanicUnwindsProducer(t *testing.T) {
+	space := memspace.New()
+	arr := space.AllocU32("a", 1024)
+	cfg := Default(1)
+	calls := 0
+	cfg.LatencyHook = func(int, int64, cache.Level) {
+		if calls++; calls == 2000 {
+			panic("machine bug")
+		}
+	}
+	finished, exited := 0, false
+	func() {
+		defer func() {
+			if p := recover(); p != "machine bug" {
+				t.Fatalf("recovered %v, want the machine's panic", p)
+			}
+		}()
+		_, _ = Run(cfg, space, trace.NewGen(1, 0), epochWorkload(arr, 50, &finished, &exited))
+	}()
+	if !exited {
+		t.Fatal("machine panic left the workload kernel suspended")
+	}
+	if finished >= 50 {
+		t.Fatalf("kernel finished all epochs after the machine panicked")
+	}
+}
+
 func TestAbortReturnsPartialStats(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(1)
 	cfg.MaxCycles = 2000
-	res, err := Run(cfg, space, trace.NewGen(1, 1<<20), seqWorkload(arr))
+	res, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
 	if !errors.Is(err, ErrMaxCycles) {
 		t.Fatalf("err = %v, want ErrMaxCycles", err)
 	}

@@ -2,19 +2,19 @@
 // generators to the timing simulator.
 //
 // Workloads execute functionally (on real arrays in a memspace.Space) and
-// emit one Instr per dynamic instruction. The generator runs in its own
-// goroutine and alternates strictly with the simulator one synchronization
-// epoch at a time: it stages an epoch, publishes it at the barrier, and
-// blocks until the simulator has drained it. Memory stays proportional to
-// one epoch rather than the whole trace, and because exactly one side runs
-// at any instant, plain workload stores and functional simulator reads of
-// the same arrays are race-free and deterministic.
+// emit one Instr per dynamic instruction. The workload kernel runs as a
+// coroutine of the simulator, one synchronization epoch at a time: a
+// reader that runs dry resumes it, and it suspends again at its next
+// barrier. Memory stays proportional to one epoch rather than the whole
+// trace, and because exactly one side runs at any instant, plain workload
+// stores and functional simulator reads of the same arrays are race-free
+// and deterministic.
 package trace
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sync"
 )
 
 // Kind classifies a dynamic instruction.
@@ -92,15 +92,9 @@ func (in Instr) Taken() bool { return in.Flags&TakenFlag != 0 }
 // LoadDep reports whether a branch depends on a recent load.
 func (in Instr) LoadDep() bool { return in.Flags&LoadDepFlag != 0 }
 
-// chunkSize is the number of instructions flushed to a stream at once.
+// chunkSize is the number of instructions flushed to a core's queue at
+// once.
 const chunkSize = 4096
-
-// Stream is a single core's instruction queue: the producer appends chunks,
-// one consumer pops them. All fields are guarded by the owning Gen's mutex.
-type Stream struct {
-	chunks [][]Instr
-	closed bool
-}
 
 // Reader is the simulator-side cursor over one core's stream. Next
 // deposits each instruction in In rather than returning it; see Next.
@@ -113,14 +107,15 @@ type Reader struct {
 	n int
 	// In holds the instruction the most recent successful Next produced.
 	In   Instr
-	s    *Stream
+	core int
 	gen  *Gen
 	done bool
 }
 
 // Next advances to the next instruction, depositing it in r.In, and
 // reports whether one was available (false means the stream is
-// exhausted). It blocks while the generator is producing the next epoch.
+// exhausted). When the core's queue is empty it resumes the workload
+// kernel until the kernel's next epoch is complete.
 //
 // The deposit-in-field shape is deliberate: every value-returning
 // variant of this function costs more than the compiler's inlining
@@ -149,7 +144,7 @@ func (r *Reader) nextSlow() bool {
 		if r.done {
 			return false
 		}
-		c, ok := r.gen.pop(r.s, r.cur)
+		c, ok := r.gen.pop(r.core, r.cur)
 		if !ok {
 			r.done = true
 			r.cur = nil
@@ -166,160 +161,109 @@ func (r *Reader) nextSlow() bool {
 	return true
 }
 
-// Gen produces per-core instruction streams. All emit methods must be
-// called from a single producer goroutine.
+// Gen produces per-core instruction streams.
 //
-// In asynchronous mode the producer and the consumer alternate strictly:
-// the producer stages each epoch's chunks privately, publishes them at the
-// Barrier, and then blocks until the consumer has drained every stream and
-// parked again waiting for more. At any instant at most one of the two is
+// Under Run the workload kernel is a pull coroutine of the consumer: a
+// reader whose queue is empty resumes it, and it runs until its next
+// Barrier (which suspends it with the epoch published) or its return
+// (which closes every stream). At any instant at most one of the two is
 // running, so workloads may write their memspace arrays with plain stores
-// while the simulator performs functional reads of the same arrays — the
-// handoff mutex orders every write before every read that can observe it.
-// It also makes the values the prefetchers read deterministic: they always
-// see memory as of the end of the epoch being consumed.
+// while the simulator performs functional reads of the same arrays. It
+// also makes the values the prefetchers read deterministic: they always
+// see memory as of the end of the epoch being consumed. The consumer
+// must drain every core's epoch before any reader asks for the next one.
+//
+// Without Run, the caller is the producer: emissions are published as
+// they are made and Barrier does not suspend (Collect, unit tests).
 type Gen struct {
-	streams []*Stream
+	queues  [][][]Instr // per-core published chunks, oldest first
 	readers []*Reader
-	bufs    [][]Instr   // per-core chunk being filled (producer-private)
-	pending [][][]Instr // per-core chunks staged until the next handoff
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting bool // consumer is parked awaiting the next epoch
-	aborted bool // consumer abandoned the run; discard all further output
-	async   bool
+	bufs    [][]Instr // per-core chunk being filled
 	// free recycles fully-consumed chunk buffers back to the producer
-	// (guarded by mu): steady-state emission reuses a handful of
+	// while it can still run: steady-state emission reuses a handful of
 	// chunkSize-capacity arrays instead of growing fresh ones each epoch.
-	free [][]Instr
+	free   [][]Instr
+	closed bool // the producer has finished or been abandoned
+
+	// The coroutine Run starts, nil otherwise (and after Abort).
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
-// NewGen creates a generator for ncores cores. maxBuffered > 0 selects
-// asynchronous mode, where a producer goroutine alternates with the
-// consumer one epoch at a time (the limit itself is vestigial: buffering
-// is now bounded at one epoch regardless of its value). maxBuffered <= 0
-// selects synchronous mode — emissions publish immediately and barriers
-// never block — for producers that run to completion before any consumer
-// starts (Collect, unit tests).
-func NewGen(ncores, maxBuffered int) *Gen {
+// aborted is the panic a suspended kernel's Barrier raises once the
+// consumer has abandoned the run; Run recovers it, so the kernel unwinds
+// from the barrier it was suspended in.
+type aborted struct{}
+
+// NewGen creates a generator for ncores cores. The second parameter is
+// ignored; it remains for existing callers.
+func NewGen(ncores, _ int) *Gen {
 	g := &Gen{
-		streams: make([]*Stream, ncores),
+		queues:  make([][][]Instr, ncores),
 		readers: make([]*Reader, ncores),
 		bufs:    make([][]Instr, ncores),
-		pending: make([][][]Instr, ncores),
-		async:   maxBuffered > 0,
 	}
-	g.cond = sync.NewCond(&g.mu)
-	for i := range g.streams {
-		g.streams[i] = &Stream{}
-		g.readers[i] = &Reader{s: g.streams[i], gen: g}
+	for i := range g.readers {
+		g.readers[i] = &Reader{core: i, gen: g}
 	}
 	return g
 }
 
 // Cores returns the number of cores the generator feeds.
-func (g *Gen) Cores() int { return len(g.streams) }
+func (g *Gen) Cores() int { return len(g.queues) }
 
 // Reader returns the consumer cursor for a core.
 func (g *Gen) Reader(core int) *Reader { return g.readers[core] }
 
-// pop hands the consumer the next chunk of s, parking (and thereby handing
-// the turn to the producer) while none is available. Returns ok=false once
-// the stream is closed and empty. used is the chunk the reader just
-// finished; its backing array is recycled for the producer to refill.
-func (g *Gen) pop(s *Stream, used []Instr) ([]Instr, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if cap(used) > 0 && !g.aborted {
+// pop hands the consumer the next chunk of core's queue, resuming the
+// producer while the queue is empty. Returns ok=false once the queue is
+// empty and the producer cannot add to it. used is the chunk the reader
+// just finished; its backing array is recycled for the producer to refill.
+func (g *Gen) pop(core int, used []Instr) ([]Instr, bool) {
+	if cap(used) > 0 && !g.closed {
 		//lint:allow hotpath-alloc chunk recycling: the free list is bounded by the chunks in flight per epoch, so growth stops after the first epoch
 		g.free = append(g.free, used[:0])
 	}
-	for len(s.chunks) == 0 && !s.closed {
-		g.waiting = true
-		g.cond.Broadcast()
-		g.cond.Wait()
-		g.waiting = false
+	for len(g.queues[core]) == 0 {
+		if g.closed || g.next == nil {
+			return nil, false
+		}
+		g.next()
 	}
-	if len(s.chunks) == 0 {
-		return nil, false
-	}
-	c := s.chunks[0]
-	s.chunks[0] = nil
-	s.chunks = s.chunks[1:]
+	q := g.queues[core]
+	c := q[0]
+	q[0] = nil
+	g.queues[core] = q[1:]
 	return c, true
 }
 
-// drained reports whether the consumer has popped every published chunk.
-// Callers must hold g.mu.
-func (g *Gen) drained() bool {
-	for _, s := range g.streams {
-		if len(s.chunks) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// handoff publishes all staged chunks to the consumer and, in asynchronous
-// mode, blocks until the consumer has drained them and parked again — the
-// point at which the producer may safely resume mutating workload memory.
-// With closing set it instead closes every stream and returns immediately.
-func (g *Gen) handoff(closing bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for c := range g.pending {
-		if g.aborted {
-			g.pending[c] = nil
-			continue
-		}
-		g.streams[c].chunks = append(g.streams[c].chunks, g.pending[c]...)
-		g.pending[c] = nil
-	}
-	if closing {
-		for _, s := range g.streams {
-			s.closed = true
-		}
-	}
-	g.cond.Broadcast()
-	if closing || !g.async {
-		return
-	}
-	for !g.aborted && !(g.waiting && g.drained()) {
-		g.cond.Wait()
-	}
-}
-
-// Abort permanently unblocks the producer and discards everything it
-// publishes from now on. The simulator calls it when abandoning a run
-// early (error, interrupt, panic): the producer goroutine cannot be
-// killed, so it is let run to completion against a closed sink. It also
-// calls it after every clean finish, so Abort drops the recycled chunk
-// buffers too: a generator something still references holds none.
+// Abort ends production and discards everything not yet consumed. A
+// kernel suspended at a Barrier unwinds from it without running further.
+// The simulator calls it on every exit path — error, interrupt, panic and
+// clean finish — so a generator something still references holds no
+// chunk buffers and no coroutine.
 func (g *Gen) Abort() {
-	g.mu.Lock()
-	g.aborted = true
-	for _, s := range g.streams {
-		s.chunks = nil
-		s.closed = true
+	if g.stop != nil {
+		g.stop()
+	}
+	g.next, g.stop, g.yield = nil, nil, nil
+	g.closed = true
+	for c := range g.queues {
+		g.queues[c] = nil
 	}
 	g.free = nil
-	g.mu.Unlock()
-	g.cond.Broadcast()
 }
 
 // newBuf returns an empty chunk buffer, reusing a recycled backing array
 // when one is available.
 func (g *Gen) newBuf() []Instr {
-	g.mu.Lock()
 	if n := len(g.free); n > 0 {
 		b := g.free[n-1]
 		g.free[n-1] = nil
 		g.free = g.free[:n-1]
-		g.mu.Unlock()
 		return b
 	}
-	g.mu.Unlock()
 	return make([]Instr, 0, chunkSize)
 }
 
@@ -330,30 +274,15 @@ func (g *Gen) emit(core int, in Instr) {
 	}
 	b = append(b, in)
 	if len(b) >= chunkSize {
-		g.stage(core, b)
+		g.queues[core] = append(g.queues[core], b)
 		b = nil
 	}
 	g.bufs[core] = b
 }
 
-// stage queues a completed chunk for the next handoff. In synchronous mode
-// it publishes immediately instead.
-func (g *Gen) stage(core int, c []Instr) {
-	if g.async {
-		g.pending[core] = append(g.pending[core], c)
-		return
-	}
-	g.mu.Lock()
-	if !g.aborted {
-		g.streams[core].chunks = append(g.streams[core].chunks, c)
-	}
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
 func (g *Gen) flush(core int) {
 	if len(g.bufs[core]) > 0 {
-		g.stage(core, g.bufs[core])
+		g.queues[core] = append(g.queues[core], g.bufs[core])
 		g.bufs[core] = nil
 	}
 }
@@ -404,47 +333,52 @@ func (g *Gen) SoftPrefetch(core int, pc uint32, addr uint64) {
 	g.emit(core, Instr{Kind: SoftPrefetch, PC: pc, Addr: addr})
 }
 
-// Barrier emits a barrier to every core, publishes the epoch, and — in
-// asynchronous mode — blocks until the consumer has drained it and parked,
-// keeping producer and consumer strictly alternating.
+// Barrier emits a barrier to every core, publishes the epoch, and —
+// under Run — suspends the kernel until a reader asks for the next epoch.
 func (g *Gen) Barrier() {
-	for c := range g.streams {
+	for c := range g.queues {
 		g.emit(c, Instr{Kind: Barrier})
 		g.flush(c)
 	}
-	g.handoff(false)
+	if g.yield != nil && !g.yield(struct{}{}) {
+		panic(aborted{})
+	}
 }
 
 // Close publishes remaining buffers and closes all streams. The producer
 // must not emit after Close.
 func (g *Gen) Close() {
-	for c := range g.streams {
+	for c := range g.queues {
 		g.flush(c)
 	}
-	g.handoff(true)
+	g.closed = true
+	g.free = nil
 }
 
-// Run starts fn in a producer goroutine and closes the generator when it
-// returns. The returned function waits for the producer to finish and
-// reports a panic in fn as an error, so one crashing workload kernel
-// surfaces as a failed run instead of killing the whole process.
+// Run makes fn the generator's producer: a coroutine that the readers
+// resume one epoch at a time, closing the generator when it returns.
+// fn does not start until a reader first runs dry. The returned function
+// ends the coroutine (like Abort, a kernel still suspended at a Barrier
+// unwinds from it) and reports a panic in fn as an error, so one crashing
+// workload kernel surfaces as a failed run instead of killing the whole
+// process.
 func (g *Gen) Run(fn func(*Gen)) (wait func() error) {
-	done := make(chan struct{})
 	var err error
-	go func() {
-		defer close(done)
+	next, stop := iter.Pull(func(yield func(struct{}) bool) {
+		g.yield = yield
 		defer g.Close()
 		defer func() {
-			if p := recover(); p != nil {
+			if p := recover(); p != nil && p != (aborted{}) {
 				err = fmt.Errorf("trace: workload producer panicked: %v\n%s", p, debug.Stack())
 			}
 		}()
 		fn(g)
-	}()
-	return func() error { <-done; return err }
+	})
+	g.next, g.stop = next, stop
+	return func() error { stop(); return err }
 }
 
-// Collect runs fn synchronously with throttling disabled and returns every
+// Collect runs fn with the caller as the producer and returns every
 // core's full instruction sequence. Intended for tests and trace dumping.
 func Collect(ncores int, fn func(*Gen)) [][]Instr {
 	g := NewGen(ncores, 0)

@@ -123,17 +123,18 @@ func TestStrictAlternation(t *testing.T) {
 }
 
 func TestAbortUnblocksProducer(t *testing.T) {
-	// A consumer that abandons the run mid-trace must not strand the
-	// producer in a barrier handoff; after Abort it runs to completion
-	// against a closed sink.
+	// A consumer that abandons the run mid-trace ends the producer where
+	// it is suspended: the kernel executes nothing past the Barrier it was
+	// parked in, and Abort returns without waiting for the rest of it.
 	g := NewGen(1, 1)
-	finished := false
+	epochs, finished := 0, false
 	wait := g.Run(func(g *Gen) {
 		for e := 0; e < 100; e++ {
 			for i := 0; i < 10; i++ {
 				g.Load(0, 1, uint64(i))
 			}
 			g.Barrier()
+			epochs++
 		}
 		finished = true
 	})
@@ -145,8 +146,8 @@ func TestAbortUnblocksProducer(t *testing.T) {
 	if err := wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !finished {
-		t.Fatal("producer did not run to completion after Abort")
+	if epochs != 0 || finished {
+		t.Fatalf("producer ran on after Abort: %d epochs past the first barrier, finished %v", epochs, finished)
 	}
 	// Draining the leftover chunk terminates instead of hanging: the
 	// aborted streams are closed and publish nothing further.
@@ -156,9 +157,9 @@ func TestAbortUnblocksProducer(t *testing.T) {
 
 // TestFinishedGenHoldsNoBuffers checks that after Abort — which the
 // simulator calls on every exit path — a generator keeps no chunk
-// buffers, whether its consumer drained every stream or walked away
-// early: a finished generator that is still referenced must not pin an
-// epoch's worth of recycled chunks.
+// buffers and no coroutine, whether its consumer drained every stream or
+// walked away early: a finished generator that is still referenced must
+// not pin an epoch's worth of recycled chunks.
 func TestFinishedGenHoldsNoBuffers(t *testing.T) {
 	for _, consume := range []int{-1, 5} { // everything; a few, then abort
 		g := NewGen(1, 1)
@@ -179,14 +180,15 @@ func TestFinishedGenHoldsNoBuffers(t *testing.T) {
 		}
 		for r.Next() { // drain what an early abort left
 		}
-		g.mu.Lock()
-		held := len(g.free) + len(g.streams[0].chunks) + len(g.pending[0])
+		held := len(g.free) + len(g.queues[0])
 		if g.bufs[0] != nil || r.cur != nil {
 			held++
 		}
-		g.mu.Unlock()
 		if held != 0 {
 			t.Errorf("consume %d: finished generator holds %d chunk buffers, want 0", consume, held)
+		}
+		if g.next != nil || g.stop != nil || g.yield != nil {
+			t.Errorf("consume %d: finished generator still holds its coroutine", consume)
 		}
 	}
 }

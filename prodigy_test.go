@@ -34,7 +34,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		if withProdigy {
 			machine.Prefetcher = NewProdigy(d, DefaultProdigyConfig())
 		}
-		res, err := RunMachine(machine, space, NewTraceGen(1, 1<<20), func(g *TraceGen) {
+		res, err := RunMachine(machine, space, NewTraceGen(1), func(g *TraceGen) {
 			for i := 0; i < n; i++ {
 				v := idx.Data[i]
 				g.Load(0, 1, idx.Addr(i))
@@ -82,7 +82,7 @@ func TestBuildWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := NewTraceGen(2, 0)
+	gen := NewTraceGen(2)
 	w.Run(gen)
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
