@@ -106,7 +106,7 @@ type Doc struct {
 // shared-read coherence walks and the prefetch-fill path, all carrying
 // the always-on lifecycle telemetry, the DRAM controller under a
 // standing prefetch backlog, plus the latency-histogram record path that
-// sits behind sim.Config.LatencyHook during memlat calibration runs.
+// every obs.Recorder runs on each demand load and atomic.
 var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.

@@ -106,17 +106,12 @@ type Config struct {
 	// concurrently and must not block.
 	OnCell func(CellEvent)
 	// Obs, when non-nil, builds a per-run observability recorder (see
-	// internal/obs) keyed by the run's "label.scheme" name (bfs-po.prodigy,
-	// the form obs.CellPath puts into file names). The returned close
-	// function is called after the run; its error fails the run. Return a
-	// nil recorder to skip instrumentation for a cell.
+	// internal/obs: trace, metrics, prefetch ledger and latency histogram)
+	// keyed by the run's "label.scheme" name (bfs-po.prodigy, the form
+	// obs.CellPath puts into file names). The returned close function is
+	// called after the run; its error fails the run. Return a nil recorder
+	// to skip instrumentation for a cell.
 	Obs func(cell string) (*obs.Recorder, func() error, error)
-	// Ledger, when non-nil, builds a per-run prefetch-line-ledger sink
-	// keyed like Obs. The returned hook receives every prefetched line's
-	// lifecycle record (sim.Config.LedgerHook); the close function is
-	// called after the run and its error fails the run. Return a nil hook
-	// to skip the ledger for a cell.
-	Ledger func(cell string) (func(sim.PFLineEvent), func() error, error)
 }
 
 // Default returns the paper configuration at benchmark scale.
@@ -151,9 +146,9 @@ type Run struct {
 	Label  string
 	Scheme Scheme
 	Res    sim.Result
-	// MissesInDIG / MissesTotal classify LLC misses against the DIG
-	// ranges (Fig. 13/16).
-	MissesInDIG, MissesTotal uint64
+	// MissesInDIG counts the LLC misses (Res.Cache.DemandMem) that fall
+	// in the DIG ranges (Fig. 13/16).
+	MissesInDIG uint64
 	// Wall is the host wall-clock time the simulation took (progress and
 	// JSON reporting; it has no bearing on simulated results).
 	Wall time.Duration
@@ -411,7 +406,6 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 	}
 	run := &Run{Label: label, Scheme: scheme}
 	scfg.MissHook = func(addr uint64) {
-		run.MissesTotal++
 		if w.DIG.Covers(addr) {
 			run.MissesInDIG++
 		}
@@ -428,27 +422,18 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 			closeObs = closer
 		}
 	}
-	closeLedger := func() error { return nil }
-	if h.Cfg.Ledger != nil {
-		hook, closer, lerr := h.Cfg.Ledger(label + "." + string(scheme))
-		if lerr != nil {
-			cerr := closeObs()
-			return nil, nil, nil, fmt.Errorf("exp: %s: ledger setup: %w", c, errors.Join(lerr, cerr))
-		}
-		scfg.LedgerHook = hook
-		if closer != nil {
-			closeLedger = closer
-		}
-	}
 
 	gen := trace.NewGen(cores, 0)
 	if h.built != nil {
 		h.built(c, w.Space, gen)
 	}
 	res, err := sim.Run(scfg, w.Space, gen, w.Run)
-	cerr := errors.Join(closeObs(), closeLedger())
+	cerr := closeObs()
 	if err != nil {
 		err = fmt.Errorf("exp: %s: %w", c, err)
+		if cerr != nil {
+			err = errors.Join(err, fmt.Errorf("exp: %s: observability export: %w", c, cerr))
+		}
 		//lint:allow determinism aborted-run wall time feeds the JSONL record, not results
 		sum, line := h.emitAbort(label, scheme, v, err, interruptCause, res, time.Since(start))
 		return nil, sum, line, err

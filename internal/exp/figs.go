@@ -195,8 +195,8 @@ func (h *Harness) Fig13() (*Fig13Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if r.MissesTotal > 0 {
-				fracs = append(fracs, float64(r.MissesInDIG)/float64(r.MissesTotal))
+			if r.Res.Cache.DemandMem > 0 {
+				fracs = append(fracs, float64(r.MissesInDIG)/float64(r.Res.Cache.DemandMem))
 			}
 		}
 		out.Algos = append(out.Algos, algo)

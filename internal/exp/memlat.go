@@ -138,8 +138,7 @@ func RunMemlatPoint(p MemlatPoint, base sim.Config) (MemlatResult, error) {
 	cfg.CPU.Width = 1
 	cfg.CPU.ROBSize = 1
 	cfg.Prefetcher = nil
-	h := &stats.Histogram{}
-	cfg.LatencyHook = func(core int, lat int64, lvl cache.Level) { h.Record(lat) }
+	cfg.Obs = obs.New(obs.Options{})
 	res, err := sim.Run(cfg, w.Space, trace.NewGen(1, 0), w.Run)
 	if err != nil {
 		return MemlatResult{}, fmt.Errorf("memlat %s: %w", p.Name, err)
@@ -147,10 +146,12 @@ func RunMemlatPoint(p MemlatPoint, base sim.Config) (MemlatResult, error) {
 	if err := w.Verify(); err != nil {
 		return MemlatResult{}, err
 	}
+	// Copy the histogram out: the recorder's clock pins the machine.
+	h := *cfg.Obs.Latencies()
 	return MemlatResult{
 		Point: p,
-		Hist:  h,
-		Row:   obs.NewHistRow(w.Name, p.Cfg.Pattern, p.Cfg.WorkingSet, p.Name, p.Expect, h),
+		Hist:  &h,
+		Row:   obs.NewHistRow(w.Name, p.Cfg.Pattern, p.Cfg.WorkingSet, p.Name, p.Expect, &h),
 		Res:   res,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -160,6 +161,25 @@ func TestObsAbortedRunFlushes(t *testing.T) {
 		if row.End <= row.Start {
 			t.Fatalf("malformed interval row: %+v", row)
 		}
+	}
+}
+
+// TestAbortedRunReportsObsCloseError: a cell aborted by the MaxCycles
+// guard whose observability output then fails to close must report both
+// failures, not just the abort; otherwise the lost file goes unnoticed.
+func TestAbortedRunReportsObsCloseError(t *testing.T) {
+	closeErr := errors.New("flush failed")
+	cfg := goldenCfg(1)
+	cfg.MaxCycles = 1000
+	cfg.Obs = func(string) (*obs.Recorder, func() error, error) {
+		return obs.New(obs.Options{Metrics: io.Discard}), func() error { return closeErr }, nil
+	}
+	_, err := New(cfg).RunOne("bfs", "po", SchemeProdigy)
+	if !errors.Is(err, sim.ErrMaxCycles) {
+		t.Fatalf("err = %v, want ErrMaxCycles", err)
+	}
+	if !errors.Is(err, closeErr) {
+		t.Fatalf("err = %v, want it to carry the close error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,15 +21,16 @@ func CellPath(path, cell string, single bool) string {
 	return strings.TrimSuffix(path, ext) + "." + cell + ext
 }
 
-// OpenFiles builds a Recorder writing the catapult trace to tracePath and
-// the interval metrics JSONL to metricsPath (either may be empty to skip
-// that output), sampling every interval cycles (<=0 means
-// DefaultInterval). It returns the recorder and a close function that
-// flushes and closes the files, combining any deferred write errors; the
-// close function must be called after Recorder.Finish. When both paths
-// are empty it returns (nil, no-op, nil) — the fully-disabled path.
-func OpenFiles(tracePath, metricsPath string, interval int64) (*Recorder, func() error, error) {
-	if tracePath == "" && metricsPath == "" {
+// OpenFiles builds a Recorder writing the catapult trace to tracePath,
+// the interval metrics JSONL to metricsPath and the prefetch ledger JSONL
+// to ledgerPath (any may be empty to skip that output), sampling every
+// interval cycles (<=0 means DefaultInterval). It returns the recorder
+// and a close function that flushes and closes the files, combining any
+// deferred write errors; the close function must be called after
+// Recorder.Finish. When every path is empty it returns (nil, no-op, nil)
+// — the fully-disabled path.
+func OpenFiles(tracePath, metricsPath, ledgerPath string, interval int64) (*Recorder, func() error, error) {
+	if tracePath == "" && metricsPath == "" && ledgerPath == "" {
 		return nil, func() error { return nil }, nil
 	}
 	var (
@@ -36,16 +38,6 @@ func OpenFiles(tracePath, metricsPath string, interval int64) (*Recorder, func()
 		writers []*bufio.Writer
 		opts    = Options{Interval: interval}
 	)
-	open := func(path string) (*bufio.Writer, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		files = append(files, f)
-		writers = append(writers, w)
-		return w, nil
-	}
 	closeAll := func() error {
 		var errs []error
 		for _, w := range writers {
@@ -56,19 +48,21 @@ func OpenFiles(tracePath, metricsPath string, interval int64) (*Recorder, func()
 		}
 		return errors.Join(errs...)
 	}
-	if tracePath != "" {
-		w, err := open(tracePath)
+	for _, out := range []struct {
+		path string
+		w    *io.Writer
+	}{{tracePath, &opts.Trace}, {metricsPath, &opts.Metrics}, {ledgerPath, &opts.Ledger}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
 		if err != nil {
 			return nil, nil, errors.Join(err, closeAll())
 		}
-		opts.Trace = w
-	}
-	if metricsPath != "" {
-		w, err := open(metricsPath)
-		if err != nil {
-			return nil, nil, errors.Join(err, closeAll())
-		}
-		opts.Metrics = w
+		w := bufio.NewWriterSize(f, 1<<16)
+		files = append(files, f)
+		writers = append(writers, w)
+		*out.w = w
 	}
 	return New(opts), closeAll, nil
 }

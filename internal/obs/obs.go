@@ -1,8 +1,9 @@
 // Package obs is the simulation observability layer: a counter/gauge
 // registry with interval sampling (per-core CPI-stack slices, cache miss
 // rates, DRAM busy fraction and queue depth, PFHR occupancy, ...) emitted
-// as JSONL, plus a Chrome trace-event (catapult JSON) timeline exporter
-// whose output opens directly in chrome://tracing or Perfetto.
+// as JSONL, a Chrome trace-event (catapult JSON) timeline exporter
+// whose output opens directly in chrome://tracing or Perfetto, a per-line
+// prefetch ledger (JSONL), and a demand latency histogram.
 //
 // Every hook goes through a nil-checkable *Recorder: a nil receiver makes
 // each call a single branch, so fully-disabled instrumentation costs one
@@ -21,15 +22,17 @@ package obs
 import (
 	"encoding/json"
 	"io"
+
+	"prodigy/internal/stats"
 )
 
 // DefaultInterval is the metrics sampling period in cycles when Options
 // leaves it unset.
 const DefaultInterval = 10000
 
-// Options configures a Recorder. Either writer may be nil to disable that
-// output; New with both nil still returns a usable (inert) recorder, but
-// callers normally pass a nil *Recorder instead.
+// Options configures a Recorder. Any writer may be nil to disable that
+// output; New with all of them nil still returns a usable recorder that
+// keeps only the demand latency histogram (see Latencies).
 type Options struct {
 	// Interval is the metrics sampling period in simulated cycles
 	// (default DefaultInterval).
@@ -38,6 +41,9 @@ type Options struct {
 	Metrics io.Writer
 	// Trace receives the catapult trace-event JSON stream.
 	Trace io.Writer
+	// Ledger receives one JSON object per completed prefetch fill
+	// (JSONL): the per-line prefetch lifecycle ledger.
+	Ledger io.Writer
 }
 
 // CounterID names a registered counter. The zero value is not valid; -1
@@ -93,6 +99,10 @@ type Recorder struct {
 
 	spans []spanState
 	err   error
+
+	ledger *json.Encoder
+	// lat counts demand load/atomic latencies; Record never allocates.
+	lat stats.Histogram
 }
 
 // New builds a Recorder from opts. Returns a non-nil recorder; pass a nil
@@ -108,6 +118,9 @@ func New(opts Options) *Recorder {
 	}
 	if opts.Trace != nil {
 		r.tw = newTraceWriter(opts.Trace)
+	}
+	if opts.Ledger != nil {
+		r.ledger = json.NewEncoder(opts.Ledger)
 	}
 	return r
 }
@@ -284,6 +297,53 @@ func (r *Recorder) FlowEnd(core int, id uint64, name, cat string) {
 	ts := r.now()
 	r.tw.event(traceEvent{Ph: "e", Ts: ts, Pid: 0, Tid: core, Name: name, Cat: cat, ID: hexID(id)})
 	r.tw.event(traceEvent{Ph: "f", BP: "e", Ts: ts, Pid: 0, Tid: core, Name: name + "-flow", Cat: cat, ID: hexID(id)})
+}
+
+// ledgerRecord is one prefetched line's issue→fill record: one line of
+// the Options.Ledger output.
+type ledgerRecord struct {
+	// Core is the issuing core.
+	Core int
+	// LineAddr is the byte address of the line start.
+	LineAddr uint64
+	// IssuedAt/FilledAt are the issue and completion cycles.
+	IssuedAt, FilledAt int64
+	// Level is where the memory system serviced the prefetch, as a
+	// cache.Level.
+	Level uint8
+	// DemandMerged reports that a demand reached the line while it was
+	// still in flight (the "late" lifecycle class).
+	DemandMerged bool
+}
+
+// PrefetchFill writes one completed prefetch's ledger record. It costs
+// one branch without a ledger.
+func (r *Recorder) PrefetchFill(core int, lineAddr uint64, issuedAt, filledAt int64, level uint8, demandMerged bool) {
+	if r == nil || r.ledger == nil {
+		return
+	}
+	if err := r.ledger.Encode(ledgerRecord{Core: core, LineAddr: lineAddr, IssuedAt: issuedAt,
+		FilledAt: filledAt, Level: level, DemandMerged: demandMerged}); err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+// Latency counts one demand load's or atomic's issue→ready latency in
+// cycles: TLB walk, hierarchy, DRAM and queueing, exactly the wait the
+// engine charges the core.
+func (r *Recorder) Latency(lat int64) {
+	if r == nil {
+		return
+	}
+	r.lat.Record(lat)
+}
+
+// Latencies returns the histogram Latency feeds (nil on a nil recorder).
+func (r *Recorder) Latencies() *stats.Histogram {
+	if r == nil {
+		return nil
+	}
+	return &r.lat
 }
 
 // Tick flushes every interval whose cycles are fully attributed (interval

@@ -238,11 +238,13 @@ func TestOpenFiles(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "out.json")
 	metricsPath := filepath.Join(dir, "out.jsonl")
-	r, closeFn, err := OpenFiles(tracePath, metricsPath, 100)
+	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	r, closeFn, err := OpenFiles(tracePath, metricsPath, ledgerPath, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(r)
+	r.PrefetchFill(1, 4096, 7, 90, 4, true)
 	if err := r.Finish(260); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +267,17 @@ func TestOpenFiles(t *testing.T) {
 		t.Fatalf("got %d metric rows, want 3", len(rows))
 	}
 
-	// Both paths empty: fully disabled.
-	r2, closeFn2, err := OpenFiles("", "", 0)
+	ledgerBytes, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantLedger = `{"Core":1,"LineAddr":4096,"IssuedAt":7,"FilledAt":90,"Level":4,"DemandMerged":true}` + "\n"
+	if string(ledgerBytes) != wantLedger {
+		t.Fatalf("ledger file = %q, want %q", ledgerBytes, wantLedger)
+	}
+
+	// Every path empty: fully disabled.
+	r2, closeFn2, err := OpenFiles("", "", "", 0)
 	if err != nil || r2 != nil {
 		t.Fatalf("disabled path: r=%v err=%v", r2, err)
 	}

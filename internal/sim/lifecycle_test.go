@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"prodigy/internal/cache"
 	"prodigy/internal/memspace"
+	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 	"prodigy/internal/trace"
 )
@@ -213,8 +216,8 @@ func TestLedgerHookRecordsLifecycle(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
 	cfg := Default(1)
-	var events []PFLineEvent
-	cfg.LedgerHook = func(ev PFLineEvent) { events = append(events, ev) }
+	var ledger bytes.Buffer
+	cfg.Obs = obs.New(obs.Options{Ledger: &ledger})
 	m := mustMachine(t, cfg, space, trace.NewGen(1, 0))
 	m.now = 5
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
@@ -222,6 +225,19 @@ func TestLedgerHookRecordsLifecycle(t *testing.T) {
 	// Merge a demand into the second line before its fill lands.
 	m.demandAccess(0, 6, trace.Instr{Kind: trace.Load, Addr: arr.Addr(64), PC: 1})
 	m.processEvents(1 << 20)
+	type record struct {
+		IssuedAt, FilledAt int64
+		Level              cache.Level
+		DemandMerged       bool
+	}
+	var events []record
+	for dec := json.NewDecoder(&ledger); dec.More(); {
+		var ev record
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
 	if len(events) != 2 {
 		t.Fatalf("ledger events = %d, want 2", len(events))
 	}

@@ -3,22 +3,27 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"prodigy/internal/core"
 	"prodigy/internal/memspace"
 	"prodigy/internal/obs"
+	"prodigy/internal/prefetch"
 	"prodigy/internal/trace"
 )
 
-// runIrregular executes the irregular workload once, optionally
-// instrumented, and returns the result.
-func runIrregular(t testing.TB, n int, rec *obs.Recorder) Result {
+// runIrregular executes the irregular workload once under Prodigy,
+// letting observe (when non-nil) attach observers, and returns the result.
+func runIrregular(t testing.TB, n int, observe func(*Config)) Result {
 	space, idx, data, d := irregularSetup(t, n)
 	cfg := Default(1)
 	cfg.Prefetcher = core.New(d, core.DefaultConfig())
-	cfg.Obs = rec
+	if observe != nil {
+		observe(&cfg)
+	}
 	res, err := Run(cfg, space, trace.NewGen(1, 0), irregularWorkload(idx, data))
 	if err != nil {
 		t.Fatal(err)
@@ -26,22 +31,96 @@ func runIrregular(t testing.TB, n int, rec *obs.Recorder) Result {
 	return res
 }
 
-// TestObsOnDoesNotChangeResult checks instrumentation is purely
-// observational: with a recorder attached, the simulated machine retires
-// the same instructions in the same cycles with identical cache behaviour.
+// runStride executes a two-core forward-then-backward sweep under the
+// stride prefetcher, letting observe (when non-nil) attach observers.
+func runStride(t testing.TB, observe func(*Config)) Result {
+	space := memspace.New()
+	arr := space.AllocU32("a", 2048)
+	cfg := Default(2)
+	cfg.Prefetcher = prefetch.Stride(prefetch.StrideConfig{Degree: 4, TableSize: 64})
+	if observe != nil {
+		observe(&cfg)
+	}
+	res, err := Run(cfg, space, trace.NewGen(2, 0), func(g *trace.Gen) {
+		for i := range arr.Data {
+			g.Load(i%2, 1, arr.Addr(i))
+		}
+		g.Barrier()
+		for i := range arr.Data {
+			g.Load(i%2, 2, arr.Addr(len(arr.Data)-1-i))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestObsOnDoesNotChangeResult checks every observer is purely
+// observational: with the miss hook, a recorder keeping only the latency
+// histogram, a ledger, or trace, metrics and ledger together, the run's
+// Result is exactly the unobserved one's. Each observer must also have
+// seen something, or the comparison proves nothing.
 func TestObsOnDoesNotChangeResult(t *testing.T) {
-	const n = 1 << 13
-	base := runIrregular(t, n, nil)
-	rec := obs.New(obs.Options{Interval: 1000, Trace: io.Discard, Metrics: io.Discard})
-	instrumented := runIrregular(t, n, rec)
-	if instrumented.Cycles != base.Cycles {
-		t.Errorf("cycles: obs-on %d vs obs-off %d", instrumented.Cycles, base.Cycles)
+	workloads := []struct {
+		name string
+		run  func(t testing.TB, observe func(*Config)) Result
+	}{
+		{"stride", runStride},
+		{"prodigy", func(t testing.TB, observe func(*Config)) Result { return runIrregular(t, 1<<13, observe) }},
 	}
-	if instrumented.Agg != base.Agg {
-		t.Errorf("CPI stacks diverged: %+v vs %+v", instrumented.Agg, base.Agg)
+	for _, w := range workloads {
+		base := w.run(t, nil)
+		var misses int
+		var traceBuf, metricsBuf, ledgerBuf, allLedgerBuf bytes.Buffer
+		latency := obs.New(obs.Options{})
+		observers := []struct {
+			name   string
+			attach func(*Config)
+			saw    func() bool
+		}{
+			{"miss-hook", func(c *Config) { c.MissHook = func(uint64) { misses++ } },
+				func() bool { return misses > 0 }},
+			{"latency", func(c *Config) { c.Obs = latency },
+				func() bool { return latency.Latencies().Total() > 0 }},
+			{"ledger", func(c *Config) { c.Obs = obs.New(obs.Options{Ledger: &ledgerBuf}) },
+				func() bool { return ledgerBuf.Len() > 0 }},
+			{"trace+metrics+ledger", func(c *Config) {
+				c.Obs = obs.New(obs.Options{Interval: 1000, Trace: &traceBuf, Metrics: &metricsBuf, Ledger: &allLedgerBuf})
+			}, func() bool { return traceBuf.Len() > 0 && metricsBuf.Len() > 0 && allLedgerBuf.Len() > 0 }},
+		}
+		for _, o := range observers {
+			t.Run(w.name+"/"+o.name, func(t *testing.T) {
+				if got := w.run(t, o.attach); !reflect.DeepEqual(got, base) {
+					t.Errorf("observed run diverged:\n got  %+v\n want %+v", got, base)
+				}
+				if !o.saw() {
+					t.Error("observer saw nothing")
+				}
+			})
+		}
 	}
-	if instrumented.Cache != base.Cache {
-		t.Errorf("cache stats diverged: %+v vs %+v", instrumented.Cache, base.Cache)
+}
+
+// errWriter fails every write with errDiskFull.
+type errWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (errWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestAbortReportsObsExportError: a run stopped by MaxCycles whose
+// recorder cannot write its output must report the write failure next to
+// the abort cause, as a completed run does.
+func TestAbortReportsObsExportError(t *testing.T) {
+	space := memspace.New()
+	arr := space.AllocU32("a", 1<<14)
+	cfg := Default(1)
+	cfg.MaxCycles = 2000
+	cfg.Obs = obs.New(obs.Options{Interval: 100, Metrics: errWriter{}})
+	_, err := Run(cfg, space, trace.NewGen(1, 0), seqWorkload(arr))
+	if !errors.Is(err, ErrMaxCycles) || !errors.Is(err, errDiskFull) {
+		t.Fatalf("err = %v, want ErrMaxCycles and the write error", err)
 	}
 }
 
@@ -52,7 +131,7 @@ func TestObsOnDoesNotChangeResult(t *testing.T) {
 func TestObsCountersMatchResultStats(t *testing.T) {
 	var metrics bytes.Buffer
 	rec := obs.New(obs.Options{Interval: 500, Metrics: &metrics})
-	res := runIrregular(t, 1<<12, rec)
+	res := runIrregular(t, 1<<12, func(c *Config) { c.Obs = rec })
 
 	var demand uint64
 	var attributed int64
@@ -164,6 +243,6 @@ func BenchmarkRunObsOff(b *testing.B) {
 func BenchmarkRunObsOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := obs.New(obs.Options{Interval: 10000, Trace: io.Discard, Metrics: io.Discard})
-		runIrregular(b, 1<<13, rec)
+		runIrregular(b, 1<<13, func(c *Config) { c.Obs = rec })
 	}
 }

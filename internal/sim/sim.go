@@ -76,41 +76,12 @@ type Config struct {
 	// wall-clock timeouts, since a simulation goroutine cannot be killed
 	// from outside.
 	Interrupt func() bool
-	// Obs, when set, receives interval metrics and timeline events from
-	// every component (see internal/obs). nil disables all
+	// Obs, when set, is the run's one opt-in observation surface (see
+	// internal/obs): interval metrics and timeline events from every
+	// component, the per-line prefetch ledger, and a histogram of every
+	// demand load's and atomic's issue→ready latency. nil disables all
 	// instrumentation; the hooks then cost one branch each.
 	Obs *obs.Recorder
-	// LedgerHook, when set, receives one record per completed prefetch
-	// fill — the opt-in per-line issue→fill detail beyond the packed line
-	// tag and the aggregate counters. The default (nil) costs one branch
-	// per fill and allocates nothing.
-	LedgerHook func(PFLineEvent)
-	// LatencyHook, when set, receives every demand load's and atomic's
-	// issue→ready latency in cycles (TLB walk + hierarchy + DRAM +
-	// queueing, exactly the wait the wakeup scheduler charges the core)
-	// together with the level that serviced it. Plain stores are skipped:
-	// they drain through the store buffer at now+1 and say nothing about
-	// memory latency. The latency-calibration suite (internal/exp memlat
-	// sweep, docs/EXPERIMENTS.md) feeds a stats.Histogram from this. The
-	// default (nil) costs one branch per access and never perturbs
-	// timing.
-	LatencyHook func(core int, lat int64, level cache.Level)
-}
-
-// PFLineEvent is one prefetched line's issue→fill record, delivered to
-// Config.LedgerHook when per-line ledger detail is enabled.
-type PFLineEvent struct {
-	// Core is the issuing core.
-	Core int
-	// LineAddr is the byte address of the line start.
-	LineAddr uint64
-	// IssuedAt/FilledAt are the issue and completion cycles.
-	IssuedAt, FilledAt int64
-	// Level is where the memory system serviced the prefetch.
-	Level cache.Level
-	// DemandMerged reports that a demand reached the line while it was
-	// still in flight (the "late" lifecycle class).
-	DemandMerged bool
 }
 
 // Default returns the Table I machine (capacities scaled per DESIGN.md §2)
@@ -275,8 +246,8 @@ type pfEvent struct {
 	demandMerged bool
 	issuedAt     int64 // issue cycle (the per-line ledger's timestamp)
 	idx          int   // heap index
-	// flowID links the issue and fill timeline events (0 when tracing is
-	// off).
+	// flowID links the issue and fill timeline events; it is nonzero
+	// exactly when a recorder is attached, so it also gates the ledger.
 	flowID uint64
 }
 
@@ -607,13 +578,14 @@ func (m *Machine) memIssueAt(now, tlbLat int64) int64 {
 	return now + tlbLat + int64(m.cfg.Cache.L3Lat)
 }
 
-// demandAccess resolves one demand load/store/atomic and, when the
-// opt-in LatencyHook is armed, reports the issue→ready latency of
-// everything the core actually waits on (loads and atomics).
+// demandAccess resolves one demand load/store/atomic and, when a
+// recorder is attached, counts the issue→ready latency of everything the
+// core actually waits on. Plain stores are skipped: they drain through
+// the store buffer at now+1 and say nothing about memory latency.
 func (m *Machine) demandAccess(core int, now int64, in trace.Instr) (int64, cache.Level) {
 	ready, lvl := m.demandResolve(core, now, in)
-	if m.cfg.LatencyHook != nil && in.Kind != trace.Store {
-		m.cfg.LatencyHook(core, ready-now, lvl)
+	if m.cfg.Obs != nil && in.Kind != trace.Store {
+		m.cfg.Obs.Latency(ready - now)
 	}
 	return ready, lvl
 }
@@ -817,12 +789,8 @@ func (m *Machine) processEvents(now int64) {
 		}
 		if ev.flowID != 0 {
 			m.cfg.Obs.FlowEnd(ev.core, ev.flowID, "prefetch", "pf")
-		}
-		if m.cfg.LedgerHook != nil {
 			//hot:noescape
-			m.cfg.LedgerHook(PFLineEvent{Core: ev.core, LineAddr: ev.lineAddr,
-				IssuedAt: ev.issuedAt, FilledAt: now, Level: ev.level,
-				DemandMerged: ev.demandMerged})
+			m.cfg.Obs.PrefetchFill(ev.core, ev.lineAddr, ev.issuedAt, now, uint8(ev.level), ev.demandMerged)
 		}
 		for _, meta := range ev.metas {
 			m.pfs[ev.core].OnFill(now, ev.lineAddr, meta, ev.level)
@@ -905,14 +873,17 @@ func (m *Machine) collect(now int64) Result {
 }
 
 // abort closes out an aborted run: partial results up to now, plus the
-// wrapped sentinel so callers can classify the cause with errors.Is.
+// wrapped sentinel so callers can classify the cause with errors.Is. A
+// recorder export failure is joined in rather than lost.
 //
 //hot:cold
 func (m *Machine) abort(now int64, err error) (Result, error) {
 	// Collect first: FinishAt attributes each core's stall tail, which the
 	// recorder's final intervals must still see.
 	res := m.collect(now)
-	_ = m.cfg.Obs.Finish(now)
+	if ferr := m.cfg.Obs.Finish(now); ferr != nil {
+		err = errors.Join(err, fmt.Errorf("sim: observability export: %w", ferr))
+	}
 	return res, err
 }
 

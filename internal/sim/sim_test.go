@@ -539,12 +539,7 @@ func TestMachinePanicUnwindsProducer(t *testing.T) {
 	space := memspace.New()
 	arr := space.AllocU32("a", 1024)
 	cfg := Default(1)
-	calls := 0
-	cfg.LatencyHook = func(int, int64, cache.Level) {
-		if calls++; calls == 2000 {
-			panic("machine bug")
-		}
-	}
+	cfg.Prefetcher = func(prefetch.Env) prefetch.Prefetcher { return &panicPrefetcher{at: 2000} }
 	finished, exited := 0, false
 	func() {
 		defer func() {
@@ -559,6 +554,18 @@ func TestMachinePanicUnwindsProducer(t *testing.T) {
 	}
 	if finished >= 50 {
 		t.Fatalf("kernel finished all epochs after the machine panicked")
+	}
+}
+
+// panicPrefetcher panics on its at-th demand access, standing in for a
+// bug inside the machine.
+type panicPrefetcher struct{ calls, at int }
+
+func (*panicPrefetcher) Name() string                              { return "panic" }
+func (*panicPrefetcher) OnFill(int64, uint64, uint32, cache.Level) {}
+func (p *panicPrefetcher) OnDemand(int64, uint32, uint64, cache.Level) {
+	if p.calls++; p.calls == p.at {
+		panic("machine bug")
 	}
 }
 

@@ -20,9 +20,10 @@ const (
 
 // Histogram is a fixed-bucket latency histogram: exact bins for
 // latencies in [0, histExactMax) and power-of-two buckets above.
-// Record is allocation-free, so a Histogram can sit behind a hot
-// simulator hook (sim.Config.LatencyHook) without perturbing the
-// hot-path allocation contract. The zero value is ready to use.
+// Record is allocation-free, so a Histogram can sit on the simulator's
+// demand path (every obs.Recorder keeps one of demand latencies) without
+// perturbing the hot-path allocation contract. The zero value is ready
+// to use.
 type Histogram struct {
 	exact [histExactMax]uint64
 	pow2  [histPow2Bins]uint64

@@ -121,9 +121,9 @@ func TestHistogramOverflowBucketClamps(t *testing.T) {
 }
 
 // BenchmarkHistogramRecord gates the record path at 0 allocs/op
-// (cmd/bench-json): the histogram sits behind sim.Config.LatencyHook on
-// the demand path, so any allocation here would break the hot-path
-// contract the calibration suite is meant to certify.
+// (cmd/bench-json): every obs.Recorder records into one on the demand
+// path, so any allocation here would break the hot-path contract the
+// calibration suite is meant to certify.
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()
