@@ -70,6 +70,21 @@ func TestLatencyHookSkipsStores(t *testing.T) {
 	}
 }
 
+// Arming the latency histogram must not move a single cycle: the
+// recorder observes the schedule, it does not participate in it.
+func TestLatencyHookDoesNotPerturbTiming(t *testing.T) {
+	rec := obs.New(obs.Options{})
+	with := runStride(t, func(c *Config) { c.Obs = rec })
+	without := runStride(t, nil)
+	if with.Cycles != without.Cycles || with.Agg != without.Agg ||
+		with.Cache != without.Cache || with.Sim != without.Sim || with.DRAM != without.DRAM {
+		t.Fatalf("histogram perturbed the run: %d vs %d cycles", with.Cycles, without.Cycles)
+	}
+	if rec.Latencies().Total() == 0 {
+		t.Fatal("histogram recorded nothing")
+	}
+}
+
 // TestPrefetchChargedTLBWalk asserts the §VI-E contract directly on the
 // machine: a prefetch to an untranslated page pays WalkLat inside its
 // fill time, composed exactly as memIssueAt (walk + L3 lookup) before
