@@ -4,9 +4,11 @@
 //
 //	prodigy-bench [-quick] [-cores N] [-datasets po,lj] [-j N] [exp ...]
 //
-// With no experiment names, every experiment runs. Available experiments:
-// fig2 fig4 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 table3
-// ranged scalability ablations.
+// With no experiment names, every experiment runs, in this order
+// (exp.Experiments):
+// table2 fig2 fig4 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
+// table3 ranged softwarepf scalability ablations.
+// Every name is checked before any experiment runs.
 //
 // Each experiment's simulation grid fans out across -j worker goroutines
 // (default GOMAXPROCS); tables are byte-identical at any -j. Progress is
@@ -31,8 +33,6 @@ import (
 	"time"
 
 	"prodigy/internal/exp"
-	"prodigy/internal/graph"
-	"prodigy/internal/stats"
 )
 
 func main() {
@@ -47,6 +47,11 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
+	exps, err := exp.SelectExperiments(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -111,142 +116,16 @@ func main() {
 		}
 	}
 	h := exp.New(cfg)
-
-	names := flag.Args()
-	if len(names) == 0 {
-		names = []string{"table2", "fig2", "fig4", "fig12", "fig13", "fig14",
-			"fig15", "fig16", "fig17", "fig18", "fig19", "table3", "ranged",
-			"softwarepf", "scalability", "ablations"}
-	}
-
-	for _, name := range names {
+	for _, e := range exps {
 		start := time.Now()
-		tables, err := runExp(h, name)
+		tables, err := e.Tables(h)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		for _, t := range tables {
 			fmt.Println(t)
 		}
-		fmt.Printf("(%s took %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s took %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func runExp(h *exp.Harness, name string) ([]*stats.Table, error) {
-	one := func(t *stats.Table, err error) ([]*stats.Table, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-	switch name {
-	case "fig2":
-		r, err := h.Fig2()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig4":
-		r, err := h.Fig4()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig12":
-		r, err := h.Fig12()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig13":
-		r, err := h.Fig13()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig14":
-		r, err := h.Fig14()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig15":
-		r, err := h.Fig15()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig16":
-		r, err := h.Fig16()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig17":
-		r, err := h.Fig17()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig18":
-		r, err := h.Fig18()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "fig19":
-		r, err := h.Fig19()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "table2":
-		r, err := h.Table2()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "table3":
-		r, err := h.Table3()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "softwarepf":
-		r, err := h.SoftwarePF()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "ranged":
-		r, err := h.RangedFraction()
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "scalability":
-		counts := []int{1, 2, 4, 8, 16, 32}
-		if h.Cfg.Scale == graph.ScaleTiny {
-			counts = []int{1, 2, 4}
-		}
-		r, err := h.Scalability(counts)
-		if err != nil {
-			return nil, err
-		}
-		return one(r.Table(), nil)
-	case "ablations":
-		var out []*stats.Table
-		for _, f := range []func() (*exp.AblationResult, error){
-			h.AblationLookahead, h.AblationDropping, h.AblationRanged, h.AblationFillLevel,
-		} {
-			r, err := f()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r.Table())
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("unknown experiment %q", name)
 }

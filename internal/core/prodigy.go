@@ -150,13 +150,13 @@ func New(d *dig.DIG, cfg Config) prefetch.Factory {
 // directly; the simulator goes through New).
 func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 	if cfg.PFHREntries <= 0 {
-		cfg.PFHREntries = 16
+		cfg.PFHREntries = DefaultConfig().PFHREntries
 	}
 	if cfg.PFHREntries > maxPFHREntries {
 		cfg.PFHREntries = maxPFHREntries
 	}
 	if cfg.MaxRangedLines <= 0 {
-		cfg.MaxRangedLines = 64
+		cfg.MaxRangedLines = DefaultConfig().MaxRangedLines
 	}
 	p := &Prodigy{
 		env:  env,

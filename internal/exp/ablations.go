@@ -44,29 +44,24 @@ func (h *Harness) ablationWorkloads() []struct{ Algo, Dataset string } {
 }
 
 func (h *Harness) ablate(name string, variants []string, vs []runVariant) (*AblationResult, error) {
-	var jobs jobList
+	cells := h.ablationWorkloads()
+	var jobs []job
 	for _, v := range vs {
-		for _, cell := range h.ablationWorkloads() {
-			jobs.add(h, cell.Algo, cell.Dataset, SchemeNone, runVariant{})
-			jobs.add(h, cell.Algo, cell.Dataset, SchemeProdigy, v)
+		for _, c := range cells {
+			jobs = append(jobs, h.job(c.Algo, c.Dataset, SchemeNone, runVariant{}),
+				h.job(c.Algo, c.Dataset, SchemeProdigy, v))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &AblationResult{Name: name, Variants: variants}
-	for _, v := range vs {
+	for range vs {
 		var sp []float64
-		for _, cell := range h.ablationWorkloads() {
-			base, err := h.RunOne(cell.Algo, cell.Dataset, SchemeNone)
-			if err != nil {
-				return nil, err
-			}
-			r, err := h.run(cell.Algo, cell.Dataset, SchemeProdigy, v)
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, base.Speedup(r))
+		for range cells {
+			sp = append(sp, runs[0].Speedup(runs[1]))
+			runs = runs[2:]
 		}
 		out.Speedup = append(out.Speedup, stats.Geomean(sp))
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"prodigy/internal/cache"
-	"prodigy/internal/core"
 	"prodigy/internal/cpu"
 	"prodigy/internal/dram"
 	"prodigy/internal/graph"
@@ -57,28 +56,19 @@ func (h *Harness) CellKey(algo, dataset string, scheme Scheme) (string, error) {
 	if _, err := ParseScheme(string(scheme)); err != nil {
 		return "", err
 	}
-	cores := h.Cfg.Cores
-	pfhr := h.Cfg.PFHREntries
-	if pfhr == 0 {
-		pfhr = core.DefaultConfig().PFHREntries
-	}
-	ccfg := cache.ScaledDefault(cores)
-	if h.Cfg.CacheOverride != nil {
-		ccfg = *h.Cfg.CacheOverride
-		ccfg.Cores = cores
-	}
+	mc := h.machineOf(runVariant{})
 	m := cellKeyMaterial{
 		Schema:    cellKeySchema,
 		Algo:      algo,
 		Dataset:   dataset,
 		Scheme:    string(scheme),
-		Cores:     cores,
+		Cores:     mc.cores,
 		Scale:     h.Cfg.Scale,
-		PFHR:      pfhr,
+		PFHR:      mc.pfhr,
 		MaxCycles: h.Cfg.MaxCycles,
 		MSHRs:     h.mshrOverride,
 		CPU:       cpu.DefaultConfig(),
-		Cache:     ccfg,
+		Cache:     mc.cache,
 		DRAM:      dram.Default(),
 		TLB:       tlb.Default(),
 	}

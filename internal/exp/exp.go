@@ -66,8 +66,8 @@ type Config struct {
 	CacheOverride *cache.Config
 	// Parallelism bounds how many simulations a figure sweep runs
 	// concurrently. 0 means GOMAXPROCS; 1 restores fully serial execution.
-	// Results are memoized by grid key, never by completion order, so every
-	// figure table is byte-identical at any parallelism (see
+	// A sweep returns its runs in job order, never completion order, so
+	// every figure table is byte-identical at any parallelism (see
 	// docs/ARCHITECTURE.md for why runs are independent).
 	Parallelism int
 	// MaxCycles bounds simulated cycles per run (sim.Config.MaxCycles);
@@ -175,7 +175,7 @@ func (r *Run) DRAMStallFrac() float64 {
 type Harness struct {
 	Cfg   Config
 	mu    sync.Mutex
-	cache map[string]*runEntry
+	cache map[job]*runEntry
 	// jsonMu serializes JSONLog writes from concurrent workers.
 	jsonMu sync.Mutex
 	// errw overrides the stderr destination of internal failure reports
@@ -188,7 +188,7 @@ type Harness struct {
 	built func(Cell, *memspace.Space, *trace.Gen)
 }
 
-// runEntry memoizes one grid cell. The per-entry Once gives run()
+// runEntry memoizes one job. The per-entry Once gives entry
 // singleflight semantics: when parallel sweeps (or overlapping figures)
 // request the same cell concurrently, exactly one goroutine simulates it
 // and the rest block until the result is ready.
@@ -209,7 +209,7 @@ func New(cfg Config) *Harness {
 	if cfg.ProgressInterval <= 0 {
 		cfg.ProgressInterval = 5 * time.Second
 	}
-	return &Harness{Cfg: cfg, cache: map[string]*runEntry{}}
+	return &Harness{Cfg: cfg, cache: map[job]*runEntry{}}
 }
 
 // runVariant captures non-default machine knobs for ablations.
@@ -224,21 +224,46 @@ type runVariant struct {
 	cores     int
 }
 
-// RunOne simulates one (algo, dataset, scheme) cell with default knobs.
+// RunOne simulates one (algo, dataset, scheme) cell with default knobs,
+// or returns its memoized run. A call that simulates the cell writes its
+// line to Config.JSONLog itself; it sends no OnCell events.
 func (h *Harness) RunOne(algo, dataset string, scheme Scheme) (*Run, error) {
-	return h.run(algo, dataset, scheme, runVariant{})
-}
-
-// run returns the memoized result for one grid cell, simulating it on
-// first request.
-func (h *Harness) run(algo, dataset string, scheme Scheme, v runVariant) (*Run, error) {
-	e, _, line := h.entry(Cell{algo, dataset, scheme}, v)
+	e, _, line := h.entry(h.job(algo, dataset, scheme, runVariant{}))
 	h.logLine(line)
 	return e.run, e.err
 }
 
-func (h *Harness) key(algo, dataset string, scheme Scheme, v runVariant) string {
-	return fmt.Sprintf("%s|%s|%s|%+v", algo, dataset, scheme, v)
+// machine is the resolved machine of one job: the core count, Prodigy's
+// PFHR file size and the cache hierarchy that simulate builds and CellKey
+// hashes, with every harness default applied.
+type machine struct {
+	cores int
+	pfhr  int
+	cache cache.Config
+}
+
+// machineOf resolves the machine a job with variant v runs on. It is the
+// one place harness defaults meet variant knobs: the core count (the
+// variant's, else the harness's), the PFHR size (the variant's, else the
+// harness's, else core.DefaultConfig's) and the hierarchy (Quick's
+// CacheOverride, patched to the core count, else the scaled default).
+func (h *Harness) machineOf(v runVariant) machine {
+	m := machine{cores: h.Cfg.Cores, pfhr: h.Cfg.PFHREntries}
+	if v.cores > 0 {
+		m.cores = v.cores
+	}
+	if v.pfhr > 0 {
+		m.pfhr = v.pfhr
+	}
+	if m.pfhr == 0 {
+		m.pfhr = core.DefaultConfig().PFHREntries
+	}
+	m.cache = cache.ScaledDefault(m.cores)
+	if h.Cfg.CacheOverride != nil {
+		m.cache = *h.Cfg.CacheOverride
+		m.cache.Cores = m.cores
+	}
+	return m
 }
 
 // canonVariant rewrites variant knobs that merely restate the harness
@@ -246,34 +271,29 @@ func (h *Harness) key(algo, dataset string, scheme Scheme, v runVariant) string 
 // and the default Prodigy configuration share one memoized simulation
 // (they build byte-identical machines).
 func (h *Harness) canonVariant(v runVariant) runVariant {
-	pfhrDefault := h.Cfg.PFHREntries
-	if pfhrDefault == 0 {
-		pfhrDefault = core.DefaultConfig().PFHREntries
-	}
-	if v.pfhr == pfhrDefault {
+	def := h.machineOf(runVariant{})
+	if v.pfhr == def.pfhr {
 		v.pfhr = 0
 	}
-	if v.cores == h.Cfg.Cores {
+	if v.cores == def.cores {
 		v.cores = 0
 	}
 	return v
 }
 
-// entry returns the memo entry for one grid cell, simulating the cell on
-// first request. It is safe for concurrent use: concurrent requests for
-// the same cell share a single simulation, and a panicking simulation is
+// entry returns the memo entry for one job, simulating it on first
+// request. It is safe for concurrent use: concurrent requests for the
+// same job share a single simulation, and a panicking simulation is
 // converted into a tagged error instead of killing the sweep. The call
-// that simulates the cell also gets the run's JSONL record (simulate's
+// that simulates the job also gets the run's JSONL record (simulate's
 // sum and line), which it passes on to Config.JSONLog; every other call
 // gets nil for both.
-func (h *Harness) entry(c Cell, v runVariant) (e *runEntry, sum *RunSummary, line []byte) {
-	v = h.canonVariant(v)
-	key := h.key(c.Algo, c.Dataset, c.Scheme, v)
+func (h *Harness) entry(j job) (e *runEntry, sum *RunSummary, line []byte) {
 	h.mu.Lock()
-	e, ok := h.cache[key]
+	e, ok := h.cache[j]
 	if !ok {
 		e = &runEntry{}
-		h.cache[key] = e
+		h.cache[j] = e
 	}
 	h.mu.Unlock()
 
@@ -281,41 +301,35 @@ func (h *Harness) entry(c Cell, v runVariant) (e *runEntry, sum *RunSummary, lin
 		defer func() {
 			if p := recover(); p != nil {
 				e.run, sum, line = nil, nil, nil
-				e.err = fmt.Errorf("exp: %s: panic: %v\n%s", c, p, debug.Stack())
+				e.err = fmt.Errorf("exp: %s: panic: %v\n%s", j.Cell, p, debug.Stack())
 			}
 		}()
-		e.run, sum, line, e.err = h.simulate(c, v)
+		e.run, sum, line, e.err = h.simulate(j)
 	})
 	return e, sum, line
 }
 
-// simulate executes one grid cell (no memoization; called once per cell
+// simulate executes one job (no memoization; called once per job
 // through entry's singleflight). Every error it returns names the cell
 // once, as "exp: label/scheme: ...". Besides the run it returns the
 // JSONL record of the run, if any (see encodeJSON).
-func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, error) {
+func (h *Harness) simulate(j job) (*Run, *RunSummary, []byte, error) {
+	c, v := j.Cell, j.v
 	label, scheme := c.Label(), c.Scheme
 	start := time.Now() //lint:allow determinism Run.Wall reports host time; simulated cycles never read it
-	cores := h.Cfg.Cores
-	if v.cores > 0 {
-		cores = v.cores
-	}
+	m := h.machineOf(v)
 	opts := workloads.Options{
 		Scale:            h.Cfg.Scale,
 		HubSorted:        v.hubSorted,
 		SoftwarePrefetch: scheme == SchemeSoftware,
 	}
-	w, err := workloads.Build(c.Algo, c.Dataset, cores, opts)
+	w, err := workloads.Build(c.Algo, c.Dataset, m.cores, opts)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("exp: %s: %w", c, err)
 	}
 
-	pfhr := h.Cfg.PFHREntries
-	if v.pfhr > 0 {
-		pfhr = v.pfhr
-	}
 	proCfg := core.Config{
-		PFHREntries:    pfhr,
+		PFHREntries:    m.pfhr,
 		DisableRanged:  v.noRanged,
 		SingleSequence: v.singleSeq,
 	}
@@ -338,7 +352,7 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 		// A&J reuses the DIG-walking machinery restricted to its design
 		// point: BFS-shaped chain, one sequence, no dropping.
 		fac = prefetch.AJ(d, func(chain *dig.DIG) prefetch.Factory {
-			return core.New(chain, core.Config{PFHREntries: pfhr, SingleSequence: true})
+			return core.New(chain, core.Config{PFHREntries: m.pfhr, SingleSequence: true})
 		})
 	case SchemeDroplet:
 		fac = prefetch.Droplet(d, prefetch.DefaultDropletConfig())
@@ -348,15 +362,10 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 		return nil, nil, nil, fmt.Errorf("exp: %s: unknown scheme %q", c, scheme)
 	}
 
-	ccfg := cache.ScaledDefault(cores)
-	if h.Cfg.CacheOverride != nil {
-		ccfg = *h.Cfg.CacheOverride
-		ccfg.Cores = cores
-	}
 	scfg := sim.Config{
-		Cores:          cores,
+		Cores:          m.cores,
 		CPU:            cpu.DefaultConfig(),
-		Cache:          ccfg,
+		Cache:          m.cache,
 		DRAM:           dram.Default(),
 		TLB:            tlb.Default(),
 		Prefetcher:     fac,
@@ -423,7 +432,7 @@ func (h *Harness) simulate(c Cell, v runVariant) (*Run, *RunSummary, []byte, err
 		}
 	}
 
-	gen := trace.NewGen(cores, 0)
+	gen := trace.NewGen(m.cores, 0)
 	if h.built != nil {
 		h.built(c, w.Space, gen)
 	}

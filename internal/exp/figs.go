@@ -21,24 +21,18 @@ type Fig2Result struct {
 // Fig2 reproduces Figure 2.
 func (h *Harness) Fig2() (*Fig2Result, error) {
 	schemes := []Scheme{SchemeNone, SchemeGHB, SchemeDroplet, SchemeProdigy}
-	var jobs jobList
-	for _, s := range schemes {
-		jobs.add(h, "pr", "lj", s, runVariant{})
+	jobs := make([]job, len(schemes))
+	for i, s := range schemes {
+		jobs[i] = h.job("pr", "lj", s, runVariant{})
 	}
-	if err := h.warm(jobs); err != nil {
-		return nil, err
-	}
-	base, err := h.RunOne("pr", "lj", SchemeNone)
+	runs, err := h.sweep(jobs)
 	if err != nil {
 		return nil, err
 	}
+	base := runs[0]
 	out := &Fig2Result{Schemes: schemes}
 	baseStall := float64(base.Res.Agg.Cycles[cpu.DRAMStall])
-	for _, s := range schemes {
-		r, err := h.RunOne("pr", "lj", s)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range runs {
 		norm := 0.0
 		if baseStall > 0 {
 			norm = float64(r.Res.Agg.Cycles[cpu.DRAMStall]) / baseStall
@@ -77,17 +71,17 @@ type Fig4Result struct {
 // non-prefetching baseline broken into stall classes. The paper's
 // observation: DRAM stalls exceed 50% on most workloads.
 func (h *Harness) Fig4() (*Fig4Result, error) {
-	var jobs jobList
-	jobs.addCells(h, h.GraphCells(true), SchemeNone)
-	if err := h.warm(jobs); err != nil {
+	cells := h.GraphCells(true)
+	jobs := make([]job, len(cells))
+	for i, c := range cells {
+		jobs[i] = h.job(c.Algo, c.Dataset, SchemeNone, runVariant{})
+	}
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig4Result{}
-	for _, cell := range h.GraphCells(true) {
-		r, err := h.RunOne(cell.Algo, cell.Dataset, SchemeNone)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range runs {
 		row := StackRow{Label: r.Label, Speedup: 1}
 		total := float64(r.Res.Agg.Total())
 		for i, k := range cpu.StallKinds {
@@ -121,33 +115,28 @@ type Fig12Result struct {
 // normalized to 4 entries.
 func (h *Harness) Fig12() (*Fig12Result, error) {
 	sizes := []int{4, 8, 16, 32}
-	var jobs jobList
-	for _, algo := range allAlgosOrdered() {
+	var jobs []job
+	for _, algo := range workloads.AllAlgos {
 		for _, ds := range h.datasetsFor(algo) {
 			for _, sz := range sizes {
-				jobs.add(h, algo, ds, SchemeProdigy, runVariant{pfhr: sz})
+				jobs = append(jobs, h.job(algo, ds, SchemeProdigy, runVariant{pfhr: sz}))
 			}
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig12Result{Sizes: sizes, Speedup: map[string][]float64{}}
-	for _, algo := range allAlgosOrdered() {
+	for _, algo := range workloads.AllAlgos {
 		out.Algos = append(out.Algos, algo)
 		perSize := make([][]float64, len(sizes))
-		for _, ds := range h.datasetsFor(algo) {
-			var baseCycles float64
-			for i, sz := range sizes {
-				r, err := h.run(algo, ds, SchemeProdigy, runVariant{pfhr: sz})
-				if err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					baseCycles = float64(r.Res.Cycles)
-				}
+		for range h.datasetsFor(algo) {
+			baseCycles := float64(runs[0].Res.Cycles)
+			for i, r := range runs[:len(sizes)] {
 				perSize[i] = append(perSize[i], baseCycles/float64(r.Res.Cycles))
 			}
+			runs = runs[len(sizes):]
 		}
 		for i := range sizes {
 			out.Speedup[algo] = append(out.Speedup[algo], stats.Geomean(perSize[i]))
@@ -178,23 +167,22 @@ type Fig13Result struct {
 
 // Fig13 reproduces Figure 13.
 func (h *Harness) Fig13() (*Fig13Result, error) {
-	var jobs jobList
-	for _, algo := range allAlgosOrdered() {
+	var jobs []job
+	for _, algo := range workloads.AllAlgos {
 		for _, ds := range h.datasetsFor(algo) {
-			jobs.add(h, algo, ds, SchemeNone, runVariant{})
+			jobs = append(jobs, h.job(algo, ds, SchemeNone, runVariant{}))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig13Result{}
-	for _, algo := range allAlgosOrdered() {
+	for _, algo := range workloads.AllAlgos {
 		var fracs []float64
-		for _, ds := range h.datasetsFor(algo) {
-			r, err := h.RunOne(algo, ds, SchemeNone)
-			if err != nil {
-				return nil, err
-			}
+		for range h.datasetsFor(algo) {
+			r := runs[0]
+			runs = runs[1:]
 			if r.Res.Cache.DemandMem > 0 {
 				fracs = append(fracs, float64(r.MissesInDIG)/float64(r.Res.Cache.DemandMem))
 			}
@@ -233,31 +221,29 @@ type Fig14Result struct {
 
 // Fig14 reproduces Figure 14.
 func (h *Harness) Fig14() (*Fig14Result, error) {
-	var jobs jobList
-	jobs.addCells(h, h.GraphCells(true), SchemeNone, SchemeProdigy)
-	if err := h.warm(jobs); err != nil {
+	cells := h.GraphCells(true)
+	var jobs []job
+	for _, c := range cells {
+		jobs = append(jobs, h.job(c.Algo, c.Dataset, SchemeNone, runVariant{}),
+			h.job(c.Algo, c.Dataset, SchemeProdigy, runVariant{}))
+	}
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig14Result{}
 	var speedups []float64
 	var dramRed, branchRed []float64
-	for _, cell := range h.GraphCells(true) {
-		base, err := h.RunOne(cell.Algo, cell.Dataset, SchemeNone)
-		if err != nil {
-			return nil, err
-		}
-		pro, err := h.RunOne(cell.Algo, cell.Dataset, SchemeProdigy)
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range cells {
+		base, pro := runs[2*i], runs[2*i+1]
 		baseTotal := float64(base.Res.Agg.Total())
 		var bRow, pRow StackRow
 		bRow.Label, pRow.Label = base.Label, pro.Label
 		bRow.Speedup = 1
 		pRow.Speedup = base.Speedup(pro)
-		for i, k := range cpu.StallKinds {
-			bRow.Frac[i] = float64(base.Res.Agg.Cycles[k]) / baseTotal
-			pRow.Frac[i] = float64(pro.Res.Agg.Cycles[k]) / baseTotal
+		for j, k := range cpu.StallKinds {
+			bRow.Frac[j] = float64(base.Res.Agg.Cycles[k]) / baseTotal
+			pRow.Frac[j] = float64(pro.Res.Agg.Cycles[k]) / baseTotal
 		}
 		out.Base = append(out.Base, bRow)
 		out.Pro = append(out.Pro, pRow)
@@ -265,7 +251,7 @@ func (h *Harness) Fig14() (*Fig14Result, error) {
 		if b := base.Res.Agg.Cycles[cpu.DRAMStall]; b > 0 {
 			dramRed = append(dramRed, 1-float64(pro.Res.Agg.Cycles[cpu.DRAMStall])/float64(b))
 		}
-		if b := base.Res.Agg.Cycles[cpu.BranchStall]; b > 0 && isGraphAlgo(cell.Algo) {
+		if b := base.Res.Agg.Cycles[cpu.BranchStall]; b > 0 && workloads.IsGraphAlgo(c.Algo) {
 			branchRed = append(branchRed, 1-float64(pro.Res.Agg.Cycles[cpu.BranchStall])/float64(b))
 		}
 	}
@@ -273,17 +259,6 @@ func (h *Harness) Fig14() (*Fig14Result, error) {
 	out.DRAMStallReduction = stats.Mean(dramRed)
 	out.BranchStallReduction = stats.Mean(branchRed)
 	return out, nil
-}
-
-// isGraphAlgo reports whether algo is a graph algorithm (branch-stall
-// reduction is a graph-workload observation in the paper, and A&J/DROPLET
-// are graph-specific schemes).
-func isGraphAlgo(algo string) bool {
-	switch algo {
-	case "bc", "bfs", "cc", "pr", "sssp":
-		return true
-	}
-	return false
 }
 
 // Table renders the figure.
@@ -315,24 +290,23 @@ type Fig15Result struct {
 
 // Fig15 reproduces Figure 15.
 func (h *Harness) Fig15() (*Fig15Result, error) {
-	var jobs jobList
-	for _, algo := range allAlgosOrdered() {
+	var jobs []job
+	for _, algo := range workloads.AllAlgos {
 		for _, ds := range h.datasetsFor(algo) {
-			jobs.add(h, algo, ds, SchemeProdigy, runVariant{})
+			jobs = append(jobs, h.job(algo, ds, SchemeProdigy, runVariant{}))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig15Result{}
 	var usefuls []float64
-	for _, algo := range allAlgosOrdered() {
+	for _, algo := range workloads.AllAlgos {
 		var l1, l2, l3, late, evict, fills float64
-		for _, ds := range h.datasetsFor(algo) {
-			r, err := h.RunOne(algo, ds, SchemeProdigy)
-			if err != nil {
-				return nil, err
-			}
+		for range h.datasetsFor(algo) {
+			r := runs[0]
+			runs = runs[1:]
 			l1 += float64(r.Res.Cache.PrefetchL1Hits)
 			l2 += float64(r.Res.Cache.PrefetchL2Hits)
 			l3 += float64(r.Res.Cache.PrefetchL3Hits)
@@ -377,28 +351,23 @@ type Fig16Result struct {
 // Fig16 reproduces Figure 16: of the baseline's in-DIG LLC misses, how
 // many no longer reach DRAM as demand misses under Prodigy.
 func (h *Harness) Fig16() (*Fig16Result, error) {
-	var jobs jobList
-	for _, algo := range allAlgosOrdered() {
+	var jobs []job
+	for _, algo := range workloads.AllAlgos {
 		for _, ds := range h.datasetsFor(algo) {
-			jobs.add(h, algo, ds, SchemeNone, runVariant{})
-			jobs.add(h, algo, ds, SchemeProdigy, runVariant{})
+			jobs = append(jobs, h.job(algo, ds, SchemeNone, runVariant{}),
+				h.job(algo, ds, SchemeProdigy, runVariant{}))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig16Result{}
-	for _, algo := range allAlgosOrdered() {
+	for _, algo := range workloads.AllAlgos {
 		var saved []float64
-		for _, ds := range h.datasetsFor(algo) {
-			base, err := h.RunOne(algo, ds, SchemeNone)
-			if err != nil {
-				return nil, err
-			}
-			pro, err := h.RunOne(algo, ds, SchemeProdigy)
-			if err != nil {
-				return nil, err
-			}
+		for range h.datasetsFor(algo) {
+			base, pro := runs[0], runs[1]
+			runs = runs[2:]
 			if base.MissesInDIG == 0 {
 				continue
 			}
@@ -439,42 +408,42 @@ type Fig17Result struct {
 // (IMP).
 func (h *Harness) Fig17() (*Fig17Result, error) {
 	schemes := []Scheme{SchemeNone, SchemeAJ, SchemeDroplet, SchemeIMP, SchemeProdigy}
-	var jobs jobList
-	for _, algo := range allAlgosOrdered() {
+	// A&J and DROPLET are graph-specific; the paper omits them on the
+	// other kernels.
+	skip := func(algo string, s Scheme) bool {
+		return (s == SchemeAJ || s == SchemeDroplet) && !workloads.IsGraphAlgo(algo)
+	}
+	var jobs []job
+	for _, algo := range workloads.AllAlgos {
 		for _, s := range schemes {
-			if (s == SchemeAJ || s == SchemeDroplet) && !isGraphAlgo(algo) {
+			if skip(algo, s) {
 				continue
 			}
 			for _, ds := range h.datasetsFor(algo) {
-				jobs.add(h, algo, ds, s, runVariant{})
+				jobs = append(jobs, h.job(algo, ds, s, runVariant{}))
 			}
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig17Result{Schemes: schemes, Speedup: map[string][]float64{}}
 	perScheme := make([][]float64, len(schemes))
-	for _, algo := range allAlgosOrdered() {
-		graphAlgo := isGraphAlgo(algo)
+	for _, algo := range workloads.AllAlgos {
 		out.Algos = append(out.Algos, algo)
+		// schemes[0] is the baseline: its runs lead the algorithm's.
+		base := runs[:len(h.datasetsFor(algo))]
 		for si, s := range schemes {
-			if (s == SchemeAJ || s == SchemeDroplet) && !graphAlgo {
+			if skip(algo, s) {
 				out.Speedup[algo] = append(out.Speedup[algo], 0)
 				continue
 			}
 			var sp []float64
-			for _, ds := range h.datasetsFor(algo) {
-				base, err := h.RunOne(algo, ds, SchemeNone)
-				if err != nil {
-					return nil, err
-				}
-				r, err := h.RunOne(algo, ds, s)
-				if err != nil {
-					return nil, err
-				}
-				sp = append(sp, base.Speedup(r))
+			for d, b := range base {
+				sp = append(sp, b.Speedup(runs[d]))
 			}
+			runs = runs[len(base):]
 			g := stats.Geomean(sp)
 			out.Speedup[algo] = append(out.Speedup[algo], g)
 			perScheme[si] = append(perScheme[si], g)
@@ -518,30 +487,24 @@ type Fig18Result struct {
 // Fig18 reproduces Figure 18 (paper: 2.3× average on reordered inputs —
 // reordering alone does not remove the irregular-miss bottleneck).
 func (h *Harness) Fig18() (*Fig18Result, error) {
-	var jobs jobList
+	hub := runVariant{hubSorted: true}
+	var jobs []job
 	for _, algo := range workloads.GraphAlgos {
 		for _, ds := range h.Cfg.Datasets {
-			jobs.add(h, algo, ds, SchemeNone, runVariant{hubSorted: true})
-			jobs.add(h, algo, ds, SchemeProdigy, runVariant{hubSorted: true})
+			jobs = append(jobs, h.job(algo, ds, SchemeNone, hub), h.job(algo, ds, SchemeProdigy, hub))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig18Result{}
 	var all []float64
 	for _, algo := range workloads.GraphAlgos {
 		var sp []float64
-		for _, ds := range h.Cfg.Datasets {
-			base, err := h.run(algo, ds, SchemeNone, runVariant{hubSorted: true})
-			if err != nil {
-				return nil, err
-			}
-			pro, err := h.run(algo, ds, SchemeProdigy, runVariant{hubSorted: true})
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, base.Speedup(pro))
+		for range h.Cfg.Datasets {
+			sp = append(sp, runs[0].Speedup(runs[1]))
+			runs = runs[2:]
 		}
 		g := stats.Geomean(sp)
 		out.Algos = append(out.Algos, algo)
@@ -577,22 +540,19 @@ type Fig19Result struct {
 
 // Fig19 reproduces Figure 19.
 func (h *Harness) Fig19() (*Fig19Result, error) {
-	var jobs jobList
-	jobs.addCells(h, h.GraphCells(true), SchemeNone, SchemeProdigy)
-	if err := h.warm(jobs); err != nil {
+	var jobs []job
+	for _, c := range h.GraphCells(true) {
+		jobs = append(jobs, h.job(c.Algo, c.Dataset, SchemeNone, runVariant{}),
+			h.job(c.Algo, c.Dataset, SchemeProdigy, runVariant{}))
+	}
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig19Result{}
 	var savings []float64
-	for _, cell := range h.GraphCells(true) {
-		base, err := h.RunOne(cell.Algo, cell.Dataset, SchemeNone)
-		if err != nil {
-			return nil, err
-		}
-		pro, err := h.RunOne(cell.Algo, cell.Dataset, SchemeProdigy)
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < len(runs); i += 2 {
+		base, pro := runs[i], runs[i+1]
 		eb := EnergyOf(base, h.Cfg.Cores).Total()
 		ep := EnergyOf(pro, h.Cfg.Cores).Total()
 		out.Labels = append(out.Labels, base.Label)
@@ -614,9 +574,4 @@ func (r *Fig19Result) Table() *stats.Table {
 	}
 	t.AddRow("avg", "", r.AvgSaving)
 	return t
-}
-
-// allAlgosOrdered returns the nine algorithms in paper order.
-func allAlgosOrdered() []string {
-	return []string{"bc", "bfs", "cc", "pr", "sssp", "spmv", "symgs", "cg", "is"}
 }

@@ -16,50 +16,28 @@ import (
 	"prodigy/internal/workloads"
 )
 
-// This file is the parallel experiment runner. Every figure driver first
-// enumerates the (workload × dataset × scheme × variant) cells it needs as
-// a jobList and hands it to Harness.warm, which fans the independent
-// simulations out across a bounded worker pool into the memoization cache.
-// The figure's reduction logic then reads memoized results keyed by grid
-// cell, so tables and geomeans are byte-identical to serial execution
-// regardless of completion order. docs/ARCHITECTURE.md explains why the
-// runs are independent; TestParallelMatchesSerialGolden enforces the
+// This file is the parallel experiment runner. A figure driver lists the
+// simulations it needs as jobs, in one loop, and hands them to
+// Harness.sweep, which fans the distinct jobs out across a bounded worker
+// pool into the memoization cache and returns their runs indexed exactly
+// like the jobs. The driver then reduces over that slice in the order it
+// listed the jobs, never completion order, so tables and geomeans are
+// byte-identical to serial execution. docs/ARCHITECTURE.md explains why
+// the runs are independent; TestParallelMatchesSerialGolden enforces the
 // guarantee.
 
-// runJob names one grid cell to simulate, with its machine knobs.
-type runJob struct {
+// job names one simulation a sweep schedules: a grid cell with its
+// machine knobs. Jobs are built by Harness.job, whose canonical variant
+// makes two jobs equal exactly when they build the same machine, so a
+// job is also the cell's memoization key.
+type job struct {
 	Cell
 	v runVariant
 }
 
-// jobList accumulates grid cells for a sweep.
-type jobList struct {
-	jobs []runJob
-	seen map[string]bool
-}
-
-// add appends one cell, dropping duplicates (figures frequently share
-// baseline cells).
-func (l *jobList) add(h *Harness, algo, dataset string, scheme Scheme, v runVariant) {
-	if l.seen == nil {
-		l.seen = map[string]bool{}
-	}
-	v = h.canonVariant(v)
-	key := h.key(algo, dataset, scheme, v)
-	if l.seen[key] {
-		return
-	}
-	l.seen[key] = true
-	l.jobs = append(l.jobs, runJob{Cell{algo, dataset, scheme}, v})
-}
-
-// addCells appends cells × schemes with default knobs.
-func (l *jobList) addCells(h *Harness, cells []struct{ Algo, Dataset string }, schemes ...Scheme) {
-	for _, c := range cells {
-		for _, s := range schemes {
-			l.add(h, c.Algo, c.Dataset, s, runVariant{})
-		}
-	}
+// job returns the canonical job for one cell under variant v.
+func (h *Harness) job(algo, dataset string, scheme Scheme, v runVariant) job {
+	return job{Cell{algo, dataset, scheme}, h.canonVariant(v)}
 }
 
 // parallelism resolves the configured worker count.
@@ -70,55 +48,63 @@ func (h *Harness) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// warm simulates every job in the list, fanning them out across up to
-// Config.Parallelism workers. All results land in the memoization cache;
-// callers re-read them via run()/RunOne in their own deterministic order.
-// Workers never die with the sweep: a panicking or timed-out simulation
-// surfaces as a tagged error for its cell (and in the returned joined
-// error) while every other cell still completes. Each job sends
-// Config.OnCell one start and one done event, whatever its outcome.
-func (h *Harness) warm(l jobList) error {
-	jobs := l.jobs
-	if len(jobs) == 0 {
-		return nil
+// sweep simulates every job, fanning the distinct ones out across up to
+// Config.Parallelism workers, and returns their runs indexed exactly like
+// jobs; duplicate jobs (figures frequently share baseline cells) run
+// once and share one *Run. Each distinct job sends Config.OnCell one
+// start and one done event, whatever its outcome, and Config.JSONLog gets
+// the lines of the jobs it simulated in job order. Workers never die with
+// the sweep: a panicking or timed-out simulation surfaces as a tagged
+// error for its cell while every other job still completes. On failure
+// sweep returns nil runs and the cells' errors joined in sorted order.
+func (h *Harness) sweep(jobs []job) ([]*Run, error) {
+	// distinct holds each job once, in first-occurrence order; first maps
+	// a job to its index there.
+	var distinct []job
+	first := make(map[job]int, len(jobs))
+	for _, j := range jobs {
+		if _, ok := first[j]; !ok {
+			first[j] = len(distinct)
+			distinct = append(distinct, j)
+		}
 	}
-	workers := h.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if len(distinct) == 0 {
+		return []*Run{}, nil
 	}
+	workers := min(h.parallelism(), len(distinct))
 
-	meter := stats.NewMeter(len(jobs))
+	meter := stats.NewMeter(len(distinct))
 	stopProgress := h.startProgress(meter)
 	defer stopProgress()
 
 	type result struct {
-		i    int
+		k    int
+		e    *runEntry
 		line []byte
-		err  error
 	}
-	resc := make(chan result, len(jobs))
+	resc := make(chan result, len(distinct))
 	jobc := make(chan int)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for i := range jobc {
-				j := jobs[i]
+			for k := range jobc {
+				j := distinct[k]
 				if h.Cfg.OnCell != nil {
 					h.Cfg.OnCell(CellEvent{Cell: j.Cell})
 				}
 				start := time.Now() //lint:allow determinism host wall time feeds the progress meter, not results
-				e, sum, line := h.entry(j.Cell, j.v)
+				e, sum, line := h.entry(j)
 				//lint:allow determinism host wall time feeds the progress meter, not results
 				meter.Done(j.String(), time.Since(start))
 				if h.Cfg.OnCell != nil {
 					h.Cfg.OnCell(CellEvent{Cell: j.Cell, Done: true, Summary: sum, Line: line, Err: e.err})
 				}
-				resc <- result{i, line, e.err}
+				resc <- result{k, e, line}
 			}
 		}()
 	}
 	go func() {
-		for i := range jobs {
-			jobc <- i
+		for k := range distinct {
+			jobc <- k
 		}
 		close(jobc)
 	}()
@@ -126,25 +112,32 @@ func (h *Harness) warm(l jobList) error {
 	// Config.JSONLog receives the lines in job order, whatever order the
 	// workers finish in: a finished job's line waits in lines until every
 	// earlier job has reported.
-	lines := make([][]byte, len(jobs))
-	reported := make([]bool, len(jobs))
+	entries := make([]*runEntry, len(distinct))
+	lines := make([][]byte, len(distinct))
 	next := 0
 	var errs []error
-	for range jobs {
+	for range distinct {
 		r := <-resc
-		if r.err != nil {
-			errs = append(errs, r.err)
+		if r.e.err != nil {
+			errs = append(errs, r.e.err)
 		}
-		lines[r.i], reported[r.i] = r.line, true
-		for ; next < len(jobs) && reported[next]; next++ {
+		entries[r.k], lines[r.k] = r.e, r.line
+		for ; next < len(distinct) && entries[next] != nil; next++ {
 			h.logLine(lines[next])
 			lines[next] = nil
 		}
 	}
-	// Joined in deterministic order so the same failures always render the
-	// same message regardless of which worker hit them first.
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-	return errors.Join(errs...)
+	if len(errs) > 0 {
+		// Joined in deterministic order so the same failures always render
+		// the same message regardless of which worker hit them first.
+		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
+		return nil, errors.Join(errs...)
+	}
+	runs := make([]*Run, len(jobs))
+	for i, j := range jobs {
+		runs[i] = entries[first[j]].run
+	}
+	return runs, nil
 }
 
 // Cell names one (algorithm, dataset, scheme) grid cell with default
@@ -190,22 +183,11 @@ type CellEvent struct {
 // workers, and returns results indexed exactly like cells — grid order,
 // never completion order — so output is deterministic at any parallelism.
 func (h *Harness) RunGrid(cells []Cell) ([]*Run, error) {
-	var jobs jobList
-	for _, c := range cells {
-		jobs.add(h, c.Algo, c.Dataset, c.Scheme, runVariant{})
-	}
-	if err := h.warm(jobs); err != nil {
-		return nil, err
-	}
-	out := make([]*Run, len(cells))
+	jobs := make([]job, len(cells))
 	for i, c := range cells {
-		r, err := h.RunOne(c.Algo, c.Dataset, c.Scheme)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+		jobs[i] = h.job(c.Algo, c.Dataset, c.Scheme, runVariant{})
 	}
-	return out, nil
+	return h.sweep(jobs)
 }
 
 // startProgress launches the interval reporter for one sweep when

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"regexp"
 	"strings"
 	"sync"
@@ -422,18 +423,52 @@ func TestProgressAndJSONReporting(t *testing.T) {
 	}
 }
 
-// TestWarmDedupesJobs checks the job list drops duplicate cells so the
-// meter's total reflects unique simulations.
-func TestWarmDedupesJobs(t *testing.T) {
-	h := New(goldenCfg(1))
-	var l jobList
-	l.add(h, "bfs", "po", SchemeNone, runVariant{})
-	l.add(h, "bfs", "po", SchemeNone, runVariant{})
-	l.add(h, "bfs", "po", SchemeProdigy, runVariant{})
-	if len(l.jobs) != 2 {
-		t.Fatalf("jobs = %d, want 2 after dedup", len(l.jobs))
+// TestSweepDedupesJobs checks sweep returns runs aligned with its jobs,
+// runs each distinct job once (duplicates share one *Run and one done
+// event), and that a Fig. 12 pfhr=16 job collapses onto the default
+// Prodigy job because both build the same machine.
+func TestSweepDedupesJobs(t *testing.T) {
+	cfg := goldenCfg(2)
+	var mu sync.Mutex
+	done := map[Cell]int{}
+	cfg.OnCell = func(ev CellEvent) {
+		if ev.Done {
+			mu.Lock()
+			done[ev.Cell]++
+			mu.Unlock()
+		}
 	}
-	if err := h.warm(l); err != nil {
+	h := New(cfg)
+	jobs := []job{
+		h.job("bfs", "po", SchemeNone, runVariant{}),
+		h.job("bfs", "po", SchemeProdigy, runVariant{pfhr: 16}),
+		h.job("bfs", "po", SchemeNone, runVariant{}),
+		h.job("bfs", "po", SchemeProdigy, runVariant{}),
+		h.job("bfs", "po", SchemeProdigy, runVariant{pfhr: 4}),
+	}
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(runs) != len(jobs) {
+		t.Fatalf("%d runs for %d jobs", len(runs), len(jobs))
+	}
+	for i, j := range jobs {
+		if runs[i].Scheme != j.Scheme || runs[i].Label != j.Label() {
+			t.Errorf("runs[%d] = %s/%s, want %s", i, runs[i].Label, runs[i].Scheme, j.Cell)
+		}
+	}
+	if runs[0] != runs[2] {
+		t.Error("duplicate baseline jobs did not share one run")
+	}
+	if runs[1] != runs[3] {
+		t.Error("pfhr=16 job did not collapse onto the default Prodigy job")
+	}
+	if runs[3] == runs[4] {
+		t.Error("pfhr=4 job shares the default Prodigy run")
+	}
+	want := map[Cell]int{{"bfs", "po", SchemeNone}: 1, {"bfs", "po", SchemeProdigy}: 2}
+	if !maps.Equal(done, want) {
+		t.Errorf("done events per cell %v, want %v (one per distinct job)", done, want)
 	}
 }

@@ -22,28 +22,19 @@ func (h *Harness) Scalability(coreCounts []int) (*ScalabilityResult, error) {
 		coreCounts = []int{1, 2, 4, 8, 16, 32}
 	}
 	ds := h.Cfg.Datasets[0]
-	var jobs jobList
+	var jobs []job
 	for _, nc := range coreCounts {
-		jobs.add(h, "pr", ds, SchemeNone, runVariant{cores: nc})
-		jobs.add(h, "pr", ds, SchemeProdigy, runVariant{cores: nc})
+		jobs = append(jobs, h.job("pr", ds, SchemeNone, runVariant{cores: nc}),
+			h.job("pr", ds, SchemeProdigy, runVariant{cores: nc}))
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &ScalabilityResult{Cores: coreCounts}
-	var base1 float64
-	for i, nc := range coreCounts {
-		base, err := h.run("pr", ds, SchemeNone, runVariant{cores: nc})
-		if err != nil {
-			return nil, err
-		}
-		pro, err := h.run("pr", ds, SchemeProdigy, runVariant{cores: nc})
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			base1 = float64(base.Res.Cycles)
-		}
+	base1 := float64(runs[0].Res.Cycles)
+	for i := range coreCounts {
+		base, pro := runs[2*i], runs[2*i+1]
 		out.BaseThroughput = append(out.BaseThroughput, base1/float64(base.Res.Cycles))
 		out.ProThroughput = append(out.ProThroughput, base1/float64(pro.Res.Cycles))
 		out.BaseUtil = append(out.BaseUtil, base.Res.DRAMUtilization)

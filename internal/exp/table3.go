@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 
-	"prodigy/internal/cache"
 	"prodigy/internal/graph"
 	"prodigy/internal/stats"
+	"prodigy/internal/workloads"
 )
 
 // Table3Row compares Prodigy against a prior work's best self-reported
@@ -36,16 +36,17 @@ func (h *Harness) Table3() (*Table3Result, error) {
 		{PriorWork: "DROPLET [15]", Algos: []string{"bc", "bfs", "cc", "pr", "sssp"}, PriorReported: 1.9},
 		{PriorWork: "IMP [99]", Algos: []string{"bfs", "pr", "spmv", "symgs"}, PriorReported: 1.8},
 	}
-	var jobs jobList
+	var jobs []job
 	for _, row := range rows {
 		for _, algo := range row.Algos {
 			for _, ds := range h.datasetsFor(algo) {
-				jobs.add(h, algo, ds, SchemeNone, runVariant{})
-				jobs.add(h, algo, ds, SchemeProdigy, runVariant{})
+				jobs = append(jobs, h.job(algo, ds, SchemeNone, runVariant{}),
+					h.job(algo, ds, SchemeProdigy, runVariant{}))
 			}
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &Table3Result{}
@@ -55,18 +56,11 @@ func (h *Harness) Table3() (*Table3Result, error) {
 			// "Best-performing input data sets used as reported in prior
 			// work": take the best dataset per algorithm.
 			bestSp := 0.0
-			for _, ds := range h.datasetsFor(algo) {
-				base, err := h.RunOne(algo, ds, SchemeNone)
-				if err != nil {
-					return nil, err
-				}
-				pro, err := h.RunOne(algo, ds, SchemeProdigy)
-				if err != nil {
-					return nil, err
-				}
-				if sp := base.Speedup(pro); sp > bestSp {
+			for range h.datasetsFor(algo) {
+				if sp := runs[0].Speedup(runs[1]); sp > bestSp {
 					bestSp = sp
 				}
+				runs = runs[2:]
 			}
 			best = append(best, bestSp)
 		}
@@ -104,24 +98,22 @@ type RangedFractionResult struct {
 
 // RangedFraction reproduces the Section VI-C ranged-indirection statistic.
 func (h *Harness) RangedFraction() (*RangedFractionResult, error) {
-	var jobs jobList
-	for _, algo := range []string{"bc", "bfs", "cc", "pr", "sssp"} {
+	var jobs []job
+	for _, algo := range workloads.GraphAlgos {
 		for _, ds := range h.datasetsFor(algo) {
-			jobs.add(h, algo, ds, SchemeProdigy, runVariant{})
+			jobs = append(jobs, h.job(algo, ds, SchemeProdigy, runVariant{}))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &RangedFractionResult{}
-	for _, algo := range []string{"bc", "bfs", "cc", "pr", "sssp"} {
+	for _, algo := range workloads.GraphAlgos {
 		var fracs []float64
-		for _, ds := range h.datasetsFor(algo) {
-			r, err := h.RunOne(algo, ds, SchemeProdigy)
-			if err != nil {
-				return nil, err
-			}
-			single, ranged := prodigyIssueCounts(r)
+		for range h.datasetsFor(algo) {
+			single, ranged := prodigyIssueCounts(runs[0])
+			runs = runs[1:]
 			if single+ranged > 0 {
 				fracs = append(fracs, float64(ranged)/float64(single+ranged))
 			}
@@ -166,11 +158,8 @@ func (h *Harness) Table2() (*Table2Result, error) {
 		"po": "pokec", "lj": "livejournal", "or": "orkut",
 		"sk": "sk-2005", "wb": "webbase-2001",
 	}
-	ccfg := cache.ScaledDefault(h.Cfg.Cores)
-	if h.Cfg.CacheOverride != nil {
-		ccfg = *h.Cfg.CacheOverride
-	}
-	out := &Table2Result{LLCBytes: ccfg.L3Size}
+	llc := h.machineOf(runVariant{}).cache.L3Size
+	out := &Table2Result{LLCBytes: llc}
 	for _, name := range h.Cfg.Datasets {
 		if !slices.Contains(graph.DatasetNames(), name) {
 			return nil, fmt.Errorf("exp: unknown dataset %q (want one of %v)", name, graph.DatasetNames())
@@ -181,7 +170,7 @@ func (h *Harness) Table2() (*Table2Result, error) {
 			Name: name, FullName: full[name],
 			Vertices: g.NumNodes, Edges: g.NumEdges(),
 			SizeMB:      sz / (1 << 20),
-			SizeOverLLC: sz / float64(ccfg.L3Size),
+			SizeOverLLC: sz / float64(llc),
 		})
 	}
 	return out, nil
@@ -209,29 +198,20 @@ type SoftwarePFResult struct {
 
 // SoftwarePF reproduces the software-prefetching comparison.
 func (h *Harness) SoftwarePF() (*SoftwarePFResult, error) {
-	var jobs jobList
+	schemes := []Scheme{SchemeNone, SchemeSoftware, SchemeProdigy}
+	var jobs []job
 	for _, ds := range h.Cfg.Datasets {
-		for _, s := range []Scheme{SchemeNone, SchemeSoftware, SchemeProdigy} {
-			jobs.add(h, "pr", ds, s, runVariant{})
+		for _, s := range schemes {
+			jobs = append(jobs, h.job("pr", ds, s, runVariant{}))
 		}
 	}
-	if err := h.warm(jobs); err != nil {
+	runs, err := h.sweep(jobs)
+	if err != nil {
 		return nil, err
 	}
 	out := &SoftwarePFResult{}
-	for _, ds := range h.Cfg.Datasets {
-		base, err := h.RunOne("pr", ds, SchemeNone)
-		if err != nil {
-			return nil, err
-		}
-		soft, err := h.RunOne("pr", ds, SchemeSoftware)
-		if err != nil {
-			return nil, err
-		}
-		pro, err := h.RunOne("pr", ds, SchemeProdigy)
-		if err != nil {
-			return nil, err
-		}
+	for i, ds := range h.Cfg.Datasets {
+		base, soft, pro := runs[3*i], runs[3*i+1], runs[3*i+2]
 		out.Datasets = append(out.Datasets, ds)
 		out.SoftwareSpeedup = append(out.SoftwareSpeedup, base.Speedup(soft))
 		out.ProdigySpeedup = append(out.ProdigySpeedup, base.Speedup(pro))
