@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -162,6 +164,57 @@ func TestObsAbortedRunFlushes(t *testing.T) {
 			t.Fatalf("malformed interval row: %+v", row)
 		}
 	}
+	pinObsBytes(t, "aborted metrics", metrics["bfs-po.prodigy"].Bytes(), len(rows),
+		pinnedAbortMetricsRows, pinnedAbortMetricsSHA256)
+	pinObsBytes(t, "aborted trace", tb.Bytes(), len(doc.TraceEvents),
+		pinnedAbortTraceEvents, pinnedAbortTraceSHA256)
+}
+
+// Pinned observability output of the quick bfs-po Prodigy cell (2 cores)
+// at interval 100: metrics rows, trace events and the SHA-256 of each
+// file's bytes, for the completed cell and for the one TestObsAbortedRunFlushes
+// stops at MaxCycles 1000.
+const (
+	pinnedMetricsRows   = 43
+	pinnedMetricsSHA256 = "c2c35dffbd1c1d4acaa8f7feb9109b527aa2a80354815f9c6d7d9af301112911"
+	pinnedTraceEvents   = 12030
+	pinnedTraceSHA256   = "27d37db125d587cdd3d233b69210551ac2d6987ed4b0500aaa87f133749d237e"
+
+	pinnedAbortMetricsRows   = 11
+	pinnedAbortMetricsSHA256 = "217776d7cd916c1f4b95773072f5fedfd477f163ea3f7af29b64ffb912310a7d"
+	pinnedAbortTraceEvents   = 1318
+	pinnedAbortTraceSHA256   = "4a8deec90b2dfc997f0655595a506a1e46715418e8f638bfc54c2b664f779b5a"
+)
+
+// pinObsBytes compares one observability file against its pinned record
+// count and SHA-256.
+func pinObsBytes(t *testing.T, what string, b []byte, records, wantRecords int, wantSHA string) {
+	t.Helper()
+	sum := sha256.Sum256(b)
+	if records != wantRecords || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Errorf("%s = %d records, sha256 %x; pinned %d records, sha256 %s",
+			what, records, sum, wantRecords, wantSHA)
+	}
+}
+
+// TestObsBytesPinned pins the metrics JSONL and the trace of one quick
+// Prodigy cell at a 100-cycle interval. Two cores exercise the per-core
+// Prodigy counters, and the short interval makes DRAM-bound wakeups leap
+// over many boundaries.
+func TestObsBytesPinned(t *testing.T) {
+	h, traces, metrics := obsHarness(100)
+	if _, err := h.RunOne("bfs", "po", SchemeProdigy); err != nil {
+		t.Fatal(err)
+	}
+	tb, mb := traces["bfs-po.prodigy"], metrics["bfs-po.prodigy"]
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(tb.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	pinObsBytes(t, "metrics", mb.Bytes(), len(metricsRows(t, mb)), pinnedMetricsRows, pinnedMetricsSHA256)
+	pinObsBytes(t, "trace", tb.Bytes(), len(doc.TraceEvents), pinnedTraceEvents, pinnedTraceSHA256)
 }
 
 // TestAbortedRunReportsObsCloseError: a cell aborted by the MaxCycles

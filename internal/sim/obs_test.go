@@ -8,11 +8,14 @@ import (
 	"reflect"
 	"testing"
 
+	"prodigy/internal/cache"
 	"prodigy/internal/core"
+	"prodigy/internal/graph"
 	"prodigy/internal/memspace"
 	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 	"prodigy/internal/trace"
+	"prodigy/internal/workloads"
 )
 
 // runIrregular executes the irregular workload once under Prodigy,
@@ -124,34 +127,132 @@ func TestAbortReportsObsExportError(t *testing.T) {
 	}
 }
 
-// TestObsCountersMatchResultStats cross-checks the interval counters
-// against the simulator's own aggregate statistics: the summed
-// "cache.demand" counter must equal Result.Cache.DemandAccesses, and the
-// per-interval CPI slices must add up to the run's attributed cycles.
-func TestObsCountersMatchResultStats(t *testing.T) {
-	var metrics bytes.Buffer
-	rec := obs.New(obs.Options{Interval: 500, Metrics: &metrics})
-	res := runIrregular(t, 1<<12, func(c *Config) { c.Obs = rec })
+// runQuickCell runs one workload under Prodigy on the quick experiment
+// machine: two cores, the tiny graph scale and a 1/4/16 KiB hierarchy.
+// mshrs, when non-zero, caps each core's in-flight prefetches.
+func runQuickCell(t testing.TB, algo, dataset string, mshrs int, observe func(*Config)) Result {
+	w, err := workloads.Build(algo, dataset, 2, workloads.Options{Scale: graph.ScaleTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(2)
+	cfg.Cache = cache.Config{
+		Cores: 2, LineSize: 64,
+		L1Size: 1 << 10, L1Assoc: 4,
+		L2Size: 4 << 10, L2Assoc: 8,
+		L3Size: 16 << 10, L3Assoc: 16,
+		L1Lat: 2, L2Lat: 6, L3Lat: 30,
+	}
+	cfg.Prefetcher = core.New(w.DIG, core.DefaultConfig())
+	cfg.PrefetchMSHRs = mshrs
+	observe(&cfg)
+	res, err := Run(cfg, w.Space, trace.NewGen(2, 0), w.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
-	var demand uint64
-	var attributed int64
-	for _, line := range bytes.Split(bytes.TrimSpace(metrics.Bytes()), []byte("\n")) {
-		var row obs.MetricsRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			t.Fatalf("bad metrics row %q: %v", line, err)
+// counterTwins maps every interval counter a run emits to the Result
+// statistic that counts the same events.
+func counterTwins(res Result) map[string]uint64 {
+	c, s, d := res.Cache, res.Sim, res.DRAM
+	twins := map[string]uint64{
+		"cache.demand":            c.DemandAccesses,
+		"cache.l1_hit":            c.DemandL1Hits,
+		"cache.l2_hit":            c.DemandL2Hits,
+		"cache.l3_hit":            c.DemandL3Hits,
+		"cache.mem":               c.DemandMem,
+		"cache.pf_fill":           c.PrefetchFills,
+		"cache.writeback":         c.Writebacks,
+		"cache.pf_timely":         c.PrefetchL1Hits + c.PrefetchL2Hits + c.PrefetchL3Hits,
+		"cache.pf_evicted_unused": c.PrefetchEvicted,
+		"sim.pf_issued":           s.PrefetchIssued,
+		"sim.late_merge":          s.LateMerges,
+		"sim.pf_mshr_full":        s.PrefetchMSHRFull,
+		"sim.pf_redundant":        s.PrefetchMergedResident,
+		"dram.reads":              d.Requests,
+		"dram.writes":             d.Writes,
+		"dram.busy_cycles":        d.BusyCycles,
+		"dram.queue_delay":        d.TotalQueueDelay,
+	}
+	for _, ss := range res.SchemeStats {
+		if ps, ok := ss.(core.Stats); ok {
+			twins["prodigy.seq_started"] += ps.SeqStarted
+			twins["prodigy.seq_dropped"] += ps.SeqDropped
+			twins["prodigy.pfhr_full"] += ps.PFHRFull
 		}
-		demand += row.Counters["cache.demand"]
-		for _, stack := range row.CPI {
-			for _, v := range stack {
-				attributed += v
+	}
+	return twins
+}
+
+// TestObsCountersMatchResultStats cross-checks the interval counters
+// against the simulator's own aggregate statistics: every counter summed
+// over the rows must equal the statistic that counts the same events
+// (counterTwins), the run must emit exactly those counters, and each
+// core's per-interval CPI slices must add up to the run's cycles. The
+// workloads together drive every counter but dram.writes above zero:
+// cache writebacks never reach the DRAM model.
+func TestObsCountersMatchResultStats(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(observe func(*Config)) Result
+	}{
+		{"irregular-1core", func(o func(*Config)) Result { return runIrregular(t, 1<<12, o) }},
+		{"stride-2core", func(o func(*Config)) Result { return runStride(t, o) }},
+		{"bfs-po", func(o func(*Config)) Result { return runQuickCell(t, "bfs", "po", 0, o) }},
+		{"pr-lj", func(o func(*Config)) Result { return runQuickCell(t, "pr", "lj", 0, o) }},
+		{"bfs-po-2mshr", func(o func(*Config)) Result { return runQuickCell(t, "bfs", "po", 2, o) }},
+	}
+	seen := map[string]bool{}
+	var twins map[string]uint64
+	for _, r := range runs {
+		var metrics bytes.Buffer
+		rec := obs.New(obs.Options{Interval: 500, Metrics: &metrics})
+		res := r.run(func(c *Config) { c.Obs = rec })
+
+		sums := map[string]uint64{}
+		var attributed int64
+		for _, line := range bytes.Split(bytes.TrimSpace(metrics.Bytes()), []byte("\n")) {
+			var row obs.MetricsRow
+			if err := json.Unmarshal(line, &row); err != nil {
+				t.Fatalf("%s: bad metrics row %q: %v", r.name, line, err)
+			}
+			for name, v := range row.Counters {
+				sums[name] += v
+			}
+			for _, stack := range row.CPI {
+				for _, v := range stack {
+					attributed += v
+				}
 			}
 		}
+		twins = counterTwins(res)
+		for name := range sums {
+			if _, ok := twins[name]; !ok {
+				t.Errorf("%s: emitted counter %q has no twin", r.name, name)
+			}
+		}
+		for name, want := range twins {
+			got, ok := sums[name]
+			if !ok {
+				t.Errorf("%s: counter %q not emitted", r.name, name)
+			}
+			if got != want {
+				t.Errorf("%s: summed %s = %d, Result says %d", r.name, name, got, want)
+			}
+			if got > 0 {
+				seen[name] = true
+			}
+		}
+		if want := res.Cycles * int64(len(res.Stacks)); attributed != want {
+			t.Errorf("%s: interval CPI slices cover %d core-cycles, want %d", r.name, attributed, want)
+		}
 	}
-	if demand != res.Cache.DemandAccesses {
-		t.Errorf("summed cache.demand = %d, Result says %d", demand, res.Cache.DemandAccesses)
-	}
-	if attributed != res.Cycles {
-		t.Errorf("interval CPI slices cover %d cycles, run took %d", attributed, res.Cycles)
+	for name := range twins {
+		if !seen[name] && name != "dram.writes" {
+			t.Errorf("no workload drives %s above zero", name)
+		}
 	}
 }
 
