@@ -52,8 +52,9 @@ func BenchmarkFillPrefetch(b *testing.B) {
 }
 
 // BenchmarkHierarchyAccessObs is BenchmarkHierarchyAccess with a metrics
-// recorder attached: the counter adds go through the interval buckets, so
-// this measures the enabled-instrumentation overhead on the same mix.
+// recorder attached. The recorder reads the hierarchy's Stats only at
+// interval boundaries, so an observed access should cost what an
+// unobserved one does.
 func BenchmarkHierarchyAccessObs(b *testing.B) {
 	h, err := New(ScaledDefault(1))
 	if err != nil {

@@ -508,40 +508,31 @@ type Hierarchy struct {
 	// runs in the middle of a fill and must not call back into the
 	// hierarchy.
 	OnL3Evict func(lineAddr uint64)
-
-	// Interval-metrics hooks (inert when obs is nil).
-	obs          *obs.Recorder
-	obsAccess    obs.CounterID
-	obsL1Hit     obs.CounterID
-	obsL2Hit     obs.CounterID
-	obsL3Hit     obs.CounterID
-	obsMem       obs.CounterID
-	obsPFFill    obs.CounterID
-	obsWriteBk   obs.CounterID
-	obsPFTimely  obs.CounterID
-	obsPFEvicted obs.CounterID
 }
 
-// Attach registers the hierarchy's observability counters: demand
+// Attach registers the hierarchy's Stats as interval counters: demand
 // accesses and per-level hits (from which per-interval L1/L2/LLC miss
-// rates follow), hierarchy misses, prefetch fills, and writebacks. Safe
-// to call with a nil recorder.
+// rates follow), hierarchy misses, prefetch fills, writebacks, and the
+// prefetch outcomes. Safe to call with a nil recorder.
 func (h *Hierarchy) Attach(r *obs.Recorder) {
 	if r == nil {
 		return
 	}
-	h.obs = r
-	h.obsAccess = r.Counter("cache.demand")
-	h.obsL1Hit = r.Counter("cache.l1_hit")
-	h.obsL2Hit = r.Counter("cache.l2_hit")
-	h.obsL3Hit = r.Counter("cache.l3_hit")
-	h.obsMem = r.Counter("cache.mem")
-	h.obsPFFill = r.Counter("cache.pf_fill")
-	h.obsWriteBk = r.Counter("cache.writeback")
+	s := &h.Stats
+	r.CounterFunc("cache.demand", func() uint64 { return s.DemandAccesses })
+	r.CounterFunc("cache.l1_hit", func() uint64 { return s.DemandL1Hits })
+	r.CounterFunc("cache.l2_hit", func() uint64 { return s.DemandL2Hits })
+	r.CounterFunc("cache.l3_hit", func() uint64 { return s.DemandL3Hits })
+	r.CounterFunc("cache.mem", func() uint64 { return s.DemandMem })
+	r.CounterFunc("cache.pf_fill", func() uint64 { return s.PrefetchFills })
+	r.CounterFunc("cache.writeback", func() uint64 { return s.Writebacks })
 	// Lifecycle counters double as trace counter tracks so prefetch
-	// quality is visible over time in the timeline viewer.
-	h.obsPFTimely = r.TrackCounter("cache.pf_timely")
-	h.obsPFEvicted = r.TrackCounter("cache.pf_evicted_unused")
+	// quality is visible over time in the timeline viewer. A timely use
+	// is a demand's first hit on a prefetched line, at whichever level.
+	r.TrackCounterFunc("cache.pf_timely", func() uint64 {
+		return s.PrefetchL1Hits + s.PrefetchL2Hits + s.PrefetchL3Hits
+	})
+	r.TrackCounterFunc("cache.pf_evicted_unused", func() uint64 { return s.PrefetchEvicted })
 }
 
 // New builds a hierarchy from cfg, rejecting geometries Validate refuses.
@@ -595,7 +586,6 @@ type Result struct {
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	la := h.LineAddr(addr)
 	h.Stats.DemandAccesses++
-	h.obs.Add(h.obsAccess, 1)
 
 	// L1.
 	l1 := h.l1[core]
@@ -612,7 +602,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		}
 		ln.used = true
 		h.Stats.DemandL1Hits++
-		h.obs.Add(h.obsL1Hit, 1)
 		if write && ln.state != stModified {
 			h.upgrade(core, la, i, h.l2[core].findIdx(la))
 		}
@@ -636,7 +625,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		j := l1.victim(la)
 		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, pfTag: ln.pfTag})
 		h.Stats.DemandL2Hits++
-		h.obs.Add(h.obsL2Hit, 1)
 		if write && st != stModified {
 			h.upgrade(core, la, j, i)
 		}
@@ -659,14 +647,12 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		state := h.serviceFromL3(core, la, i, write)
 		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, pfTag: pfTag})
 		h.Stats.DemandL3Hits++
-		h.obs.Add(h.obsL3Hit, 1)
 		return res
 	}
 
 	// DRAM.
 	h.Stats.DemandMem++
 	h.Life[core].DemandMisses++
-	h.obs.Add(h.obsMem, 1)
 	state := uint8(stExclusive)
 	if write {
 		state = stModified
@@ -686,7 +672,6 @@ func (h *Hierarchy) lifeTimely(tag uint8) {
 			h.Life[c].TimelyMem++
 		}
 	}
-	h.obs.Add(h.obsPFTimely, 1)
 }
 
 // serviceFromL3 handles coherence when core reads/writes the line la held
@@ -711,11 +696,9 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, i int, write bool) uint8 
 			if j := h.l2[c].findIdx(la); j >= 0 {
 				if st, ok := h.l1[c].invalidate(la); ok && st == stModified {
 					h.Stats.Writebacks++
-					h.obs.Add(h.obsWriteBk, 1)
 				}
 				if h.invalidateL2(c, j) == stModified {
 					h.Stats.Writebacks++
-					h.obs.Add(h.obsWriteBk, 1)
 				}
 			}
 			h.Stats.Invalidations++
@@ -739,11 +722,9 @@ func (h *Hierarchy) serviceFromL3(core int, la uint64, i int, write bool) uint8 
 		}
 		if h.l1[c].downgrade(la) {
 			h.Stats.Writebacks++
-			h.obs.Add(h.obsWriteBk, 1)
 		}
 		if h.l2[c].downgradeIdx(j) {
 			h.Stats.Writebacks++
-			h.obs.Add(h.obsWriteBk, 1)
 		}
 	}
 	*own = 0
@@ -846,7 +827,6 @@ func (h *Hierarchy) fillL2(core, i int, la uint64, ln line) {
 				// An orphan line that its core wrote has no L3 copy to
 				// take the dirtiness, so the writeback is counted here.
 				h.Stats.Writebacks++
-				h.obs.Add(h.obsWriteBk, 1)
 			}
 		}
 	}
@@ -889,14 +869,12 @@ func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 	}
 	if dirty {
 		h.Stats.Writebacks++
-		h.obs.Add(h.obsWriteBk, 1)
 	}
 	if ln.prefetched && !ln.used {
 		h.Stats.PrefetchEvicted++
 		if c := int(ln.pfTag & pfCoreMask); c < len(h.Life) {
 			h.Life[c].EvictedUnused++
 		}
-		h.obs.Add(h.obsPFEvicted, 1)
 	}
 	if h.OnL3Evict != nil {
 		h.OnL3Evict(victimAddr)
@@ -946,7 +924,6 @@ func (h *Hierarchy) FillPrefetchL2(core int, addr uint64, fromLevel Level) {
 func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Only bool) {
 	la := h.LineAddr(addr)
 	h.Stats.PrefetchFills++
-	h.obs.Add(h.obsPFFill, 1)
 	pfTag := uint8(core) & pfCoreMask
 	if fromLevel == LvlMem {
 		pfTag |= pfMemBit

@@ -110,9 +110,16 @@ func TestTelemetryAllocFree(t *testing.T) {
 	r := obs.New(obs.Options{Metrics: io.Discard})
 	r.Start(1, nil, nil)
 	h.Attach(r)
-	// Warm the recorder's interval bucket (one-time allocation).
-	h.Access(0, 1<<30, false)
 	if allocs := run(h); allocs != 0 {
 		t.Errorf("recorder attached: %.1f allocs/op, want 0", allocs)
+	}
+	// Booking the counters' changes allocates only the interval's bucket,
+	// once.
+	r.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Access(0, 1<<30, false)
+		r.Snapshot()
+	}); allocs != 0 {
+		t.Errorf("snapshot: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"prodigy/internal/cache"
 	"prodigy/internal/dig"
-	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 )
 
@@ -131,11 +130,6 @@ type Prodigy struct {
 	internalDrops uint64
 	// Stats is exported for the experiment harness.
 	Stats Stats
-
-	// Interval-metrics counter IDs (inert when env.Obs is nil).
-	obsSeqStarted obs.CounterID
-	obsSeqDropped obs.CounterID
-	obsPFHRFull   obs.CounterID
 }
 
 // New returns a prefetch.Factory that programs each core's Prodigy
@@ -209,11 +203,13 @@ func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 		p.trigByID[id] = ts
 	}
 	// PFHR occupancy and sequence counters for the interval metrics.
-	// Counters are shared across cores (deduped by name); the occupancy
-	// gauge is per core.
-	p.obsSeqStarted = env.Obs.Counter("prodigy.seq_started")
-	p.obsSeqDropped = env.Obs.Counter("prodigy.seq_dropped")
-	p.obsPFHRFull = env.Obs.Counter("prodigy.pfhr_full")
+	// Counters are summed across cores (registered under shared names);
+	// the occupancy gauge is per core.
+	if r := env.Obs; r != nil {
+		r.CounterFunc("prodigy.seq_started", func() uint64 { return p.Stats.SeqStarted })
+		r.CounterFunc("prodigy.seq_dropped", func() uint64 { return p.Stats.SeqDropped })
+		r.CounterFunc("prodigy.pfhr_full", func() uint64 { return p.Stats.PFHRFull })
+	}
 	env.Obs.GaugeFunc("prodigy.pfhr_free.c"+strconv.Itoa(env.Core),
 		func(int64) float64 { return float64(p.FreePFHRs()) })
 	return p
@@ -373,7 +369,6 @@ func (p *Prodigy) rangedOnly() bool { return p.oneStep }
 // trigger node: the first request fetches the trigger data itself.
 func (p *Prodigy) startSequence(n *dig.Node, seqIdx uint64) {
 	p.Stats.SeqStarted++
-	p.env.Obs.Add(p.obsSeqStarted, 1)
 	p.env.Obs.Instant(p.env.Core, "seq-start", "prodigy")
 	elemAddr := n.ElemAddr(seqIdx)
 	p.Stats.IssuedTrigger++
@@ -403,7 +398,6 @@ func (p *Prodigy) dropSequence(trigAddr uint64) {
 	}
 	if dropped {
 		p.Stats.SeqDropped++
-		p.env.Obs.Add(p.obsSeqDropped, 1)
 		p.env.Obs.Instant(p.env.Core, "seq-drop", "prodigy")
 	}
 }
@@ -505,7 +499,6 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	if idx < 0 {
 		p.Stats.PFHRFull++
 		p.internalDrops++
-		p.env.Obs.Add(p.obsPFHRFull, 1)
 		return
 	}
 	r := &p.regs[idx]
@@ -521,7 +514,6 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 		r.free = true
 		r.gen++
 		p.Stats.PFHRFull++
-		p.env.Obs.Add(p.obsPFHRFull, 1)
 	}
 }
 

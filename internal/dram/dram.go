@@ -77,11 +77,11 @@ type Controller struct {
 	pfFree int64
 	Stats  Stats
 
+	// obs books the two counters whose events belong to cycles other
+	// than the current one (inert when nil).
 	obs     *obs.Recorder
 	busyID  obs.CounterID
 	delayID obs.CounterID
-	readID  obs.CounterID
-	writeID obs.CounterID
 }
 
 // New builds a controller.
@@ -90,9 +90,10 @@ func New(cfg Config) *Controller {
 }
 
 // Attach registers the controller's observability hooks: per-interval busy
-// cycles (booked at each slot's start cycle), queue-delay and request
-// counters, and gauges for the booked-ahead backlog and the low-priority
-// queue depth. Safe to call with a nil recorder.
+// cycles (booked at each slot's start cycle), queue delay (booked at each
+// read's arrival cycle), the read and write counts, and gauges for the
+// booked-ahead backlog and the low-priority queue depth. Safe to call
+// with a nil recorder.
 func (c *Controller) Attach(r *obs.Recorder) {
 	if r == nil {
 		return
@@ -100,8 +101,8 @@ func (c *Controller) Attach(r *obs.Recorder) {
 	c.obs = r
 	c.busyID = r.Counter("dram.busy_cycles")
 	c.delayID = r.Counter("dram.queue_delay")
-	c.readID = r.Counter("dram.reads")
-	c.writeID = r.Counter("dram.writes")
+	r.CounterFunc("dram.reads", func() uint64 { return c.Stats.Requests })
+	r.CounterFunc("dram.writes", func() uint64 { return c.Stats.Writes })
 	r.GaugeFunc("dram.backlog", c.backlog)
 	r.GaugeFunc("dram.queue_depth", c.queueDepth)
 }
@@ -179,7 +180,6 @@ func (c *Controller) Request(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -194,7 +194,6 @@ func (c *Controller) RequestPrefetch(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -238,7 +237,6 @@ func (c *Controller) Write(now int64) {
 	start := c.lowPriorityStart(now)
 	c.Stats.Writes++
 	c.book(start)
-	c.obs.Add(c.writeID, 1)
 }
 
 // Utilization returns the fraction of elapsed cycles the controller's pipe
@@ -252,12 +250,4 @@ func (c *Controller) Utilization(elapsed int64) float64 {
 		u = 1
 	}
 	return u
-}
-
-// AvgQueueDelay returns the mean queuing delay per read request.
-func (c *Controller) AvgQueueDelay() float64 {
-	if c.Stats.Requests == 0 {
-		return 0
-	}
-	return float64(c.Stats.TotalQueueDelay) / float64(c.Stats.Requests)
 }

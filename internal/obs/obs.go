@@ -13,15 +13,16 @@
 //
 // Wiring: the simulation engine calls Start once at machine assembly,
 // components register counters/gauges while attaching, the engine calls
-// Tick as simulated time advances (flushing every interval whose cycles
-// are fully attributed), and Finish flushes the tail and the trace
-// footer. See docs/OBSERVABILITY.md for the CLI flags and a trace-viewer
-// walkthrough.
+// Snapshot before each interval boundary's work and Tick after it
+// (flushing every interval whose cycles are fully attributed), and Finish
+// flushes the tail and the trace footer. See docs/OBSERVABILITY.md for
+// the CLI flags and a trace-viewer walkthrough.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"slices"
 
 	"prodigy/internal/stats"
 )
@@ -46,9 +47,17 @@ type Options struct {
 	Ledger io.Writer
 }
 
-// CounterID names a registered counter. The zero value is not valid; -1
-// (returned by registration on a nil recorder) is safely ignored by Add.
+// CounterID names a counter booked with AddAt. -1 (returned by
+// registration on a nil or sealed recorder) is safely ignored by AddAt.
 type CounterID int32
+
+// source is one CounterFunc registration: fn reads an always-on
+// statistic, and last is its value at the previous Snapshot.
+type source struct {
+	id   CounterID
+	fn   func() uint64
+	last uint64
+}
 
 // gauge is a registered sampling callback.
 type gauge struct {
@@ -83,10 +92,11 @@ type Recorder struct {
 	cores   int
 	classes []string
 
-	names  []string
-	index  map[string]CounterID
-	gauges []gauge
-	sealed bool
+	names   []string
+	index   map[string]CounterID
+	sources []source
+	gauges  []gauge
+	sealed  bool
 	// tracked lists the counters additionally exported as Chrome counter
 	// tracks ("C" events) at each interval flush. A slice, not a map: the
 	// emission order must be deterministic (registration order).
@@ -164,10 +174,12 @@ func (r *Recorder) now() int64 {
 	return r.clock()
 }
 
-// Counter registers (or re-fetches) a named interval counter and returns
-// its ID. Registration happens while components attach, before the run
-// produces data; late registrations after sampling has begun are refused
-// (the returned ID is inert).
+// Counter registers (or re-fetches) a named counter booked with AddAt,
+// for events that belong to a cycle other than the current one (DRAM
+// bandwidth booked ahead); every other interval counter is a CounterFunc.
+// Registration happens while components attach, before the run produces
+// data; late registrations after sampling has begun are refused (the
+// returned ID is inert).
 func (r *Recorder) Counter(name string) CounterID {
 	if r == nil {
 		return -1
@@ -184,23 +196,29 @@ func (r *Recorder) Counter(name string) CounterID {
 	return id
 }
 
-// TrackCounter registers (or re-fetches) a named counter exactly like
-// Counter and additionally exports it as a Chrome counter track: one "C"
-// event per flushed interval carrying the interval's delta, so the
-// counter renders as a value-over-time track in the trace viewer. With
-// tracing disabled it behaves exactly like Counter.
-func (r *Recorder) TrackCounter(name string) CounterID {
-	id := r.Counter(name)
-	if r == nil || id < 0 || r.tw == nil {
-		return id
+// CounterFunc registers a snapshot counter: fn reads an always-on
+// statistic, and each interval gets the change Snapshot saw over it, so
+// nothing is counted twice. Registrations that share a name are summed
+// (each core's prefetcher registers the same names).
+func (r *Recorder) CounterFunc(name string, fn func() uint64) {
+	if r == nil || r.sealed {
+		return
 	}
-	for _, t := range r.tracked {
-		if t == id {
-			return id
-		}
+	r.sources = append(r.sources, source{id: r.Counter(name), fn: fn})
+}
+
+// TrackCounterFunc registers fn exactly like CounterFunc and additionally
+// exports the counter as a Chrome counter track: one "C" event per
+// flushed interval carrying the interval's delta, so the counter renders
+// as a value-over-time track in the trace viewer. Tracks appear in
+// first-registration order. With tracing disabled it behaves exactly like
+// CounterFunc.
+func (r *Recorder) TrackCounterFunc(name string, fn func() uint64) {
+	r.CounterFunc(name, fn)
+	if r == nil || r.sealed || r.tw == nil || slices.Contains(r.tracked, r.index[name]) {
+		return
 	}
-	r.tracked = append(r.tracked, id)
-	return id
+	r.tracked = append(r.tracked, r.index[name])
 }
 
 // GaugeFunc registers a named gauge sampled at every interval boundary
@@ -210,14 +228,6 @@ func (r *Recorder) GaugeFunc(name string, fn func(cycle int64) float64) {
 		return
 	}
 	r.gauges = append(r.gauges, gauge{name: name, fn: fn})
-}
-
-// Add increments counter id by n at the current simulated cycle.
-func (r *Recorder) Add(id CounterID, n uint64) {
-	if r == nil {
-		return
-	}
-	r.AddAt(id, r.now(), n)
 }
 
 // AddAt increments counter id by n, attributed to the interval containing
@@ -346,6 +356,30 @@ func (r *Recorder) Latencies() *stats.Histogram {
 	return &r.lat
 }
 
+// Snapshot books every snapshot counter's change since the previous
+// Snapshot into the interval containing the current cycle. The engine
+// calls it before the work of each cycle that crosses an interval
+// boundary, when the clock still reads the last cycle at which any
+// counted statistic could have moved; every change since the previous
+// Snapshot happened in that same interval.
+func (r *Recorder) Snapshot() {
+	if r == nil || !r.buffering() {
+		return
+	}
+	idx := r.now() / r.interval
+	for i := range r.sources {
+		s := &r.sources[i]
+		v := s.fn()
+		if v == s.last {
+			continue
+		}
+		if b := r.bucketFor(idx); b != nil {
+			b.counters[s.id] += v - s.last
+		}
+		s.last = v
+	}
+}
+
 // Tick flushes every interval whose cycles are fully attributed (interval
 // end at or before now). The engine calls it after stepping all cores at
 // each scheduling point.
@@ -358,14 +392,15 @@ func (r *Recorder) Tick(now int64) {
 	}
 }
 
-// Finish flushes the trailing partial interval plus any future-booked
-// buckets, closes open timeline spans, writes the trace footer, and
-// returns the first write error encountered anywhere.
+// Finish takes a last Snapshot, flushes the trailing partial interval
+// plus any future-booked buckets, closes open timeline spans, writes the
+// trace footer, and returns the first write error encountered anywhere.
 func (r *Recorder) Finish(end int64) error {
 	if r == nil {
 		return nil
 	}
 	if r.buffering() {
+		r.Snapshot()
 		for len(r.buckets) > 0 || r.next*r.interval < end {
 			r.flushNext(end)
 		}
@@ -387,8 +422,8 @@ func (r *Recorder) Finish(end int64) error {
 
 // buffering reports whether interval buckets accumulate at all: either
 // metrics output is enabled, or at least one counter is exported as a
-// trace counter track. With neither, AddAt/Tick stay single-branch
-// no-ops (the trace-only default path).
+// trace counter track. With neither, AddAt, Snapshot and Tick stay
+// single-branch no-ops (the trace-only default path).
 func (r *Recorder) buffering() bool {
 	return r.metrics != nil || (r.tw != nil && len(r.tracked) > 0)
 }

@@ -13,7 +13,10 @@ import (
 // drive runs a small scripted workload against a recorder.
 func drive(r *Recorder) {
 	var now int64
+	var missN uint64
 	r.Start(2, []string{"busy", "dram"}, func() int64 { return now })
+	// l1.miss is both a snapshot counter and a booked one.
+	r.CounterFunc("l1.miss", func() uint64 { return missN })
 	misses := r.Counter("l1.miss")
 	fills := r.Counter("pf.fill")
 	r.GaugeFunc("pfhr.free", func(cycle int64) float64 { return float64(cycle % 7) })
@@ -27,7 +30,8 @@ func drive(r *Recorder) {
 	r.StallSpan(1, 0, 210, 260)
 
 	now = 40
-	r.Add(misses, 3)
+	missN += 3
+	r.Snapshot()
 	r.AddAt(fills, 120, 2)  // lands in interval 1
 	r.AddAt(misses, 205, 1) // lands in interval 2
 	now = 90
@@ -187,7 +191,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Errorf("nil Counter = %d, want -1", id)
 	}
 	r.GaugeFunc("g", func(int64) float64 { return 0 })
-	r.Add(id, 1)
+	r.CounterFunc("y", func() uint64 { return 1 })
+	r.TrackCounterFunc("z", func() uint64 { return 1 })
+	r.Snapshot()
 	r.AddAt(id, 50, 1)
 	r.StallSpan(0, 0, 0, 10)
 	r.Instant(0, "n", "c")
@@ -291,11 +297,15 @@ func TestLateCounterRegistrationRefused(t *testing.T) {
 	r := New(Options{Interval: 10, Metrics: &mb})
 	r.Start(1, []string{"busy"}, func() int64 { return 0 })
 	early := r.Counter("early")
-	r.Add(early, 1) // seals the registry
+	r.AddAt(early, 0, 1) // seals the registry
 	if id := r.Counter("late"); id != -1 {
 		t.Errorf("late registration returned %d, want -1", id)
 	}
 	if id := r.Counter("early"); id != early {
 		t.Errorf("re-fetch of existing counter returned %d, want %d", id, early)
+	}
+	r.CounterFunc("late", func() uint64 { return 1 })
+	if len(r.sources) != 0 {
+		t.Errorf("late CounterFunc registered %d sources, want 0", len(r.sources))
 	}
 }

@@ -23,6 +23,9 @@ import (
 func refRun(m *Machine) (Result, error) {
 	now := int64(0)
 	for {
+		// Book the counters' changes at the previous visited cycle, where
+		// they happened.
+		m.cfg.Obs.Snapshot()
 		m.processEvents(now)
 		m.now = now
 

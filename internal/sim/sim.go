@@ -459,13 +459,8 @@ type Machine struct {
 	lateLines     []uint64
 	lateLinesMem  []uint64
 
-	// Observability counter IDs and the prefetch flow-event sequence
-	// (inert when cfg.Obs is nil).
-	obsPFIssued    obs.CounterID
-	obsLateMerge   obs.CounterID
-	obsMSHRFull    obs.CounterID
-	obsPFRedundant obs.CounterID
-	pfFlowSeq      uint64
+	// pfFlowSeq numbers the prefetch flow events (0 when cfg.Obs is nil).
+	pfFlowSeq uint64
 }
 
 // NewMachine wires a machine to a functional memory and per-core
@@ -507,10 +502,11 @@ func NewMachine(cfg Config, space *memspace.Space, gen *trace.Gen) (*Machine, er
 		cfg.Obs.Start(cfg.Cores, names, func() int64 { return m.now })
 		// Lifecycle counters double as trace counter tracks (prefetch
 		// quality over time in the timeline viewer).
-		m.obsPFIssued = cfg.Obs.TrackCounter("sim.pf_issued")
-		m.obsLateMerge = cfg.Obs.TrackCounter("sim.late_merge")
-		m.obsMSHRFull = cfg.Obs.TrackCounter("sim.pf_mshr_full")
-		m.obsPFRedundant = cfg.Obs.TrackCounter("sim.pf_redundant")
+		st := &m.stats
+		cfg.Obs.TrackCounterFunc("sim.pf_issued", func() uint64 { return st.PrefetchIssued })
+		cfg.Obs.TrackCounterFunc("sim.late_merge", func() uint64 { return st.LateMerges })
+		cfg.Obs.TrackCounterFunc("sim.pf_mshr_full", func() uint64 { return st.PrefetchMSHRFull })
+		cfg.Obs.TrackCounterFunc("sim.pf_redundant", func() uint64 { return st.PrefetchMergedResident })
 	}
 	m.hier.Attach(cfg.Obs)
 	m.mem.Attach(cfg.Obs)
@@ -613,7 +609,6 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 			}
 			ev.demandMerged = true
 			m.stats.LateMerges++
-			m.cfg.Obs.Add(m.obsLateMerge, 1)
 			var ready int64
 			if in.Kind == trace.Store {
 				// Plain stores drain through the store buffer: the core moves on
@@ -697,7 +692,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 		}
 		m.stats.PrefetchMergedResident++
 		m.pfRedundantPC[core]++
-		m.cfg.Obs.Add(m.obsPFRedundant, 1)
 		return true
 	}
 	lvl := probed
@@ -708,7 +702,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 		// Already as close as a prefetch can put it.
 		m.stats.PrefetchMergedResident++
 		m.pfRedundantPC[core]++
-		m.cfg.Obs.Add(m.obsPFRedundant, 1)
 		if meta != prefetch.UntrackedMeta {
 			m.pfs[core].OnFill(m.now, lineAddr, meta, lvl)
 		}
@@ -717,7 +710,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	if m.inflightPerCore[core] >= m.cfg.PrefetchMSHRs {
 		m.stats.PrefetchMSHRFull++
 		m.pfDroppedPC[core]++
-		m.cfg.Obs.Add(m.obsMSHRFull, 1)
 		return false
 	}
 	tlbLat := m.tlbs[core].Translate(addr)
@@ -751,7 +743,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	m.stats.PrefetchIssued++
 	m.pfIssuedPC[core]++
 	if m.cfg.Obs != nil {
-		m.cfg.Obs.Add(m.obsPFIssued, 1)
 		m.pfFlowSeq++
 		ev.flowID = m.pfFlowSeq
 		m.cfg.Obs.FlowBegin(core, ev.flowID, "prefetch", "pf")
@@ -917,10 +908,13 @@ func (m *Machine) Run() (Result, error) {
 	doneCores, parkedCores := 0, 0
 
 	// Interval-metrics boundary: the first cycle at which an interval
-	// completes and must be flushed. Sleeping cores have not attributed
-	// their stall time yet, so each flush is preceded by an attribution
-	// sweep — that keeps interval rows byte-identical to the stepped
-	// loop's even when one wakeup leaps across several boundaries.
+	// completes and must be flushed. The counters' changes since the
+	// previous boundary are booked first, while m.now is still the last
+	// visited cycle, so they land in the interval where they happened.
+	// Sleeping cores have not attributed their stall time yet, so each
+	// flush is preceded by an attribution sweep — that keeps interval rows
+	// byte-identical to the stepped loop's even when one wakeup leaps
+	// across several boundaries.
 	interval := m.cfg.Obs.Interval()
 	nextFlush := farFuture
 	if interval > 0 {
@@ -928,6 +922,9 @@ func (m *Machine) Run() (Result, error) {
 	}
 
 	for iter := 0; ; iter++ {
+		if nextFlush <= now {
+			m.cfg.Obs.Snapshot()
+		}
 		if m.cfg.Interrupt != nil && iter&interruptPollMask == 0 && m.cfg.Interrupt() {
 			//lint:allow hotpath-alloc abort path: runs at most once per run
 			return m.abort(now, fmt.Errorf("sim: %w at cycle %d", ErrInterrupted, now))
