@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -36,47 +38,62 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "tiny datasets / fewer cores (smoke test)")
-	cores := flag.Int("cores", 0, "override core count (default 8, 2 in quick mode)")
-	datasets := flag.String("datasets", "", "comma-separated dataset subset (default all five)")
-	verify := flag.Bool("verify", false, "re-verify workload outputs after every run")
-	workers := flag.Int("j", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
-	progress := flag.Duration("progress", 5*time.Second, "progress report interval on stderr (0 disables)")
-	jsonPath := flag.String("json", "", "append per-run JSON summary lines to this file (\"-\" = stdout)")
-	timeout := flag.Duration("run-timeout", 0, "wall-clock budget per simulation (0 = no limit)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	flag.Parse()
-	exps, err := exp.SelectExperiments(flag.Args())
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
+}
+
+// run is the whole command. It returns the exit code instead of exiting,
+// so the deferred profile stop and log close run on every path, and a
+// failed close makes the exit code non-zero.
+func run(stdout, stderr io.Writer, args []string) (code int) {
+	fs := flag.NewFlagSet("prodigy-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "tiny datasets / fewer cores (smoke test)")
+	cores := fs.Int("cores", 0, "override core count (default 8, 2 in quick mode)")
+	datasets := fs.String("datasets", "", "comma-separated dataset subset (default all five)")
+	verify := fs.Bool("verify", false, "re-verify workload outputs after every run")
+	workers := fs.Int("j", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = serial)")
+	progress := fs.Duration("progress", 5*time.Second, "progress report interval on stderr (0 disables)")
+	jsonPath := fs.String("json", "", "append per-run JSON summary lines to this file (\"-\" = stdout)")
+	timeout := fs.Duration("run-timeout", 0, "wall-clock budget per simulation (0 = no limit)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	exps, err := exp.SelectExperiments(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *pprofAddr != "" {
 		go func() {
 			// The default mux carries the pprof handlers via the blank import.
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof server:", err)
+				fmt.Fprintln(stderr, "pprof server:", err)
 			}
 		}()
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpu profile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "closing cpu profile:", err)
+				fmt.Fprintln(stderr, "closing cpu profile:", err)
+				code = 1
 			}
 		}()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(stderr, "cpu profile:", err)
+			return 1
+		}
 	}
 
 	cfg := exp.Default()
@@ -95,21 +112,22 @@ func main() {
 	cfg.Parallelism = *workers
 	cfg.RunTimeout = *timeout
 	if *progress > 0 {
-		cfg.Progress = os.Stderr
+		cfg.Progress = stderr
 		cfg.ProgressInterval = *progress
 	}
 	if *jsonPath != "" {
 		if *jsonPath == "-" {
-			cfg.JSONLog = os.Stdout
+			cfg.JSONLog = stdout
 		} else {
 			f, err := os.OpenFile(*jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			defer func() {
 				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "closing json log:", err)
+					fmt.Fprintln(stderr, "closing json log:", err)
+					code = 1
 				}
 			}()
 			cfg.JSONLog = f
@@ -120,12 +138,13 @@ func main() {
 		start := time.Now()
 		tables, err := e.Tables(h)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+			return 1
 		}
 		for _, t := range tables {
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 		}
-		fmt.Printf("(%s took %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s took %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

@@ -72,3 +72,22 @@ func TestNamedExperimentRuns(t *testing.T) {
 		t.Errorf("output is not exactly the Table II experiment:\n%s", stdout)
 	}
 }
+
+// TestFailingRunKeepsProfile checks a sweep that fails still stops its
+// CPU profile on the way out: the command exits 1 and the profile is a
+// readable gzip-compressed pprof file, not an empty one.
+func TestFailingRunKeepsProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	var stdout, stderr bytes.Buffer
+	code := run(&stdout, &stderr, []string{"-quick", "-progress", "0", "-run-timeout", "1ns", "-cpuprofile", prof, "fig2"})
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is %d bytes without the gzip magic", len(b))
+	}
+}

@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,25 +40,39 @@ import (
 )
 
 func main() {
-	algos := flag.String("algo", "bfs", "algorithm(s), comma-separated: bc bfs cc pr sssp spmv symgs cg is")
-	datasets := flag.String("dataset", "lj", "graph dataset(s), comma-separated: po lj or sk wb (graph algorithms only)")
-	schemes := flag.String("scheme", "prodigy", "prefetcher(s), comma-separated: none stride ghb-gdc imp aj droplet software-pf prodigy")
-	cores := flag.Int("cores", 8, "core count")
-	tiny := flag.Bool("tiny", false, "use tiny datasets (fast smoke run)")
-	verify := flag.Bool("verify", true, "verify the workload output")
-	workers := flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	jsonPath := flag.String("json", "", "append per-run JSON summary lines to this file (\"-\" = stdout)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event timeline (catapult JSON) to this file")
-	metricsPath := flag.String("metrics", "", "write interval metrics JSONL to this file; counters include "+
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
+}
+
+// run is the whole command. It returns the exit code instead of exiting,
+// so the deferred log close runs on every path, and a failed close makes
+// the exit code non-zero.
+func run(stdout, stderr io.Writer, args []string) (code int) {
+	fs := flag.NewFlagSet("prodigy-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algos := fs.String("algo", "bfs", "algorithm(s), comma-separated: bc bfs cc pr sssp spmv symgs cg is")
+	datasets := fs.String("dataset", "lj", "graph dataset(s), comma-separated: po lj or sk wb (graph algorithms only)")
+	schemes := fs.String("scheme", "prodigy", "prefetcher(s), comma-separated: none stride ghb-gdc imp aj droplet software-pf prodigy")
+	cores := fs.Int("cores", 8, "core count")
+	tiny := fs.Bool("tiny", false, "use tiny datasets (fast smoke run)")
+	verify := fs.Bool("verify", true, "verify the workload output")
+	workers := fs.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+	jsonPath := fs.String("json", "", "append per-run JSON summary lines to this file (\"-\" = stdout)")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event timeline (catapult JSON) to this file")
+	metricsPath := fs.String("metrics", "", "write interval metrics JSONL to this file; counters include "+
 		"cache.pf_timely, cache.pf_evicted_unused, sim.pf_issued, sim.pf_redundant, sim.pf_mshr_full, sim.late_merge")
-	interval := flag.Int64("interval", obs.DefaultInterval, "metrics sampling interval in simulated cycles")
-	ledgerPath := flag.String("pf-ledger", "", "write the per-line prefetch lifecycle ledger (JSONL) to this file")
-	memlat := flag.Bool("memlat", false, "run the pointer-chase latency-calibration sweep instead of a workload grid (EXPERIMENTS.md)")
-	memlatOut := flag.String("memlat-out", "", "write the memlat per-access latency histograms (JSONL, prodigy-stat hist) to this file")
-	flag.Parse()
+	interval := fs.Int64("interval", obs.DefaultInterval, "metrics sampling interval in simulated cycles")
+	ledgerPath := fs.String("pf-ledger", "", "write the per-line prefetch lifecycle ledger (JSONL) to this file")
+	memlat := fs.Bool("memlat", false, "run the pointer-chase latency-calibration sweep instead of a workload grid (EXPERIMENTS.md)")
+	memlatOut := fs.String("memlat-out", "", "write the memlat per-access latency histograms (JSONL, prodigy-stat hist) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *memlat {
-		os.Exit(runMemlat(*memlatOut))
+		return runMemlat(stdout, stderr, *memlatOut)
 	}
 
 	cfg := exp.Default()
@@ -72,16 +87,17 @@ func main() {
 	cfg.Parallelism = *workers
 	if *jsonPath != "" {
 		if *jsonPath == "-" {
-			cfg.JSONLog = os.Stdout
+			cfg.JSONLog = stdout
 		} else {
 			f, err := os.OpenFile(*jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			defer func() {
 				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "closing json log:", err)
+					fmt.Fprintln(stderr, "closing json log:", err)
+					code = 1
 				}
 			}()
 			cfg.JSONLog = f
@@ -115,15 +131,16 @@ func main() {
 
 	runs, err := h.RunGrid(cells)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	for i, run := range runs {
+	for i, r := range runs {
 		if i > 0 {
-			fmt.Println(strings.Repeat("-", 64))
+			fmt.Fprintln(stdout, strings.Repeat("-", 64))
 		}
-		report(os.Stdout, run, cfg)
+		report(stdout, r, cfg)
 	}
+	return 0
 }
 
 // runMemlat runs the latency-calibration sweep on the Table-I machine
@@ -131,11 +148,11 @@ func main() {
 // plus the TLB-thrash variant, each recording a per-access latency
 // histogram. The histograms go to -memlat-out as JSONL for
 // `prodigy-stat hist -assert`; the summary table prints either way.
-func runMemlat(outPath string) int {
+func runMemlat(stdout, stderr io.Writer, outPath string) int {
 	base := sim.Default(1)
 	results, err := exp.MemlatSweep(base)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "memlat:", err)
+		fmt.Fprintln(stderr, "memlat:", err)
 		return 1
 	}
 	rows := make([]obs.HistRow, len(results))
@@ -145,26 +162,26 @@ func runMemlat(outPath string) int {
 	if outPath != "" {
 		var w *bufio.Writer
 		if outPath == "-" {
-			w = bufio.NewWriter(os.Stdout)
+			w = bufio.NewWriter(stdout)
 		} else {
 			f, err := os.Create(outPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "memlat:", err)
+				fmt.Fprintln(stderr, "memlat:", err)
 				return 1
 			}
 			defer func() {
 				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "closing memlat output:", err)
+					fmt.Fprintln(stderr, "closing memlat output:", err)
 				}
 			}()
 			w = bufio.NewWriter(f)
 		}
 		if err := obs.WriteHistRows(w, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "memlat:", err)
+			fmt.Fprintln(stderr, "memlat:", err)
 			return 1
 		}
 		if err := w.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "memlat:", err)
+			fmt.Fprintln(stderr, "memlat:", err)
 			return 1
 		}
 	}
@@ -179,9 +196,9 @@ func runMemlat(outPath string) int {
 		t.AddRow(r.Point.Name, r.Point.Cfg.Pattern, r.Point.Cfg.WorkingSet,
 			r.Hist.Total(), r.Row.Mode, r.Row.Expect, match)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(stdout, t)
 	if !ok {
-		fmt.Fprintln(os.Stderr, "memlat: calibration failed: a plateau is off the configured latency")
+		fmt.Fprintln(stderr, "memlat: calibration failed: a plateau is off the configured latency")
 		return 1
 	}
 	return 0

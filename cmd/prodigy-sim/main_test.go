@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,5 +34,23 @@ func TestReportProdigyCounters(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("per-core Prodigy lines:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestFailingGridExitsOne checks a grid whose cell fails returns exit
+// code 1 through run, after the JSON log it opened is closed.
+func TestFailingGridExitsOne(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "runs.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := run(&stdout, &stderr, []string{"-tiny", "-cores", "2", "-algo", "bfs", "-dataset", "po",
+		"-scheme", "no-such-scheme", "-json", log})
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "no-such-scheme") {
+		t.Errorf("stderr %q does not name the failing scheme", stderr.String())
+	}
+	if _, err := os.Stat(log); err != nil {
+		t.Errorf("JSON log: %v", err)
 	}
 }

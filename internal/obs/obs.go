@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"io"
 	"slices"
+	"strconv"
 
 	"prodigy/internal/stats"
 )
@@ -161,7 +162,7 @@ func (r *Recorder) Start(cores int, stallClasses []string, clock func() int64) {
 			Args: map[string]any{"name": "prodigy cores"}})
 		for c := 0; c < cores; c++ {
 			r.tw.event(traceEvent{Ph: "M", Pid: 0, Tid: c, Name: "thread_name",
-				Args: map[string]any{"name": "core " + itoa(c)}})
+				Args: map[string]any{"name": "core " + strconv.Itoa(c)}})
 		}
 	}
 }
@@ -571,46 +572,8 @@ func (r *Recorder) emitSpan(core int, s *spanState) {
 		Pid: 0, Tid: core, Name: name, Cat: "stall"})
 }
 
-// itoa is strconv.Itoa without the import weight elsewhere in the hot
-// path (metadata only).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // hexID renders a flow/async id the way trace viewers expect.
 func hexID(id uint64) string {
-	const digits = "0123456789abcdef"
 	var buf [18]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = digits[id&0xF]
-		id >>= 4
-		if id == 0 {
-			break
-		}
-	}
-	i--
-	buf[i] = 'x'
-	i--
-	buf[i] = '0'
-	return string(buf[i:])
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), id, 16))
 }
