@@ -1,21 +1,27 @@
-// Command dig-inspect shows a kernel's Data Indirection Graph: the
-// hand-annotated registration (Fig. 6 path) next to the one derived by the
-// compiler analysis (Fig. 7/8 path), plus the registration calls the
-// instrumented binary would contain.
+// Command dig-inspect shows a kernel's Data Indirection Graph two ways:
+// the hand-written registration the workload builds at runtime (Fig. 6
+// path) and the one the compiler pass derives from the kernel's Go source
+// in internal/workloads (Fig. 7/8 path), bound to the same memory layout.
 //
 // Usage:
 //
-//	dig-inspect -algo bfs [-dataset po] [-check]
+//	dig-inspect -algo bfs [-dataset po]
 //
-// With -check the kernel's DIG is instead extracted from its real Go
-// source (internal/workloads) by the compiler frontend and diffed against
-// the hand-written dig.Builder registration, exiting non-zero on
-// unexplained drift.
+// It prints the registered DIG, the registration calls the instrumented
+// binary would contain, the derived DIG, the symbolic differences between
+// registration and source, and a verdict. It reads kernel source, so it
+// must run inside the module.
+//
+// Exit codes: 0 the DIGs are equal, or the kernel carries a
+// `//lint:allow dig-drift` directive and its registration is a subset of
+// the derived DIG; 1 any other difference or an error; 2 usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prodigy/internal/compiler"
@@ -27,139 +33,110 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "bfs", "algorithm: bc bfs cc pr sssp spmv symgs cg is")
-	dataset := flag.String("dataset", "po", "graph dataset (graph algorithms only)")
-	check := flag.Bool("check", false, "extract the DIG from the kernel's Go source and diff it against the registration")
-	flag.Parse()
-
-	if *check {
-		os.Exit(runCheck(*algo, *dataset))
-	}
-
-	ds := *dataset
-	if !workloads.IsGraphAlgo(*algo) {
-		ds = ""
-	}
-	w, err := workloads.Build(*algo, ds, 1, workloads.Options{Scale: graph.ScaleTiny})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	fmt.Println("=== manual annotation (Fig. 6 path) ===")
-	fmt.Println(w.DIG)
-	fmt.Printf("prefetch depth %d, look-ahead %d, storage %d bytes (16-entry tables)\n\n",
-		w.DIG.Depth(), dig.LookaheadForDepth(w.DIG.Depth()), w.DIG.StorageBits(16)/8)
-
-	f, err := compiler.KernelIR(*algo, compiler.ArraysFromSpace(w.Space))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("=== compiler-inserted registration calls (Fig. 7 path) ===")
-	for _, r := range compiler.Analyze(f) {
-		fmt.Println("  " + r.String())
-	}
-	derived, err := compiler.GenerateDIG(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("\n=== compiler-derived DIG ===")
-	fmt.Println(derived)
-	if dig.Equal(w.DIG, derived) {
-		fmt.Println("MATCH: compiler analysis derives the manual annotation exactly")
-	} else {
-		fmt.Println("MISMATCH between manual and derived DIGs")
-		os.Exit(1)
-	}
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// runCheck diffs one kernel's source-extracted DIG against its
-// registration; returns the process exit code.
-func runCheck(algo, dataset string) int {
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	cfg, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fset, kernels, err := frontend.ExtractDir(cfg.Root + "/internal/workloads")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var k *frontend.Kernel
-	for _, cand := range kernels {
-		if cand.Algo == algo {
-			k = cand
-			break
+// run is the whole command; it returns the exit code.
+func run(stdout, stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("dig-inspect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algo := fs.String("algo", "bfs", "algorithm: bc bfs cc pr sssp spmv symgs cg is")
+	dataset := fs.String("dataset", "po", "graph dataset (graph algorithms only)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	if k == nil {
-		fmt.Fprintf(os.Stderr, "no kernel %q found in internal/workloads\n", algo)
-		return 1
-	}
-
-	fmt.Printf("=== %s: hand-written registration (%s) ===\n", algo, k.FuncName)
-	for _, n := range k.Registered.Nodes {
-		fmt.Printf("  node %-12s id=%d elem=%dB\n", n.Name, n.ID, n.ElemSize)
-	}
-	for _, e := range k.Registered.Edges {
-		fmt.Printf("  edge %s\n", e)
-	}
-	for _, t := range k.Registered.Triggers {
-		fmt.Printf("  trigger %s\n", t.Name)
-	}
-
-	fmt.Println("\n=== compiler-extracted from kernel source (Fig. 8 analyses) ===")
-	for _, e := range k.Extracted.Edges {
-		fmt.Printf("  edge %s\n", e)
-	}
-	for _, t := range k.Extracted.Triggers {
-		fmt.Printf("  trigger %s\n", t)
-	}
-
-	drifts := k.Drift()
-	if len(drifts) == 0 {
-		fmt.Println("\nMATCH: source extraction agrees with the registration")
-	} else {
-		fmt.Printf("\n%d difference(s):\n", len(drifts))
-		for _, d := range drifts {
-			fmt.Printf("  %s: %s\n", fset.Position(d.Pos), d.Msg)
-		}
-		if k.AllowedDrift {
-			fmt.Printf("allowed: %s\n", k.AllowReason)
-		} else {
-			return 1
-		}
-	}
-
-	// Cross-check against the runtime: bind the lifted IR to the real
-	// memspace layout and compare whole DIGs.
-	ds := dataset
-	if !workloads.IsGraphAlgo(algo) {
-		ds = ""
-	}
-	w, err := workloads.Build(algo, ds, 1, workloads.Options{Scale: graph.ScaleTiny})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	derived, err := k.DeriveDIG(compiler.ArraysFromSpace(w.Space))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if dig.Equal(w.DIG, derived) {
-		fmt.Println("runtime cross-check: derived DIG is identical to the registered one")
-	} else if !k.AllowedDrift {
-		fmt.Println("runtime cross-check: derived DIG DIFFERS from the registered one")
+	if err := inspect(stdout, *algo, *dataset); err != nil {
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	return 0
+}
+
+// inspect prints one kernel's registered and derived DIGs and returns an
+// error unless the verdict accepts them.
+func inspect(out io.Writer, algo, dataset string) error {
+	k, err := findKernel(algo)
+	if err != nil {
+		return err
+	}
+	if !workloads.IsGraphAlgo(algo) {
+		dataset = ""
+	}
+	w, err := workloads.Build(algo, dataset, 1, workloads.Options{Scale: graph.ScaleTiny})
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "=== %s: registered DIG (%s, Fig. 6 path) ===\n", algo, k.FuncName)
+	fmt.Fprintln(out, w.DIG)
+	fmt.Fprintf(out, "prefetch depth %d, look-ahead %d, storage %d bytes (16-entry tables)\n\n",
+		w.DIG.Depth(), dig.LookaheadForDepth(w.DIG.Depth()), w.DIG.StorageBits(16)/8)
+
+	f, err := k.LiftIR(w.Space)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "=== compiler-inserted registration calls (Fig. 7 path) ===")
+	for _, r := range compiler.Analyze(f) {
+		fmt.Fprintln(out, "  "+r.String())
+	}
+	derived, err := compiler.GenerateDIG(f)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "\n=== compiler-derived DIG (from kernel source) ===")
+	fmt.Fprintln(out, derived)
+
+	drifts := k.Drift()
+	fmt.Fprintf(out, "\n%d symbolic difference(s) between registration and source\n", len(drifts))
+	for _, d := range drifts {
+		fmt.Fprintf(out, "  %s: %s\n", k.Fset.Position(d.Pos), d.Msg)
+	}
+
+	v, err := verdict(k, w.DIG, derived)
+	if err != nil {
+		return fmt.Errorf("%s: %w", algo, err)
+	}
+	fmt.Fprintln(out, v)
+	return nil
+}
+
+// verdict accepts equal DIGs, and a registration that is a subset of the
+// derived DIG when the kernel carries a dig-drift allowance.
+func verdict(k *frontend.Kernel, registered, derived *dig.DIG) (string, error) {
+	switch {
+	case dig.Equal(registered, derived):
+		return "MATCH: the derived DIG equals the registered one", nil
+	case k.AllowedDrift && dig.Subset(registered, derived):
+		return fmt.Sprintf("SUBSET: the registered DIG is an allowed refinement of the derived one (%s)", k.AllowReason), nil
+	case k.AllowedDrift:
+		return "", errors.New("registered DIG is not a subset of the derived one")
+	default:
+		return "", errors.New("registered and derived DIGs differ")
+	}
+}
+
+// findKernel extracts the named kernel from the module's workload source.
+func findKernel(algo string) (*frontend.Kernel, error) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := lint.FindModuleRoot(cwd)
+	if err != nil {
+		return nil, err
+	}
+	kernels, err := frontend.ExtractDir(cfg.Root + "/internal/workloads")
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range kernels {
+		if k.Algo == algo {
+			return k, nil
+		}
+	}
+	return nil, fmt.Errorf("no kernel %q found in internal/workloads", algo)
 }

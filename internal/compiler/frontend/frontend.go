@@ -28,6 +28,7 @@ import (
 
 	"prodigy/internal/compiler"
 	"prodigy/internal/dig"
+	"prodigy/internal/memspace"
 )
 
 // allocSizes maps memspace allocation method names to element sizes.
@@ -132,10 +133,10 @@ type Kernel struct {
 
 // ExtractDir parses the non-test Go files of one directory and extracts
 // its kernels.
-func ExtractDir(dir string) (*token.FileSet, []*Kernel, error) {
+func ExtractDir(dir string) ([]*Kernel, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -149,18 +150,18 @@ func ExtractDir(dir string) (*token.FileSet, []*Kernel, error) {
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
-	kernels, err := ExtractPackage(fset, files)
-	return fset, kernels, err
+	return ExtractPackage(fset, files), nil
 }
 
 // ExtractPackage extracts every kernel of an already-parsed package. A
 // kernel is any top-level function containing a function literal whose
-// single parameter is a *trace.Gen (the run closure).
-func ExtractPackage(fset *token.FileSet, files []*ast.File) ([]*Kernel, error) {
+// single parameter is a *trace.Gen (the run closure). Problems with one
+// kernel's shape are reported through its Drift, never as an error.
+func ExtractPackage(fset *token.FileSet, files []*ast.File) []*Kernel {
 	decls := map[string]*ast.FuncDecl{}
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -184,7 +185,7 @@ func ExtractPackage(fset *token.FileSet, files []*ast.File) ([]*Kernel, error) {
 		}
 	}
 	sort.Slice(kernels, func(i, j int) bool { return kernels[i].Algo < kernels[j].Algo })
-	return kernels, nil
+	return kernels
 }
 
 // findRunClosure returns the kernel's run closure: a top-level-nested
@@ -610,21 +611,27 @@ func allowDigDrift(fd *ast.FuncDecl) (bool, string) {
 	return false, ""
 }
 
-// analyze lifts the kernel against synthetic, non-overlapping array
-// placements and runs the Fig. 8 analyses, filling k.Extracted.
+// analyze lifts the kernel against a synthetic layout, one element per
+// array, and runs the Fig. 8 analyses, filling k.Extracted. Only the
+// arrays' distinct bases matter: edges are keyed back to region names.
 func (k *Kernel) analyze() {
 	if len(k.Arrays) == 0 {
 		k.drift(k.Pos, "kernel has a run closure but no memspace allocations")
 		return
 	}
-	infos := map[string]compiler.ArrayInfo{}
-	byBase := map[uint64]string{}
-	for i, a := range k.Arrays {
-		base := uint64(i+1) << 24
-		infos[a.Name] = compiler.ArrayInfo{Base: base, NumElems: 1 << 12, ElemSize: a.ElemSize}
-		byBase[base] = a.Name
+	sp := memspace.New()
+	for _, a := range k.Arrays {
+		if a.ElemSize == 8 {
+			sp.AllocU64(a.Name, 1)
+		} else {
+			sp.AllocU32(a.Name, 1)
+		}
 	}
-	f, err := k.LiftIR(infos)
+	byBase := map[uint64]string{}
+	for _, r := range sp.Regions() {
+		byBase[r.BaseAddr] = r.Name
+	}
+	f, err := k.LiftIR(sp)
 	if err != nil {
 		k.drift(k.RunPos, "cannot lift kernel loops into compiler IR: %v", err)
 		return
@@ -641,10 +648,14 @@ func (k *Kernel) analyze() {
 	}
 }
 
-// LiftIR lifts the kernel's run closure into compiler IR over the given
-// array placements (keyed by region name). Node IDs follow the hand
-// registration where present.
-func (k *Kernel) LiftIR(infos map[string]compiler.ArrayInfo) (*compiler.Func, error) {
+// LiftIR lifts the kernel's run closure into compiler IR over the array
+// placements of sp, matched to the kernel's arrays by region name. Node
+// IDs follow the hand registration where present.
+func (k *Kernel) LiftIR(sp *memspace.Space) (*compiler.Func, error) {
+	regions := map[string]*memspace.Region{}
+	for _, r := range sp.Regions() {
+		regions[r.Name] = r
+	}
 	ids := map[string]int{}
 	for _, n := range k.Registered.Nodes {
 		ids[n.Name] = n.ID
@@ -652,7 +663,7 @@ func (k *Kernel) LiftIR(infos map[string]compiler.ArrayInfo) (*compiler.Func, er
 	lf := newLifter(k.closures)
 	var body []compiler.Stmt
 	for i, a := range k.Arrays {
-		info, ok := infos[a.Name]
+		r, ok := regions[a.Name]
 		if !ok {
 			return nil, fmt.Errorf("no placement for array %q", a.Name)
 		}
@@ -660,7 +671,7 @@ func (k *Kernel) LiftIR(infos map[string]compiler.ArrayInfo) (*compiler.Func, er
 		if !ok {
 			id = 100 + i // unregistered arrays get out-of-band IDs
 		}
-		al := compiler.NewAlloc(a.Name, info.Base, info.NumElems, info.ElemSize, id)
+		al := compiler.NewAlloc(a.Name, r.BaseAddr, r.Len, int(r.ElemSize), id)
 		lf.allocs[a.VarName] = al
 		body = append(body, al)
 	}
@@ -678,11 +689,12 @@ func (k *Kernel) LiftIR(infos map[string]compiler.ArrayInfo) (*compiler.Func, er
 	return &compiler.Func{Name: k.Algo, Body: body}, nil
 }
 
-// DeriveDIG lifts the kernel over real array placements and replays the
-// compiler's registrations through the runtime library, producing the DIG
-// the hardware would be programmed with (the automated half of Fig. 7).
-func (k *Kernel) DeriveDIG(infos map[string]compiler.ArrayInfo) (*dig.DIG, error) {
-	f, err := k.LiftIR(infos)
+// DeriveDIG lifts the kernel over a workload's real address space and
+// replays the compiler's registrations through the runtime library,
+// producing the DIG the hardware would be programmed with (the automated
+// half of Fig. 7).
+func (k *Kernel) DeriveDIG(sp *memspace.Space) (*dig.DIG, error) {
+	f, err := k.LiftIR(sp)
 	if err != nil {
 		return nil, err
 	}

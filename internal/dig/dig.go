@@ -321,3 +321,29 @@ func Equal(a, b *DIG) bool {
 	}
 	return true
 }
+
+// Subset reports whether every node of sub appears in super with the same
+// ID and address range, and every edge of sub is an edge of super: the
+// relation a programmer's refinement of the compiler-derived DIG keeps
+// (Section III-B: the two sources "can complement each other").
+func Subset(sub, super *DIG) bool {
+	for i := range sub.Nodes {
+		n := super.NodeByID(sub.Nodes[i].ID)
+		if n == nil || n.Base != sub.Nodes[i].Base || n.Bound != sub.Nodes[i].Bound {
+			return false
+		}
+	}
+	for _, e := range sub.Edges {
+		found := false
+		for _, o := range super.Edges {
+			if e == o {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}

@@ -222,6 +222,23 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+func TestSubset(t *testing.T) {
+	a := buildBFSLike(t)
+	if !Subset(a, a) {
+		t.Fatal("a DIG is a subset of itself")
+	}
+	pruned := buildBFSLike(t)
+	pruned.Edges = pruned.Edges[1:]
+	if !Subset(pruned, a) || Subset(a, pruned) {
+		t.Fatal("dropping an edge must give a strict subset")
+	}
+	moved := buildBFSLike(t)
+	moved.Nodes[0].Bound++
+	if Subset(moved, a) {
+		t.Fatal("node bound difference not detected")
+	}
+}
+
 func TestStringRendersEverything(t *testing.T) {
 	s := buildBFSLike(t).String()
 	for _, want := range []string{"workQ", "edgeList", "[trigger]", "w1", "depth 4"} {

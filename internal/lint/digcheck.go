@@ -31,12 +31,7 @@ func (d DIGCheck) Check(pkg *Package, report func(pos token.Pos, format string, 
 	if !match(pkg.Path) {
 		return
 	}
-	kernels, err := frontend.ExtractPackage(pkg.Fset, pkg.Files)
-	if err != nil {
-		report(pkg.Files[0].Pos(), "DIG extraction failed: %v", err)
-		return
-	}
-	for _, k := range kernels {
+	for _, k := range frontend.ExtractPackage(pkg.Fset, pkg.Files) {
 		if k.AllowedDrift {
 			continue
 		}

@@ -38,18 +38,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Normalize divides each value by base (returns zeros if base is 0).
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {
 	// Title is printed above the table when non-empty.

@@ -22,20 +22,12 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
-func TestMeanAndNormalize(t *testing.T) {
+func TestMean(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); m != 2 {
 		t.Fatalf("mean = %v", m)
 	}
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("mean(nil) = %v", m)
-	}
-	n := Normalize([]float64{2, 4}, 2)
-	if n[0] != 1 || n[1] != 2 {
-		t.Fatalf("normalize = %v", n)
-	}
-	z := Normalize([]float64{2}, 0)
-	if z[0] != 0 {
-		t.Fatal("normalize by zero should zero out")
 	}
 }
 
