@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"prodigy/internal/dig"
+	"prodigy/internal/graph"
+	"prodigy/internal/workloads"
 )
 
 const workloadsDir = "../../workloads"
@@ -138,6 +140,35 @@ func TestMemlatDriftIsTheDocumentedGap(t *testing.T) {
 			t.Logf("drift: %s", d.Msg)
 		}
 		t.Fatalf("memlat: %d drift diagnostics, want 2 (self edge + trigger)", len(drifts))
+	}
+}
+
+// TestDeriveDIGMatchesRuntime builds each drift-free workload for real,
+// lifts its kernel over the actual memspace layout, and checks that the
+// DIG the compiler path produces is identical (dig.Equal: nodes with
+// bases/bounds/sizes, edge multiset, triggers) to the one the hand
+// annotation built at runtime.
+func TestDeriveDIGMatchesRuntime(t *testing.T) {
+	byAlgo := extractAll(t)
+	for _, algo := range driftFree {
+		k := byAlgo[algo]
+		if k == nil {
+			t.Errorf("kernel %q not extracted", algo)
+			continue
+		}
+		w, err := workloads.Build(algo, "po", 1, workloads.Options{Scale: graph.ScaleTiny})
+		if err != nil {
+			t.Errorf("%s: Build: %v", algo, err)
+			continue
+		}
+		derived, err := k.DeriveDIG(w.Space)
+		if err != nil {
+			t.Errorf("%s: DeriveDIG: %v", algo, err)
+			continue
+		}
+		if !dig.Equal(w.DIG, derived) {
+			t.Errorf("%s: derived DIG differs from runtime-registered DIG:\nruntime: %v\nderived: %v", algo, w.DIG, derived)
+		}
 	}
 }
 
