@@ -43,7 +43,7 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz for 10 s each: the farm's inputs from outside (the sweep journal
-# loader and the sweep spec's decoding and expansion), the DRAM
+# and result cache loaders and the sweep spec's decoding and expansion), the DRAM
 # controller against its retained slice-queue reference, the
 # fingerprinted cache bank against its retained filter-and-scan
 # reference, the cache hierarchy's directory-guided coherence walks
@@ -54,6 +54,7 @@ race:
 # internal/cache/testdata/fuzz).
 fuzz:
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
+	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 10s
 	$(GO) test ./internal/exp/farm -run '^$$' -fuzz '^FuzzSpecCells$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzControllerVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzBankVsRef$$' -fuzztime 10s

@@ -57,7 +57,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -66,25 +65,38 @@ import (
 
 	"prodigy/internal/exp"
 	"prodigy/internal/exp/farm"
-	"prodigy/internal/telemetry"
 )
 
 func main() {
-	addr := flag.String("addr", ":8091", "listen address")
-	cacheDir := flag.String("cache-dir", "prodigy-cache", "durable result cache directory")
-	quick := flag.Bool("quick", false, "tiny datasets / fewer cores (smoke scale)")
-	cores := flag.Int("cores", 0, "override core count (default 8, 2 in quick mode)")
-	datasets := flag.String("datasets", "", "comma-separated default dataset subset")
-	workers := flag.Int("j", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
-	timeout := flag.Duration("run-timeout", 0, "wall-clock budget per simulation (0 = no limit)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight simulations are interrupted")
-	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof runtime profiles")
-	accessLog := flag.Bool("access-log", true, "emit one structured JSON access-log line per request on stderr")
-	smoke := flag.Bool("smoke", false, "run the self-contained smoke test and exit")
-	flag.Parse()
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
+}
+
+// run is the whole command; it returns the exit code. Once the farm is
+// open, every path closes it, and a failed close makes the exit code
+// non-zero.
+func run(stdout, stderr io.Writer, args []string) (code int) {
+	fs := flag.NewFlagSet("prodigy-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8091", "listen address")
+	cacheDir := fs.String("cache-dir", "prodigy-cache", "durable result cache directory")
+	quick := fs.Bool("quick", false, "tiny datasets / fewer cores (smoke scale)")
+	cores := fs.Int("cores", 0, "override core count (default 8, 2 in quick mode)")
+	datasets := fs.String("datasets", "", "comma-separated default dataset subset")
+	workers := fs.Int("j", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
+	timeout := fs.Duration("run-timeout", 0, "wall-clock budget per simulation (0 = no limit)")
+	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight simulations are interrupted")
+	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof runtime profiles")
+	accessLog := fs.Bool("access-log", true, "emit one structured JSON access-log line per request on stderr")
+	smoke := fs.Bool("smoke", false, "run the self-contained smoke test and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *smoke {
-		os.Exit(runSmoke(os.Stdout, os.Stderr))
+		return runSmoke(stdout, stderr)
 	}
 
 	cfg := exp.Default()
@@ -100,98 +112,82 @@ func main() {
 	cfg.Parallelism = *workers
 	cfg.RunTimeout = *timeout
 
-	store, err := farm.OpenStore(*cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve:", err)
-		os.Exit(1)
-	}
-	if store.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "prodigy-serve: skipped %d unparsable cache lines in %s\n",
-			store.Skipped, farm.StorePath(*cacheDir))
-	}
-	reg := telemetry.NewRegistry()
-	f, err := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: *cacheDir, Metrics: reg})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve:", err)
-		os.Exit(1)
-	}
-	if n := f.JournalSkipped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "prodigy-serve: skipped %d unparsable sweep journal lines in %s\n",
-			n, farm.JournalPath(*cacheDir))
-	}
-
 	var logger *slog.Logger
 	if *accessLog {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		logger = slog.New(slog.NewJSONHandler(stderr, nil))
 	}
-	srv := &http.Server{Addr: *addr, Handler: newHandler(f, serverOpts{
-		reg:       reg,
-		accessLog: logger,
-		pprof:     *pprofOn,
-	})}
+	srv, f, err := newServer(*cacheDir, cfg, logger, *pprofOn)
+	if err != nil {
+		fmt.Fprintln(stderr, "prodigy-serve:", err)
+		return 1
+	}
+	defer func() {
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(stderr, "prodigy-serve: closing cache:", err)
+			code = 1
+		}
+	}()
+	cells, skippedResults, skippedSweeps := f.Loaded()
+	if skippedResults > 0 {
+		fmt.Fprintf(stderr, "prodigy-serve: skipped %d unparsable cache lines in %s\n",
+			skippedResults, farm.StorePath(*cacheDir))
+	}
+	if skippedSweeps > 0 {
+		fmt.Fprintf(stderr, "prodigy-serve: skipped %d unparsable sweep journal lines in %s\n",
+			skippedSweeps, farm.JournalPath(*cacheDir))
+	}
+
+	srv.Addr = *addr
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "prodigy-serve: listening on %s (cache %s, %d cached cells)\n",
-		*addr, *cacheDir, store.Len())
+	fmt.Fprintf(stderr, "prodigy-serve: listening on %s (cache %s, %d cached cells)\n",
+		*addr, *cacheDir, cells)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "prodigy-serve:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "prodigy-serve:", err)
+		code = 1
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "prodigy-serve: %v: draining (budget %v)\n", sig, *drain)
+		fmt.Fprintf(stderr, "prodigy-serve: %v: draining (budget %v)\n", sig, *drain)
 	}
 
 	// Drain: stop accepting sweeps, let running simulations finish inside
 	// the budget, then interrupt the stragglers with a "shutdown" abort.
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	if err := f.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve: drain deadline hit; in-flight cells aborted")
+		fmt.Fprintln(stderr, "prodigy-serve: drain deadline hit; in-flight cells aborted")
 	}
 	cancel()
 	httpCtx, httpCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := srv.Shutdown(httpCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve: http shutdown:", err)
+		fmt.Fprintln(stderr, "prodigy-serve: http shutdown:", err)
 	}
 	httpCancel()
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve: closing sweep journal:", err)
-	}
-	if err := store.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "prodigy-serve: closing cache:", err)
-	}
+	return code
 }
 
 // instance is one loopback server generation for tests and smoke mode.
 type instance struct {
 	url  string
 	farm *farm.Farm
-	reg  *telemetry.Registry
 	stop func() error
 }
 
-// serveOnLoopback boots a server instance for tests and the smoke mode:
-// a fresh farm (with its own telemetry registry) over the given cache
-// dir on an ephemeral loopback port, access logs discarded. The stop
-// function drains the farm and closes everything.
+// serveOnLoopback boots a server instance for tests and the smoke mode
+// (newServer) on an ephemeral loopback port, access logs discarded. The
+// stop function drains the farm and closes everything.
 func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
-	store, err := farm.OpenStore(cacheDir)
+	srv, f, err := newServer(cacheDir, cfg, slog.New(slog.NewJSONHandler(io.Discard, nil)), false)
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry()
-	f, err := farm.New(farm.Config{Exp: cfg, Store: store, LogDir: cacheDir, Metrics: reg})
-	if err != nil {
-		return nil, errors.Join(err, store.Close())
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, errors.Join(err, f.Close(), store.Close())
+		return nil, errors.Join(err, f.Close())
 	}
-	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
-	srv := &http.Server{Handler: newHandler(f, serverOpts{reg: reg, accessLog: logger})}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	stop := func() error {
@@ -200,11 +196,11 @@ func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
 		ferr := f.Shutdown(ctx)
 		serr := srv.Shutdown(ctx)
 		<-done // Serve returned (ErrServerClosed)
-		cerr := errors.Join(f.Close(), store.Close())
+		cerr := f.Close()
 		if ferr != nil {
 			return ferr
 		}
 		return errors.Join(serr, cerr)
 	}
-	return &instance{url: "http://" + ln.Addr().String(), farm: f, reg: reg, stop: stop}, nil
+	return &instance{url: "http://" + ln.Addr().String(), farm: f, stop: stop}, nil
 }

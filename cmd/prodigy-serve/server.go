@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"prodigy/internal/exp"
 	"prodigy/internal/exp/farm"
 	"prodigy/internal/statdiff"
 	"prodigy/internal/telemetry"
@@ -33,21 +34,20 @@ type server struct {
 	reg  *telemetry.Registry
 }
 
-// serverOpts bundles the optional front-end wiring.
-type serverOpts struct {
-	// reg receives HTTP telemetry and serves /metrics + /varz; nil
-	// disables both (the endpoints then serve empty documents).
-	reg *telemetry.Registry
-	// accessLog receives one structured line per request; nil disables.
-	accessLog *slog.Logger
-	// pprof exposes /debug/pprof (opt-in: profiles can stall a loaded
-	// service and leak operational detail).
-	pprof bool
-}
-
-// newHandler wires the routes behind the telemetry middleware.
-func newHandler(f *farm.Farm, opts serverOpts) http.Handler {
-	s := &server{farm: f, reg: opts.reg}
+// newServer boots one server generation over cacheDir: the farm, with a
+// fresh telemetry registry serving /metrics and /varz, behind an HTTP
+// server that routes to it through the telemetry middleware. accessLog
+// receives one structured line per request (nil disables); pprof exposes
+// /debug/pprof (opt-in: profiles can stall a loaded service and leak
+// operational detail). The caller closes the farm once both are shut
+// down.
+func newServer(cacheDir string, cfg exp.Config, accessLog *slog.Logger, pprofOn bool) (*http.Server, *farm.Farm, error) {
+	reg := telemetry.NewRegistry()
+	f, err := farm.New(farm.Config{Exp: cfg, Dir: cacheDir, Metrics: reg})
+	if err != nil {
+		return nil, nil, err
+	}
+	s := &server{farm: f, reg: reg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.HandleFunc("POST /sweeps", s.postSweep)
@@ -58,14 +58,14 @@ func newHandler(f *farm.Farm, opts serverOpts) http.Handler {
 	mux.HandleFunc("GET /diff", s.diff)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /varz", s.varz)
-	if opts.pprof {
+	if pprofOn {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return withTelemetry(mux, opts.reg, opts.accessLog)
+	return &http.Server{Handler: withTelemetry(mux, reg, accessLog)}, f, nil
 }
 
 // healthz is drain-aware: once shutdown begins the server is still

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -31,6 +34,22 @@ func mustStop(t *testing.T, stop func() error) {
 	t.Helper()
 	if err := stop(); err != nil {
 		t.Fatalf("server stop: %v", err)
+	}
+}
+
+// TestCacheDirIsFileExitsOne boots the command on a -cache-dir that is a
+// regular file: it must exit 1, naming the path, instead of serving.
+func TestCacheDirIsFileExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(&stdout, &stderr, []string{"-cache-dir", path, "-addr", "127.0.0.1:0"}); code != 1 {
+		t.Fatalf("exit code %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), path) {
+		t.Errorf("stderr %q does not name %s", stderr.String(), path)
 	}
 }
 

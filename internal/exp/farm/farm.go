@@ -2,13 +2,15 @@
 // into a long-running sweep backend: it accepts sweep specifications
 // (algos × datasets × schemes), shards the cells across the harness's
 // bounded worker pool, deduplicates work through a durable
-// config-hash-keyed result cache (Store), and streams every cell's
+// config-hash-keyed result cache (store.go), and streams every cell's
 // RunSummary line — cached replays first, then live completions — to any
 // number of concurrent subscribers through an obs.LineLog. A sweep whose
 // every cell is cached finishes inline, without a harness or goroutine.
 // Each finished sweep is recorded in one append-only journal (journal.go);
 // the farm keeps the last RetainedSweeps of them in memory and rebuilds
-// older ones from the journal and the store on demand.
+// older ones from the journal and the store on demand. Both files live
+// in the farm's cache directory, and one append-only JSONL file type
+// (log.go) does all their file handling.
 //
 // Sweeps are interruptible and resumable: Cancel (or a server drain)
 // aborts in-flight simulations through exp.Config.Interrupt with a
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,13 +47,12 @@ type Config struct {
 	// fields JSONLog, Progress, Interrupt, and OnCell are managed by the
 	// farm; values set here for them are ignored.
 	Exp exp.Config
-	// Store, when non-nil, is the durable result cache consulted before
-	// and fed after every simulation.
-	Store *Store
-	// LogDir, when non-empty, holds the sweep journal (JournalPath): one
-	// record per finished sweep, from which sweeps evicted from memory
-	// and sweeps of earlier processes are served.
-	LogDir string
+	// Dir is the cache directory, created as needed. It holds the durable
+	// result cache (StorePath), consulted before and fed after every
+	// simulation, and the sweep journal (JournalPath): one record per
+	// finished sweep, from which sweeps evicted from memory and sweeps of
+	// earlier processes are served.
+	Dir string
 	// Metrics, when non-nil, receives the farm's service telemetry
 	// (cells, cache hit rate, queue depth, per-cell wall-clock, stream
 	// and store latencies — metrics.go catalogs the families). Nil
@@ -68,8 +70,9 @@ var ErrShutdown = errors.New("farm: shutting down")
 
 // Farm owns the sweep registry and the shared result cache.
 type Farm struct {
-	cfg Config
-	// journal records every finished sweep; nil without Config.LogDir.
+	cfg   Config
+	store *store
+	// journal records every finished sweep.
 	journal *journal
 
 	// keys memoizes cell store keys. A Spec carries no machine knobs, so
@@ -96,45 +99,45 @@ type Farm struct {
 	met farmMetrics
 }
 
-// New builds a farm. With Config.LogDir set it opens the sweep journal
-// there and continues sweep IDs after the highest one it holds.
+// New builds a farm over Config.Dir: it creates the directory as needed,
+// opens the result cache and the sweep journal there, and continues
+// sweep IDs after the highest one the journal holds.
 func New(cfg Config) (*Farm, error) {
-	f := &Farm{
-		cfg:    cfg,
-		keyer:  exp.New(cfg.Exp),
-		keys:   map[exp.Cell]string{},
-		sweeps: map[string]*Sweep{},
-		met:    newFarmMetrics(cfg.Metrics),
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("farm: cache dir: %w", err)
 	}
-	if cfg.LogDir != "" {
-		j, last, err := openJournal(JournalPath(cfg.LogDir))
-		if err != nil {
-			return nil, err
-		}
-		f.journal, f.nextID = j, last
+	st, err := openStore(cfg.Dir, cfg.Metrics)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Store != nil {
-		cfg.Store.Instrument(cfg.Metrics)
+	j, last, err := openJournal(cfg.Dir)
+	if err != nil {
+		return nil, errors.Join(err, st.Close())
 	}
-	return f, nil
+	return &Farm{
+		cfg:     cfg,
+		store:   st,
+		journal: j,
+		nextID:  last,
+		keyer:   exp.New(cfg.Exp),
+		keys:    map[exp.Cell]string{},
+		sweeps:  map[string]*Sweep{},
+		met:     newFarmMetrics(cfg.Metrics),
+	}, nil
 }
 
-// JournalSkipped counts the unparsable journal lines (a torn tail from a
-// crash mid-append, foreign junk) New ignored.
-func (f *Farm) JournalSkipped() int {
-	if f.journal == nil {
-		return 0
-	}
-	return f.journal.skipped
+// Loaded reports the cells the result cache holds (after New: what it
+// loaded) and the unparsable lines New skipped in the result cache and
+// in the sweep journal.
+func (f *Farm) Loaded() (cells, skippedResults, skippedSweeps int) {
+	return f.store.Len(), f.store.log.skipped, f.journal.log.skipped
 }
 
-// Close releases the sweep journal. Call it after Shutdown, once nothing
-// reads sweeps any more: evicted sweeps are unreadable afterwards.
+// Close releases the result cache and the sweep journal. Call it after
+// Shutdown, once nothing reads sweeps any more: evicted sweeps are
+// unreadable afterwards.
 func (f *Farm) Close() error {
-	if f.journal == nil {
-		return nil
-	}
-	return f.journal.close()
+	return errors.Join(f.journal.close(), f.store.Close())
 }
 
 // ShuttingDown reports whether Shutdown has begun: the farm rejects new
@@ -314,7 +317,7 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 	var replayed [][]byte
 	var torun []exp.Cell
 	for i, c := range cells {
-		if line, ok := f.cfg.Store.Get(keys[i]); ok {
+		if line, ok := f.store.Get(keys[i]); ok {
 			replayed = append(replayed, line)
 			s.stream = append(s.stream, journalLine{Key: keys[i]})
 			continue
@@ -384,7 +387,7 @@ func (f *Farm) Get(id string) (*Sweep, bool) {
 	f.mu.Lock()
 	s, ok := f.sweeps[id]
 	f.mu.Unlock()
-	if ok || f.journal == nil {
+	if ok {
 		return s, ok
 	}
 	s, err := f.load(id)
@@ -409,7 +412,7 @@ func (f *Farm) load(id string) (*Sweep, error) {
 			lines[i] = []byte(e.Line)
 			continue
 		}
-		line, ok := f.cfg.Store.Get(e.Key)
+		line, ok := f.store.Get(e.Key)
 		if !ok {
 			return nil, fmt.Errorf("farm: sweep %s: result cache has no line for key %s", id, e.Key)
 		}
@@ -603,10 +606,8 @@ func (s *Sweep) finish() {
 	s.mu.Unlock()
 	f.met.activeSweeps.Add(-1)
 
-	if f.journal != nil {
-		if err := f.journal.append(&rec); err != nil {
-			f.fail("journal", s.ID, err)
-		}
+	if err := f.journal.append(&rec); err != nil {
+		f.fail("journal", s.ID, err)
 	}
 	// Retire before done closes, so sweeps are evicted in the order
 	// their waiters observe them finish.
@@ -638,13 +639,13 @@ func (s *Sweep) cellEvent(ev exp.CellEvent) {
 		return
 	}
 	entry := journalLine{Line: string(ev.Line)}
-	if ev.Line != nil && ev.Err == nil && f.cfg.Store != nil {
+	if ev.Line != nil && ev.Err == nil {
 		f.keyMu.Lock()
 		key := f.keys[ev.Cell]
 		f.keyMu.Unlock()
-		if err := f.cfg.Store.Put(key, ev.Line); err != nil {
+		if held, err := f.store.Put(key, ev.Line); err != nil {
 			f.fail("store", s.ID, err, "cell", ev.Cell.String())
-		} else if f.cfg.Store.holds(key, ev.Line) {
+		} else if held {
 			entry = journalLine{Key: key}
 		}
 	}

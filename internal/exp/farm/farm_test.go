@@ -31,7 +31,7 @@ func quickCfg(parallelism int) exp.Config {
 
 var quickSpec = Spec{Algos: []string{"bfs"}, Schemes: []string{"none", "prodigy"}}
 
-// mustNew builds a farm whose journal (if any) closes with the test.
+// mustNew builds a farm that closes with the test.
 func mustNew(t testing.TB, cfg Config) *Farm {
 	t.Helper()
 	f, err := New(cfg)
@@ -60,17 +60,19 @@ func sortedLines(lines [][]byte) []string {
 
 // TestSweepStreamsPersistsAndReplays is the farm's core contract: a
 // sweep simulates its cells once, persists each completed summary line,
-// journals a record that rebuilds the stream byte for byte, and — after a full
-// store-close/reopen cycle standing in for a server restart — replays
-// every cell byte-identically without simulating.
+// journals a record that rebuilds the stream byte for byte, and — after a
+// full close/reopen cycle standing in for a server restart — replays
+// every cell byte-identically without simulating and still serves the
+// first sweep. The result cache starts with a torn tail, as a crash
+// mid-append leaves it: the cells stored after it must survive the
+// restart.
 func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 	dir := t.TempDir()
-
-	store, err := OpenStore(dir)
-	if err != nil {
+	if err := os.WriteFile(StorePath(dir), []byte(`{"key":"torn","summ`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f := mustNew(t, Config{Exp: quickCfg(2), Store: store, LogDir: dir})
+
+	f := mustNew(t, Config{Exp: quickCfg(2), Dir: dir})
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +98,8 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 			t.Fatalf("degenerate summary: %s", line)
 		}
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d cells, want 2", store.Len())
+	if n := f.store.Len(); n != 2 {
+		t.Fatalf("store holds %d cells, want 2", n)
 	}
 	// The journal record plus the store rebuild exactly the streamed
 	// NDJSON.
@@ -111,24 +113,22 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": a fresh store and farm over the same directory.
-	store2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	// "Restart": a fresh farm over the same directory.
+	f2 := mustNew(t, Config{Exp: quickCfg(2), Dir: dir})
+	if cells, skipped, _ := f2.Loaded(); cells != 2 || skipped != 1 {
+		t.Fatalf("reloaded store: %d cells (%d skipped), want 2 (1, the torn tail)", cells, skipped)
 	}
-	defer func() {
-		if err := store2.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-	if store2.Len() != 2 || store2.Skipped != 0 {
-		t.Fatalf("reloaded store: %d cells (%d skipped), want 2 (0)", store2.Len(), store2.Skipped)
+	old, ok := f2.Get(sw.ID)
+	if !ok {
+		t.Fatalf("%s not served after restart", sw.ID)
 	}
-	f2 := mustNew(t, Config{Exp: quickCfg(2), Store: store2})
+	if got, want := string(old.Log.Snapshot()), string(sw.Log.Snapshot()); got != want {
+		t.Errorf("%s after restart streams %q, want %q", sw.ID, got, want)
+	}
 	sw2, err := f2.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSweepStreamsPersistsAndReplays(t *testing.T) {
 // itself being the only ordering authority — and checks every client
 // received byte-identical NDJSON.
 func TestConcurrentClientsSeeIdenticalStreams(t *testing.T) {
-	f := mustNew(t, Config{Exp: quickCfg(2)})
+	f := mustNew(t, Config{Exp: quickCfg(2), Dir: t.TempDir()})
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -209,17 +209,6 @@ func TestConcurrentClientsSeeIdenticalStreams(t *testing.T) {
 // re-submitted sweep must replay the survivor and simulate only the
 // canceled cell.
 func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := store.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-
 	var mu sync.Mutex
 	var f *Farm
 	// The farm's first sweep is s001; naming it up front keeps the hook
@@ -240,7 +229,7 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 		}
 		return nil, nil, nil
 	}
-	f = mustNew(t, Config{Exp: cfg, Store: store})
+	f = mustNew(t, Config{Exp: cfg, Dir: t.TempDir()})
 
 	sw, err := f.Start(quickSpec)
 	if err != nil {
@@ -258,8 +247,8 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 	if err := sw.Err(); err == nil {
 		t.Fatal("canceled sweep reported no error")
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d cells after cancel, want 1 (completed cell only)", store.Len())
+	if n := f.store.Len(); n != 1 {
+		t.Fatalf("store holds %d cells after cancel, want 1 (completed cell only)", n)
 	}
 	var sawCanceled bool
 	for _, line := range sw.Log.Lines() {
@@ -292,8 +281,8 @@ func TestCancelMidSweepKeepsCompletedCells(t *testing.T) {
 	if st2.Cached != 1 || st2.Simulated != 1 || st2.Aborted != 0 {
 		t.Fatalf("resumed sweep status = %+v", st2)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d cells after resume, want 2", store.Len())
+	if n := f.store.Len(); n != 2 {
+		t.Fatalf("store holds %d cells after resume, want 2", n)
 	}
 }
 
@@ -313,7 +302,7 @@ func TestShutdownDrainAbortsWithCause(t *testing.T) {
 		}
 		return nil, nil, nil
 	}
-	f = mustNew(t, Config{Exp: cfg})
+	f = mustNew(t, Config{Exp: cfg, Dir: t.TempDir()})
 	sw, err := f.Start(Spec{Algos: []string{"bfs"}, Schemes: []string{"prodigy"}})
 	if err != nil {
 		t.Fatal(err)
@@ -454,20 +443,23 @@ func firstRank(names []string) map[string]int {
 	return rank
 }
 
-// TestStoreSkipsCorruptLines checks crash resilience: a truncated or
-// foreign line in results.jsonl is counted and skipped, never poisoning
-// the valid entries around it, and appends continue to work afterwards.
+// TestStoreSkipsCorruptLines checks crash resilience: a truncated,
+// foreign or oversized line in results.jsonl is counted and skipped,
+// never poisoning the valid entries around it, and appends continue to
+// work afterwards — on a line of their own, so a reopen still finds
+// them.
 func TestStoreSkipsCorruptLines(t *testing.T) {
 	dir := t.TempDir()
 	valid, err := json.Marshal(storeEntry{Key: "k1", Summary: json.RawMessage(`{"label":"x"}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := string(valid) + "\n" + "not json\n" + `{"key":""}` + "\n" + `{"key":"k2","summary":` // truncated
+	content := string(valid) + "\n" + "not json\n" + strings.Repeat("x", 1<<24) + "\n" +
+		`{"key":""}` + "\n" + `{"key":"k2","summary":` // truncated
 	if err := os.WriteFile(StorePath(dir), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStore(dir)
+	s, err := openStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,23 +468,105 @@ func TestStoreSkipsCorruptLines(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	if s.Len() != 1 || s.Skipped != 3 {
-		t.Fatalf("store loaded %d cells (%d skipped), want 1 (3)", s.Len(), s.Skipped)
+	if s.Len() != 1 || s.log.skipped != 4 {
+		t.Fatalf("store loaded %d cells (%d skipped), want 1 (4)", s.Len(), s.log.skipped)
 	}
 	line, ok := s.Get("k1")
 	if !ok || string(line) != `{"label":"x"}` {
 		t.Fatalf("k1 = %q (%v)", line, ok)
 	}
-	if err := s.Put("k3", []byte(`{"label":"y"}`)); err != nil {
+	if _, err := s.Put("k3", []byte(`{"label":"y"}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Re-putting an existing key is a no-op; the first result stays.
-	if err := s.Put("k1", []byte(`{"label":"overwrite"}`)); err != nil {
+	if _, err := s.Put("k1", []byte(`{"label":"overwrite"}`)); err != nil {
 		t.Fatal(err)
 	}
 	if line, _ := s.Get("k1"); string(line) != `{"label":"x"}` {
 		t.Errorf("re-put overwrote k1: %q", line)
 	}
+
+	s2, err := openStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s2.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if s2.Len() != 2 || s2.log.skipped != 4 {
+		t.Fatalf("reopened store loaded %d cells (%d skipped), want 2 (4)", s2.Len(), s2.log.skipped)
+	}
+	if line, ok := s2.Get("k3"); !ok || string(line) != `{"label":"y"}` {
+		t.Fatalf("k3 after reopen = %q (%v), want the line put after the torn tail", line, ok)
+	}
+}
+
+// FuzzStoreLoad boots a farm on arbitrary bytes appended to a result
+// cache of valid entries: boot never fails or panics, the entries ahead
+// of the junk stay (or give way to a later valid line for their key),
+// and a cell put after boot survives a reopen, with no further line
+// skipped.
+func FuzzStoreLoad(f *testing.F) {
+	entries := []storeEntry{
+		{Key: "k1", Summary: json.RawMessage(`{"label":"bfs-po","scheme":"none","cycles":1}`)},
+		{Key: "k2", Summary: json.RawMessage(`{"label":"bfs-po","scheme":"prodigy","cycles":2}`)},
+	}
+	var prefix []byte
+	for _, e := range entries {
+		b, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		prefix = append(append(prefix, b...), '\n')
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(StorePath(dir), append(append([]byte(nil), prefix...), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		boot := func() *Farm {
+			t.Helper()
+			fm, err := New(Config{Exp: quickCfg(1), Dir: dir})
+			if err != nil {
+				t.Fatalf("boot: %v", err)
+			}
+			return fm
+		}
+		fm := boot()
+		for _, e := range entries {
+			got, ok := fm.store.Get(e.Key)
+			if !ok || !bytes.Equal(got, e.Summary) && !bytes.Contains(data, got) {
+				t.Fatalf("%s = %q (%v), want %q or a later line's summary", e.Key, got, ok, e.Summary)
+			}
+		}
+		key := "put"
+		for _, taken := fm.store.Get(key); taken; _, taken = fm.store.Get(key) {
+			key += "+"
+		}
+		const summary = `{"label":"after-boot"}`
+		if _, err := fm.store.Put(key, []byte(summary)); err != nil {
+			t.Fatal(err)
+		}
+		cells, skipped, _ := fm.Loaded()
+		if err := fm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fm = boot()
+		defer func() {
+			if err := fm.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		if got, ok := fm.store.Get(key); !ok || string(got) != summary {
+			t.Fatalf("%s after reopen = %q (%v), want %q", key, got, ok, summary)
+		}
+		if cells2, skipped2, _ := fm.Loaded(); cells2 != cells || skipped2 != skipped {
+			t.Fatalf("reopen loaded %d cells (%d skipped), want %d (%d)", cells2, skipped2, cells, skipped)
+		}
+	})
 }
 
 // snapValue reads one counter/gauge sample out of a registry snapshot;
@@ -528,18 +602,8 @@ func snapValue(t *testing.T, reg *telemetry.Registry, family string, want map[st
 // with the sweep's outcome, the gauges settle back to zero, and a
 // second, fully-cached sweep moves only the hit-side counters.
 func TestFarmMetricsSettleAfterSweep(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := store.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
 	reg := telemetry.NewRegistry()
-	f := mustNew(t, Config{Exp: quickCfg(2), Store: store, LogDir: dir, Metrics: reg})
+	f := mustNew(t, Config{Exp: quickCfg(2), Dir: t.TempDir(), Metrics: reg})
 
 	sw, err := f.Start(quickSpec)
 	if err != nil {
@@ -638,7 +702,7 @@ func TestCellDyingWithoutLineIsTallied(t *testing.T) {
 		return nil, nil, nil
 	}
 	reg := telemetry.NewRegistry()
-	f := mustNew(t, Config{Exp: cfg, Metrics: reg})
+	f := mustNew(t, Config{Exp: cfg, Dir: t.TempDir(), Metrics: reg})
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)

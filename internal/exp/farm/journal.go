@@ -1,13 +1,9 @@
 package farm
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -17,14 +13,15 @@ import (
 // The sweep journal is one append-only JSONL file holding a record per
 // finished sweep: its final Status and its stream, line by line, as
 // store keys — inline only for what the store does not hold (abort
-// records, lines whose Put failed). Together with the Store it rebuilds
+// records, lines whose Put failed). Together with the store it rebuilds
 // any finished sweep's stream byte for byte, so the farm can evict
 // sweeps from memory and a restarted server can still serve its
 // predecessor's sweeps and continue their IDs. Records are appended with
 // one write each and not synced: the results themselves are durable in
 // the store, and a torn tail only costs that sweep's record.
 
-// JournalPath is the sweep journal a farm keeps under its LogDir.
+// JournalPath is the sweep journal a farm keeps under its cache
+// directory.
 func JournalPath(dir string) string { return filepath.Join(dir, "sweeps.jsonl") }
 
 // journalRecord is one finished sweep.
@@ -70,18 +67,13 @@ func sweepNum(id string) int {
 
 // journal is the open sweep journal and its index.
 type journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	// size is the file length: the offset the next record lands at.
-	size int64
+	mu  sync.Mutex
+	log *logFile
 	// index locates each sweep's record (without its newline).
 	index map[string]journalPos
 	// buf and enc encode one record at a time, under mu.
 	buf bytes.Buffer
 	enc *json.Encoder
-	// skipped counts the unparsable lines openJournal ignored.
-	skipped int
 }
 
 // journalPos locates one record in the file.
@@ -90,95 +82,46 @@ type journalPos struct {
 	n   int
 }
 
-// openJournal opens (creating as needed) the journal at path and indexes
-// its records. It returns the highest sweep number recorded. Unparsable
-// lines and repeated IDs (the first record wins) are counted and
-// skipped; a torn tail is newline-terminated so the next record starts
-// on a line of its own.
-func openJournal(path string) (*journal, int, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, 0, fmt.Errorf("farm: journal dir: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("farm: open sweep journal: %w", err)
-	}
-	j := &journal{path: path, f: f, index: map[string]journalPos{}}
+// openJournal opens the journal under dir (openLog) and indexes its
+// records, skipping repeated IDs (the first record wins). It returns the
+// highest sweep number recorded.
+func openJournal(dir string) (*journal, int, error) {
+	j := &journal{index: map[string]journalPos{}}
 	j.enc = json.NewEncoder(&j.buf)
 	j.enc.SetEscapeHTML(false)
-	last, err := j.load()
-	if err == nil && j.size > 0 {
-		err = j.terminate()
-	}
+	last := 0
+	l, err := openLog(JournalPath(dir), func(line []byte, off int64) bool {
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) != nil || !rec.valid() {
+			return false
+		}
+		if _, dup := j.index[rec.Status.ID]; dup {
+			return false
+		}
+		j.index[rec.Status.ID] = journalPos{off: off, n: len(line)}
+		last = max(last, sweepNum(rec.Status.ID))
+		return true
+	})
 	if err != nil {
-		return nil, 0, errors.Join(fmt.Errorf("farm: load sweep journal %s: %w", path, err), f.Close())
+		return nil, 0, err
 	}
+	j.log = l
 	return j, last, nil
 }
 
-// load scans the whole file, indexing every valid record.
-func (j *journal) load() (int, error) {
-	r := bufio.NewReader(j.f)
-	last := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if body := bytes.TrimSuffix(line, []byte("\n")); len(body) > 0 {
-			var rec journalRecord
-			if json.Unmarshal(body, &rec) != nil || !rec.valid() {
-				j.skipped++
-			} else if _, dup := j.index[rec.Status.ID]; dup {
-				j.skipped++
-			} else {
-				j.index[rec.Status.ID] = journalPos{off: j.size, n: len(body)}
-				last = max(last, sweepNum(rec.Status.ID))
-			}
-		}
-		j.size += int64(len(line))
-		if err == io.EOF {
-			return last, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-}
-
-// terminate appends a newline when the file does not end in one.
-func (j *journal) terminate() error {
-	var last [1]byte
-	if _, err := j.f.ReadAt(last[:], j.size-1); err != nil {
-		return err
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	n, err := j.f.Write([]byte{'\n'})
-	j.size += int64(n)
-	return err
-}
-
-// append records one finished sweep with a single write.
+// append records one finished sweep with a single unsynced write.
 func (j *journal) append(rec *journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("farm: sweep journal %s is closed", j.path)
-	}
 	j.buf.Reset()
 	if err := j.enc.Encode(rec); err != nil {
 		return fmt.Errorf("farm: encode journal record: %w", err)
 	}
-	off := j.size
-	n, err := j.f.Write(j.buf.Bytes())
-	j.size += int64(n)
+	off, err := j.log.append(j.buf.Bytes())
 	if err != nil {
-		if n > 0 {
-			// Keep the next record off the torn one's line.
-			err = errors.Join(err, j.terminate())
-		}
-		return fmt.Errorf("farm: append sweep journal: %w", err)
+		return err
 	}
-	j.index[rec.Status.ID] = journalPos{off: off, n: n - 1}
+	j.index[rec.Status.ID] = journalPos{off: off, n: j.buf.Len() - 1}
 	return nil
 }
 
@@ -190,12 +133,9 @@ func (j *journal) read(id string) (*journalRecord, error) {
 	if !ok {
 		return nil, nil
 	}
-	if j.f == nil {
-		return nil, fmt.Errorf("farm: sweep journal %s is closed", j.path)
-	}
 	b := make([]byte, pos.n)
-	if _, err := j.f.ReadAt(b, pos.off); err != nil {
-		return nil, fmt.Errorf("farm: read sweep journal: %w", err)
+	if err := j.log.readAt(b, pos.off); err != nil {
+		return nil, err
 	}
 	rec := &journalRecord{}
 	if err := json.Unmarshal(b, rec); err != nil {
@@ -208,10 +148,5 @@ func (j *journal) read(id string) (*journalRecord, error) {
 func (j *journal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.log.close()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -21,10 +22,10 @@ import (
 	"prodigy/internal/workloads"
 )
 
-// seedStore fills store with a fabricated summary line for every cell
-// of spec, so sweeps of spec replay without simulating. pad widens each
-// line, to make retained sweeps visible on the heap.
-func seedStore(t testing.TB, f *Farm, store *Store, spec Spec, pad int) {
+// seedStore fills f's store with a fabricated summary line for every
+// cell of spec, so sweeps of spec replay without simulating. pad widens
+// each line, to make retained sweeps visible on the heap.
+func seedStore(t testing.TB, f *Farm, spec Spec, pad int) {
 	t.Helper()
 	cells, err := spec.cells(f.cfg.Exp.Datasets)
 	if err != nil {
@@ -37,7 +38,7 @@ func seedStore(t testing.TB, f *Farm, store *Store, spec Spec, pad int) {
 	for i, c := range cells {
 		line := fmt.Sprintf(`{"label":%q,"scheme":%q,"cycles":%d,"pad":%q}`,
 			c.Label(), c.Scheme, 1000+i, strings.Repeat("x", pad))
-		if err := store.Put(keys[i], []byte(line)); err != nil {
+		if _, err := f.store.Put(keys[i], []byte(line)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,27 +55,12 @@ func statusJSON(t testing.TB, st Status) string {
 	return string(b)
 }
 
-// openTestStore opens a store under dir that closes with the test.
-func openTestStore(t testing.TB, dir string) *Store {
-	t.Helper()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := store.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	return store
-}
-
 // TestCellKeysMemoized checks that the farm's memoized key of every cell
 // of the full grid equals the harness's own CellKey, on first derivation
 // and on reuse.
 func TestCellKeysMemoized(t *testing.T) {
 	cfg := quickCfg(1)
-	f := mustNew(t, Config{Exp: cfg})
+	f := mustNew(t, Config{Exp: cfg, Dir: t.TempDir()})
 	var cells []exp.Cell
 	for _, a := range workloads.AllAlgos {
 		ds := graph.DatasetNames()
@@ -114,8 +100,6 @@ func TestCellKeysMemoized(t *testing.T) {
 // byte-identical to the live stream, then evicts them all and checks Get
 // serves the same bytes and status from the journal.
 func TestJournalRebuildsEverySweepKind(t *testing.T) {
-	dir := t.TempDir()
-	store := openTestStore(t, dir)
 	reg := telemetry.NewRegistry()
 	var (
 		mu       sync.Mutex
@@ -133,7 +117,7 @@ func TestJournalRebuildsEverySweepKind(t *testing.T) {
 		}
 		return nil, nil, nil
 	}
-	f = mustNew(t, Config{Exp: cfg, Store: store, LogDir: dir, Metrics: reg})
+	f = mustNew(t, Config{Exp: cfg, Dir: t.TempDir(), Metrics: reg})
 	startWait := func(spec Spec) *Sweep {
 		t.Helper()
 		sw, err := f.Start(spec)
@@ -161,7 +145,7 @@ func TestJournalRebuildsEverySweepKind(t *testing.T) {
 	if st := canceled.Status(); !st.Canceled || st.Aborted != 1 {
 		t.Fatalf("canceled sweep status = %+v", st)
 	}
-	if err := store.Close(); err != nil {
+	if err := f.store.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var logged strings.Builder
@@ -248,9 +232,7 @@ func TestJournalRebuildsEverySweepKind(t *testing.T) {
 // for a cell lost the store's first-write-wins race and so is journaled
 // inline.
 func TestConcurrentStartsOverlappingSpecs(t *testing.T) {
-	dir := t.TempDir()
-	store := openTestStore(t, dir)
-	f := mustNew(t, Config{Exp: quickCfg(2), Store: store, LogDir: dir})
+	f := mustNew(t, Config{Exp: quickCfg(2), Dir: t.TempDir()})
 	specs := []Spec{
 		{Algos: []string{"bfs"}, Schemes: []string{"none", "prodigy"}},
 		{Algos: []string{"bfs"}, Schemes: []string{"prodigy", "none"}},
@@ -294,8 +276,8 @@ func TestConcurrentStartsOverlappingSpecs(t *testing.T) {
 			t.Errorf("%s: rebuilt stream differs:\nrebuilt: %q\nlive:    %q", sw.ID, got, want)
 		}
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store holds %d cells, want 2", store.Len())
+	if n := f.store.Len(); n != 2 {
+		t.Fatalf("store holds %d cells, want 2", n)
 	}
 }
 
@@ -305,8 +287,6 @@ func TestConcurrentStartsOverlappingSpecs(t *testing.T) {
 // in the order the live stream shows them, so the sweep rebuilds byte
 // for byte.
 func TestJournalKeepsLiveOrder(t *testing.T) {
-	dir := t.TempDir()
-	store := openTestStore(t, dir)
 	goNone, goProdigy := make(chan struct{}), make(chan struct{})
 	cfg := quickCfg(2)
 	cfg.Obs = func(cell string) (*obs.Recorder, func() error, error) {
@@ -317,7 +297,8 @@ func TestJournalKeepsLiveOrder(t *testing.T) {
 		}
 		return nil, nil, nil
 	}
-	f := mustNew(t, Config{Exp: cfg, Store: store, LogDir: dir})
+	f := mustNew(t, Config{Exp: cfg, Dir: t.TempDir()})
+	store := f.store
 	sw, err := f.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -334,9 +315,9 @@ func TestJournalKeepsLiveOrder(t *testing.T) {
 
 	store.mu.Lock()
 	close(goNone)
-	wait("the none cell to block in Store.Put", func() bool {
+	wait("the none cell to block in store.Put", func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("farm.(*Store).Put("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("farm.(*store).Put("))
 	})
 	if err := f.Cancel(sw.ID); err != nil {
 		t.Fatal(err)
@@ -373,11 +354,9 @@ func TestRetentionBoundsMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves 5,120 sweeps")
 	}
-	dir := t.TempDir()
-	store := openTestStore(t, dir)
-	f := mustNew(t, Config{Exp: quickCfg(1), Store: store, LogDir: dir})
+	f := mustNew(t, Config{Exp: quickCfg(1), Dir: t.TempDir()})
 	spec := Spec{Algos: []string{"bfs"}, Schemes: []string{"none", "stride", "ghb-gdc", "imp", "aj", "droplet", "software-pf", "prodigy"}}
-	seedStore(t, f, store, spec, 1024)
+	seedStore(t, f, spec, 1024)
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
 			sw, err := f.Start(spec)
@@ -425,15 +404,11 @@ func TestRetentionBoundsMemory(t *testing.T) {
 // process's sweeps stay readable with their original bytes and status.
 func TestRestartContinuesIDs(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir)
+	f, err := New(Config{Exp: quickCfg(1), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Config{Exp: quickCfg(1), Store: store, LogDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedStore(t, f, store, quickSpec, 0)
+	seedStore(t, f, quickSpec, 0)
 	var ids []string
 	bytes := map[string]string{}
 	statuses := map[string]string{}
@@ -453,12 +428,8 @@ func TestRestartContinuesIDs(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	store2 := openTestStore(t, dir)
-	f2 := mustNew(t, Config{Exp: quickCfg(1), Store: store2, LogDir: dir})
+	f2 := mustNew(t, Config{Exp: quickCfg(1), Dir: dir})
 	sw, err := f2.Start(quickSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -479,8 +450,55 @@ func TestRestartContinuesIDs(t *testing.T) {
 			t.Errorf("%s after restart has status %s, want %s", id, got, statuses[id])
 		}
 	}
-	if f2.JournalSkipped() != 0 {
-		t.Errorf("clean journal reported %d skipped lines", f2.JournalSkipped())
+	if _, results, sweeps := f2.Loaded(); results != 0 || sweeps != 0 {
+		t.Errorf("clean cache directory reported %d and %d skipped lines", results, sweeps)
+	}
+}
+
+// TestCacheDirFormatUnchanged boots on a copy of a cache directory an
+// earlier build of the farm wrote (testdata/cache: one simulated and one
+// all-cached sweep of quickSpec, with the streams it served as
+// s001.ndjson and s002.ndjson). Both sweeps must stream the same bytes,
+// and IDs must continue after them. A farm without a cache directory is
+// refused.
+func TestCacheDirFormatUnchanged(t *testing.T) {
+	if _, err := New(Config{Exp: quickCfg(1)}); err == nil {
+		t.Fatal("New without a cache directory succeeded")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"results.jsonl", "sweeps.jsonl"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "cache", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := mustNew(t, Config{Exp: quickCfg(1), Dir: dir})
+	if cells, results, sweeps := f.Loaded(); cells != 2 || results != 0 || sweeps != 0 {
+		t.Fatalf("loaded %d cells (%d, %d skipped lines), want 2 (0, 0)", cells, results, sweeps)
+	}
+	for _, id := range []string{"s001", "s002"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "cache", id+".ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, ok := f.Get(id)
+		if !ok {
+			t.Fatalf("%s not served", id)
+		}
+		if got := sw.Log.Snapshot(); !bytes.Equal(got, want) {
+			t.Errorf("%s streams %q, want %q", id, got, want)
+		}
+	}
+	sw, err := f.Start(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sw.Done()
+	if sw.ID != "s003" {
+		t.Fatalf("first sweep after boot is %s, want s003", sw.ID)
 	}
 }
 
@@ -488,15 +506,13 @@ func TestRestartContinuesIDs(t *testing.T) {
 // farm: the next sweep's record cannot be written, which must show up as
 // farm_errors_total{op="journal"} while the sweep itself still finishes.
 func TestJournalWriteFailureCounted(t *testing.T) {
-	dir := t.TempDir()
-	store := openTestStore(t, dir)
 	reg := telemetry.NewRegistry()
-	f, err := New(Config{Exp: quickCfg(1), Store: store, LogDir: dir, Metrics: reg})
+	f, err := New(Config{Exp: quickCfg(1), Dir: t.TempDir(), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedStore(t, f, store, quickSpec, 0)
-	if err := f.journal.f.Close(); err != nil {
+	seedStore(t, f, quickSpec, 0)
+	if err := f.journal.log.f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := snapValue(t, reg, "farm_errors_total", map[string]string{"op": "journal"}); got != 0 {
@@ -551,7 +567,7 @@ func FuzzJournalLoad(f *testing.F) {
 		if err := os.WriteFile(JournalPath(dir), append(append([]byte(nil), prefix...), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fm, err := New(Config{Exp: quickCfg(1), LogDir: dir})
+		fm, err := New(Config{Exp: quickCfg(1), Dir: dir})
 		if err != nil {
 			t.Fatalf("boot: %v", err)
 		}
