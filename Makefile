@@ -3,18 +3,22 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json fmt test race fuzz bench bench-json quick-gate stat-smoke memlat-smoke serve-smoke tables trace-demo
+.PHONY: check build vet lint lint-json fmt test race fuzz bench bench-json quick-gate tables trace-demo
 
-check: build vet lint race stat-smoke memlat-smoke serve-smoke quick-gate
+check: build vet lint race quick-gate
 
 build:
 	$(GO) build ./...
 
+# go vet covers both modules: the root ./... pattern does not descend
+# into perfbench/, which is its own module. Its copylocks check is the
+# repository's lock-copy lint (docs/LINT.md).
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Repo-specific static analysis: simulator invariants (determinism,
-# copylock, errcheck, the hot-path allocation contract) plus the
+# errcheck, the hot-path allocation contract) plus the
 # compiler-pass DIG cross-check of every workload kernel, then the
 # compiler-backed //hot:inline and //hot:noescape contract check. See
 # docs/LINT.md.
@@ -82,37 +86,6 @@ bench-json:
 # without rerunning the full bench-json suite.
 quick-gate:
 	$(GO) run ./cmd/bench-json -quick-gate
-
-# Smoke test for the prodigy-stat regression gate: a plain diff of the
-# committed fixtures must pass, and a tight -fail-on threshold must fail
-# (exit 1), proving the gate actually bites.
-stat-smoke:
-	@$(GO) run ./cmd/prodigy-stat diff \
-		cmd/prodigy-stat/testdata/base.jsonl cmd/prodigy-stat/testdata/new.jsonl > /dev/null
-	@if $(GO) run ./cmd/prodigy-stat diff -fail-on accuracy=1 \
-		cmd/prodigy-stat/testdata/base.jsonl cmd/prodigy-stat/testdata/new.jsonl > /dev/null 2>&1; then \
-		echo "stat-smoke: -fail-on accuracy=1 should have failed"; exit 1; \
-	else \
-		echo "stat-smoke: ok (plain diff passes, threshold gate bites)"; \
-	fi
-
-# Sweep-service smoke (part of `make check`): boot prodigy-serve on a
-# loopback port with a temporary cache, POST a quick sweep and assert the
-# streamed NDJSON, then restart the server on the same cache and assert
-# the re-POSTed sweep replays every cell byte-identically without
-# simulating (docs/SERVING.md).
-serve-smoke:
-	@$(GO) run ./cmd/prodigy-serve -smoke
-
-# Latency-calibration smoke (part of `make check`): run the memlat
-# pointer-chase sweep on the Table-I machine and assert every plateau —
-# L1/L2/L3 hit latencies, L3+DRAM, and TLB walk+L1 — lands exactly on
-# the configured latency (EXPERIMENTS.md §Latency calibration).
-memlat-smoke:
-	@$(GO) run ./cmd/prodigy-sim -memlat -memlat-out memlat-smoke.jsonl > /dev/null
-	@$(GO) run ./cmd/prodigy-stat hist -assert memlat-smoke.jsonl > /dev/null
-	@rm -f memlat-smoke.jsonl
-	@echo "memlat-smoke: ok (all plateaus on the configured latencies)"
 
 # Regenerate every paper table/figure at paper scale (slow).
 tables:

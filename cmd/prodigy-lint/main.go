@@ -1,8 +1,10 @@
 // Command prodigy-lint runs the repository's static-analysis suite: the
-// simulator-invariant analyzers (determinism, copylock, errcheck), the
+// simulator-invariant analyzers (determinism, errcheck), the
 // interprocedural hot-path allocation check (hotpath-alloc, rooted at
 // //hot:path functions), and the compiler-pass cross-check of every
-// workload kernel's DIG registration (dig-drift). See docs/LINT.md.
+// workload kernel's DIG registration (dig-drift). By-value lock copies
+// are `go vet`'s copylocks check, which `make vet` runs on both modules.
+// See docs/LINT.md.
 //
 // Usage:
 //

@@ -40,13 +40,6 @@
 // server keeps the last few hundred finished sweeps in memory and serves
 // older ones — and those of earlier server processes, whose IDs it
 // continues — from that journal.
-//
-// -smoke runs the self-contained CI smoke: boot a server on a loopback
-// port with a temporary cache, POST a quick sweep, assert the streamed
-// NDJSON, restart the server on the same cache, and assert the re-POSTed
-// sweep replays every cell byte-identically without simulating, gets a
-// fresh ID, and that the first server's sweep is still served
-// byte-identically.
 package main
 
 import (
@@ -56,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -68,13 +60,13 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
+	os.Exit(run(os.Stderr, os.Args[1:]))
 }
 
 // run is the whole command; it returns the exit code. Once the farm is
 // open, every path closes it, and a failed close makes the exit code
 // non-zero.
-func run(stdout, stderr io.Writer, args []string) (code int) {
+func run(stderr io.Writer, args []string) (code int) {
 	fs := flag.NewFlagSet("prodigy-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8091", "listen address")
@@ -87,16 +79,11 @@ func run(stdout, stderr io.Writer, args []string) (code int) {
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight simulations are interrupted")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof runtime profiles")
 	accessLog := fs.Bool("access-log", true, "emit one structured JSON access-log line per request on stderr")
-	smoke := fs.Bool("smoke", false, "run the self-contained smoke test and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
-	}
-
-	if *smoke {
-		return runSmoke(stdout, stderr)
 	}
 
 	cfg := exp.Default()
@@ -167,40 +154,4 @@ func run(stdout, stderr io.Writer, args []string) (code int) {
 	}
 	httpCancel()
 	return code
-}
-
-// instance is one loopback server generation for tests and smoke mode.
-type instance struct {
-	url  string
-	farm *farm.Farm
-	stop func() error
-}
-
-// serveOnLoopback boots a server instance for tests and the smoke mode
-// (newServer) on an ephemeral loopback port, access logs discarded. The
-// stop function drains the farm and closes everything.
-func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
-	srv, f, err := newServer(cacheDir, cfg, slog.New(slog.NewJSONHandler(io.Discard, nil)), false)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	stop := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		ferr := f.Shutdown(ctx)
-		serr := srv.Shutdown(ctx)
-		<-done // Serve returned (ErrServerClosed)
-		cerr := f.Close()
-		if ferr != nil {
-			return ferr
-		}
-		return errors.Join(serr, cerr)
-	}
-	return &instance{url: "http://" + ln.Addr().String(), farm: f, stop: stop}, nil
 }

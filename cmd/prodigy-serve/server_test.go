@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -44,8 +49,8 @@ func TestCacheDirIsFileExitsOne(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	if code := run(&stdout, &stderr, []string{"-cache-dir", path, "-addr", "127.0.0.1:0"}); code != 1 {
+	var stderr bytes.Buffer
+	if code := run(&stderr, []string{"-cache-dir", path, "-addr", "127.0.0.1:0"}); code != 1 {
 		t.Fatalf("exit code %d, want 1 (stderr %q)", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), path) {
@@ -56,7 +61,9 @@ func TestCacheDirIsFileExitsOne(t *testing.T) {
 // TestServerSweepLifecycleAndRestart drives the full HTTP surface: POST
 // streams NDJSON with the sweep headers, a duplicate POST replays from
 // the cache, /diff compares the two finished sweeps, and a rebooted
-// server over the same cache directory replays byte-identically.
+// server over the same cache directory replays byte-identically without
+// simulating and serves the first server's sweep from the journal byte
+// for byte.
 func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	inst, err := serveOnLoopback(dir, testCfg())
@@ -73,6 +80,13 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	if cached1 != 0 || len(lines1) != 2 {
 		mustStop(t, stop)
 		t.Fatalf("first sweep: %d lines, %d cached; want 2, 0", len(lines1), cached1)
+	}
+	for _, line := range lines1 {
+		var s exp.RunSummary
+		if err := json.Unmarshal([]byte(line), &s); err != nil || s.Abort != "" || s.Cycles <= 0 {
+			mustStop(t, stop)
+			t.Fatalf("streamed line %s: want a completed RunSummary (decode error %v)", line, err)
+		}
 	}
 
 	// Status surfaces: list and single-sweep, including live progress.
@@ -121,9 +135,14 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 		mustStop(t, stop)
 		t.Fatalf("diff = %+v", dr)
 	}
+	stream1, err := fetchBody(base + "/sweeps/s001/stream")
 	mustStop(t, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Reboot over the same cache directory: byte-identical replay.
+	// Reboot over the same cache directory: byte-identical replay, every
+	// cell a cache hit in the fresh registry.
 	inst2, err := serveOnLoopback(dir, testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +150,21 @@ func TestServerSweepLifecycleAndRestart(t *testing.T) {
 	lines3, cached3, id3, err := postSweepLines(inst2.url)
 	var old diffResponse
 	oldErr := getJSON(inst2.url+"/diff?base=s001&new="+id3, &old)
+	stream1Again, streamErr := fetchBody(inst2.url + "/sweeps/s001/stream")
+	countersErr := checkCacheCounters(inst2.url, 2, 2)
 	mustStop(t, inst2.stop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached3 != 2 {
 		t.Fatalf("rebooted server cached %d/2 cells", cached3)
+	}
+	if countersErr != nil {
+		t.Fatalf("rebooted server: %v", countersErr)
+	}
+	if streamErr != nil || stream1Again != stream1 {
+		t.Fatalf("s001 stream not byte-identical from the journal (%v):\nbefore: %q\nafter:  %q",
+			streamErr, stream1, stream1Again)
 	}
 	// IDs continue across the restart, and the first server's sweeps stay
 	// readable: /diff rebuilds s001 from the journal.
@@ -191,8 +219,37 @@ func TestServerDetachStreamDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("detached POST = %s: %s", resp.Status, body)
 	}
+	if got := resp.Header.Get("X-Sweep-Cached"); got != "0" {
+		t.Fatalf("detached POST X-Sweep-Cached = %q, want 0", got)
+	}
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("detached POST body %q: %v", body, err)
+	}
+
+	// Mid-sweep scrape: once a held cell is in flight, the telemetry
+	// surface is present and well-formed.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		exposition, err := fetchBody(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := metricValue(exposition, "farm_cells_inflight"); n >= 1 {
+			for _, typ := range []string{
+				"# TYPE farm_cache_misses_total counter",
+				"# TYPE farm_sweeps_active gauge",
+				"# TYPE http_requests_total counter",
+			} {
+				if !strings.Contains(exposition, typ) {
+					t.Errorf("mid-sweep /metrics is missing %q", typ)
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cell went in flight within 30s")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	req, err := http.NewRequest(http.MethodDelete, base+"/sweeps/"+st.ID, nil)
@@ -468,19 +525,124 @@ func TestServerMetricsEndpoints(t *testing.T) {
 // getJSON fetches url and decodes the JSON body into v, failing on any
 // non-200 status.
 func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
+	body, err := fetchBody(url)
 	if err != nil {
 		return err
 	}
+	return json.Unmarshal([]byte(body), v)
+}
+
+// fetchBody GETs url and returns the body on a 200.
+func fetchBody(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
+	}
 	body, rerr := io.ReadAll(resp.Body)
 	if cerr := resp.Body.Close(); cerr != nil {
-		return cerr
+		return "", cerr
 	}
 	if rerr != nil {
-		return rerr
+		return "", rerr
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, body)
+		return "", fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
 	}
-	return json.Unmarshal(body, v)
+	return string(body), nil
+}
+
+// postSweepLines submits testSpec and collects the streamed NDJSON lines
+// plus the sweep headers.
+func postSweepLines(baseURL string) (lines []string, cached int, id string, err error) {
+	resp, err := http.Post(baseURL+"/sweeps", "application/json", strings.NewReader(testSpec))
+	if err != nil {
+		return nil, 0, "", err
+	}
+	defer func() { _ = resp.Body.Close() }() // body fully consumed below
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		return nil, 0, "", fmt.Errorf("POST /sweeps: %s: %s", resp.Status, bytes.TrimSpace(body))
+	}
+	if _, err := fmt.Sscan(resp.Header.Get("X-Sweep-Cached"), &cached); err != nil {
+		return nil, 0, "", fmt.Errorf("bad X-Sweep-Cached header %q", resp.Header.Get("X-Sweep-Cached"))
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			lines = append(lines, line)
+		}
+	}
+	return lines, cached, resp.Header.Get("X-Sweep-Id"), sc.Err()
+}
+
+// metricValue scans a Prometheus text exposition for the sample whose
+// series (name plus rendered labels) is exactly series, returning its
+// value.
+func metricValue(exposition, series string) (float64, bool) {
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
+}
+
+// checkCacheCounters asserts the farm's cache-hit/miss counters agree
+// with what the sweep's X-Sweep-Cached header claimed.
+func checkCacheCounters(baseURL string, cells, cachedHdr int) error {
+	body, err := fetchBody(baseURL + "/metrics")
+	if err != nil {
+		return err
+	}
+	hits, ok := metricValue(body, "farm_cache_hits_total")
+	if !ok {
+		return fmt.Errorf("/metrics has no farm_cache_hits_total sample")
+	}
+	misses, ok := metricValue(body, "farm_cache_misses_total")
+	if !ok {
+		return fmt.Errorf("/metrics has no farm_cache_misses_total sample")
+	}
+	if int(hits) != cachedHdr || int(misses) != cells-cachedHdr {
+		return fmt.Errorf("cache counters (hits=%v misses=%v) disagree with X-Sweep-Cached=%d of %d cells",
+			hits, misses, cachedHdr, cells)
+	}
+	return nil
+}
+
+// instance is one loopback server generation.
+type instance struct {
+	url  string
+	farm *farm.Farm
+	stop func() error
+}
+
+// serveOnLoopback boots a server generation (newServer) on an ephemeral
+// loopback port, access logs discarded. The stop function drains the
+// farm and closes everything.
+func serveOnLoopback(cacheDir string, cfg exp.Config) (*instance, error) {
+	srv, f, err := newServer(cacheDir, cfg, slog.New(slog.NewJSONHandler(io.Discard, nil)), false)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	stop := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		ferr := f.Shutdown(ctx)
+		serr := srv.Shutdown(ctx)
+		<-done // Serve returned (ErrServerClosed)
+		cerr := f.Close()
+		if ferr != nil {
+			return ferr
+		}
+		return errors.Join(serr, cerr)
+	}
+	return &instance{url: "http://" + ln.Addr().String(), farm: f, stop: stop}, nil
 }

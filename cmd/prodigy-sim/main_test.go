@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"prodigy/internal/exp"
+	"prodigy/internal/obs"
 )
 
 // TestReportProdigyCounters pins the per-core Prodigy counter lines of
@@ -52,5 +55,41 @@ func TestFailingGridExitsOne(t *testing.T) {
 	}
 	if _, err := os.Stat(log); err != nil {
 		t.Errorf("JSON log: %v", err)
+	}
+}
+
+// TestMemlatWritesHistRows runs `prodigy-sim -memlat -memlat-out F`: it
+// must exit 0 and write one obs.HistRow per calibration point (the rows
+// `prodigy-stat hist` reads), each on its configured plateau.
+func TestMemlatWritesHistRows(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "memlat.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run(&stdout, &stderr, []string{"-memlat", "-memlat-out", out}); code != 0 {
+		t.Fatalf("exit %d, want 0; stderr: %s", code, stderr.String())
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }() // read-only
+	var rows []obs.HistRow
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var row obs.HistRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatalf("row %q: %v", sc.Text(), err)
+		}
+		rows = append(rows, row)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("%d histogram rows, want 5", len(rows))
+	}
+	for _, row := range rows {
+		if row.Hist == "" || row.Mode != row.Expect {
+			t.Errorf("row %+v: want a named point with Mode == Expect", row)
+		}
 	}
 }

@@ -250,8 +250,7 @@ func showHists(w io.Writer, hists []obs.HistRow) {
 }
 
 // runHist renders latency histograms; with -assert it exits 1 when any
-// point's modal latency misses its predicted plateau (the memlat-smoke
-// CI gate).
+// point's modal latency misses its predicted plateau.
 func runHist(stdout, stderr io.Writer, args []string) int {
 	fs := flag.NewFlagSet("hist", flag.ContinueOnError)
 	fs.SetOutput(stderr)

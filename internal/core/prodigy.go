@@ -472,7 +472,7 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	// traffic that would otherwise evict it before the demand arrives.
 	if leaf {
 		p.countIssuedLine(kind)
-		p.env.IssueProbed(lineAddr, prefetch.UntrackedMeta, lvl)
+		p.env.IssueAt(lineAddr, prefetch.UntrackedMeta, lvl)
 		return
 	}
 	// One scan finds both a merge target and the first free register.
@@ -508,7 +508,7 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	r.lineAddr = lineAddr
 	r.bitmap = bitmap
 	p.countIssuedLine(kind)
-	if !p.env.IssueProbed(lineAddr, p.meta(idx), lvl) {
+	if !p.env.IssueAt(lineAddr, p.meta(idx), lvl) {
 		// The memory system dropped the request (MSHR cap): no fill will
 		// ever arrive, so release the register instead of leaking it.
 		r.free = true

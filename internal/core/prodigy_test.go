@@ -33,7 +33,8 @@ func (f *fakeEnv) env(core int) prefetch.Env {
 			return cache.LvlNone
 		},
 		Read: func(addr uint64) (uint64, bool) { return f.space.ReadAt(addr) },
-		Issue: func(addr uint64, meta uint32) bool {
+		// Prodigy issues only through IssueAt.
+		IssueAt: func(addr uint64, meta uint32, _ cache.Level) bool {
 			f.issued = append(f.issued, issuedReq{addr, meta})
 			return true
 		},

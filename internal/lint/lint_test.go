@@ -112,11 +112,6 @@ func TestDeterminismGolden(t *testing.T) {
 	checkGolden(t, pkg, []Analyzer{Determinism{}}, want)
 }
 
-func TestCopyLockGolden(t *testing.T) {
-	pkg := loadFixture(t, "copylock")
-	checkGolden(t, pkg, []Analyzer{CopyLock{}}, wantMarkers(pkg))
-}
-
 func TestErrCheckGolden(t *testing.T) {
 	pkg := loadFixture(t, "errcheck")
 	checkGolden(t, pkg, []Analyzer{ErrCheck{}}, wantMarkers(pkg))

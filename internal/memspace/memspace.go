@@ -8,7 +8,6 @@
 package memspace
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -27,7 +26,6 @@ type Region struct {
 	ElemSize uint64
 	Len      uint64 // number of elements
 	read     func(idx uint64) uint64
-	write    func(idx, val uint64)
 }
 
 // Bound returns one past the last valid byte address of the region.
@@ -50,15 +48,6 @@ type Space struct {
 // New returns an empty address space.
 func New() *Space {
 	return &Space{next: Base}
-}
-
-// Footprint returns the total allocated bytes across all regions.
-func (s *Space) Footprint() uint64 {
-	var t uint64
-	for _, r := range s.regions {
-		t += r.Bytes()
-	}
-	return t
 }
 
 // Regions returns the allocated regions in address order.
@@ -98,27 +87,6 @@ func (s *Space) ReadAt(addr uint64) (uint64, bool) {
 	return r.read(idx), true
 }
 
-// MustReadAt is ReadAt that panics on unmapped addresses; used in tests.
-func (s *Space) MustReadAt(addr uint64) uint64 {
-	v, ok := s.ReadAt(addr)
-	if !ok {
-		panic(fmt.Sprintf("memspace: read of unmapped address %#x", addr))
-	}
-	return v
-}
-
-// WriteAt performs a functional write of the element containing addr.
-// Float regions interpret val as IEEE-754 bits. Returns false if unmapped.
-func (s *Space) WriteAt(addr, val uint64) bool {
-	r := s.FindRegion(addr)
-	if r == nil {
-		return false
-	}
-	idx := (addr - r.BaseAddr) / r.ElemSize
-	r.write(idx, val)
-	return true
-}
-
 // U32 is a uint32 array living in a Space.
 type U32 struct {
 	*Region
@@ -130,7 +98,6 @@ func (s *Space) AllocU32(name string, n int) *U32 {
 	a := &U32{Data: make([]uint32, n)}
 	a.Region = s.alloc(name, 4, uint64(n))
 	a.Region.read = func(i uint64) uint64 { return uint64(a.Data[i]) }
-	a.Region.write = func(i, v uint64) { a.Data[i] = uint32(v) }
 	return a
 }
 
@@ -148,14 +115,13 @@ func (s *Space) AllocU64(name string, n int) *U64 {
 	a := &U64{Data: make([]uint64, n)}
 	a.Region = s.alloc(name, 8, uint64(n))
 	a.Region.read = func(i uint64) uint64 { return a.Data[i] }
-	a.Region.write = func(i, v uint64) { a.Data[i] = v }
 	return a
 }
 
 // Addr returns the virtual address of element i.
 func (a *U64) Addr(i int) uint64 { return a.BaseAddr + 8*uint64(i) }
 
-// F64 is a float64 array living in a Space. Functional reads and writes use
+// F64 is a float64 array living in a Space. Functional reads return
 // IEEE-754 bit patterns.
 type F64 struct {
 	*Region
@@ -167,7 +133,6 @@ func (s *Space) AllocF64(name string, n int) *F64 {
 	a := &F64{Data: make([]float64, n)}
 	a.Region = s.alloc(name, 8, uint64(n))
 	a.Region.read = func(i uint64) uint64 { return math.Float64bits(a.Data[i]) }
-	a.Region.write = func(i, v uint64) { a.Data[i] = math.Float64frombits(v) }
 	return a
 }
 
@@ -185,7 +150,6 @@ func (s *Space) AllocF32(name string, n int) *F32 {
 	a := &F32{Data: make([]float32, n)}
 	a.Region = s.alloc(name, 4, uint64(n))
 	a.Region.read = func(i uint64) uint64 { return uint64(math.Float32bits(a.Data[i])) }
-	a.Region.write = func(i, v uint64) { a.Data[i] = float32(math.Float32frombits(uint32(v))) }
 	return a
 }
 

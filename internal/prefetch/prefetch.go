@@ -49,17 +49,6 @@ type Env struct {
 	Obs *obs.Recorder
 }
 
-// IssueProbed issues through IssueAt when the environment provides it,
-// falling back to Issue (hand-built test environments often wire only
-// Issue; the probed level is then simply re-derived by the memory
-// system).
-func (e *Env) IssueProbed(addr uint64, meta uint32, lvl cache.Level) bool {
-	if e.IssueAt != nil {
-		return e.IssueAt(addr, meta, lvl)
-	}
-	return e.Issue(addr, meta)
-}
-
 // IssueStats is a prefetcher's own account of what happened to the
 // requests it wanted to make — the scheme-side half of the lifecycle
 // telemetry (the memory-system half lives in sim.Stats). Every scheme

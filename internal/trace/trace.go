@@ -210,9 +210,6 @@ func NewGen(ncores, _ int) *Gen {
 	return g
 }
 
-// Cores returns the number of cores the generator feeds.
-func (g *Gen) Cores() int { return len(g.queues) }
-
 // Reader returns the consumer cursor for a core.
 func (g *Gen) Reader(core int) *Reader { return g.readers[core] }
 

@@ -21,6 +21,10 @@ const (
 	ccPCLoop
 )
 
+// ccMaxRounds bounds the min-label rounds; the kernel normally stops
+// earlier, at its fixpoint.
+const ccMaxRounds = 50
+
 // buildCC constructs connected components by label propagation over the
 // symmetrized CSR (Shiloach-Vishkin-style min-label rounds, the
 // data-access shape of GAP's cc): each round sweeps all vertices, reads
@@ -34,10 +38,6 @@ func buildCC(dataset string, cores int, opts Options) (*Workload, error) {
 		return nil, err
 	}
 	n := g.NumNodes
-	maxIters := opts.MaxIters
-	if maxIters <= 0 {
-		maxIters = 50
-	}
 
 	sp := memspace.New()
 	offsets, edges := allocCSR(sp, g)
@@ -61,7 +61,7 @@ func buildCC(dataset string, cores int, opts Options) (*Workload, error) {
 		for v := range comp.Data {
 			comp.Data[v] = uint32(v)
 		}
-		for it := 0; it < maxIters; it++ {
+		for it := 0; it < ccMaxRounds; it++ {
 			changed := false
 			for c := 0; c < cores; c++ {
 				lo, hi := vertexBounds[c], vertexBounds[c+1]

@@ -26,6 +26,9 @@ const (
 
 const prDamping = 0.85
 
+// prIters is PageRank's iteration count.
+const prIters = 3
+
 // buildPR constructs pull-style PageRank: each iteration first computes
 // per-vertex contributions (score/out-degree, a streaming pass over CSR
 // degrees), then gathers in-neighbor contributions through the CSC arrays
@@ -43,10 +46,6 @@ func buildPR(dataset string, cores int, opts Options) (*Workload, error) {
 		return nil, err
 	}
 	n := g.NumNodes
-	iters := opts.PRIters
-	if iters <= 0 {
-		iters = 3
-	}
 
 	sp := memspace.New()
 	inOffsets := sp.AllocU32("inOffsetList", n+1)
@@ -86,7 +85,7 @@ func buildPR(dataset string, cores int, opts Options) (*Workload, error) {
 		for i := range scores.Data {
 			scores.Data[i] = 1 / float32(n)
 		}
-		for it := 0; it < iters; it++ {
+		for it := 0; it < prIters; it++ {
 			// Phase 1: contributions (streaming).
 			for c := 0; c < cores; c++ {
 				lo, hi := chunk(n, cores, c)
@@ -134,7 +133,7 @@ func buildPR(dataset string, cores int, opts Options) (*Workload, error) {
 	}
 
 	verify := func() error {
-		ref := refPageRank(g, iters)
+		ref := refPageRank(g)
 		for v := 0; v < n; v++ {
 			if math.Abs(float64(scores.Data[v])-ref[v]) > 1e-4 {
 				return fmt.Errorf("pr: vertex %d score %g, want %g", v, scores.Data[v], ref[v])
@@ -150,7 +149,7 @@ func buildPR(dataset string, cores int, opts Options) (*Workload, error) {
 }
 
 // refPageRank is an independent float64 reference.
-func refPageRank(g *graph.Graph, iters int) []float64 {
+func refPageRank(g *graph.Graph) []float64 {
 	n := g.NumNodes
 	scores := make([]float64, n)
 	contrib := make([]float64, n)
@@ -158,7 +157,7 @@ func refPageRank(g *graph.Graph, iters int) []float64 {
 		scores[i] = 1 / float64(n)
 	}
 	base := (1 - prDamping) / float64(n)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < prIters; it++ {
 		for u := 0; u < n; u++ {
 			deg := g.OutDegree(uint32(u))
 			if deg == 0 {

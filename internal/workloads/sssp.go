@@ -26,6 +26,11 @@ const (
 
 const ssspInf = ^uint32(0)
 
+// ssspMaxRounds bounds the frontier rounds. The algorithm terminates
+// when no relaxations remain; this is a runaway bound, not a convergence
+// knob.
+const ssspMaxRounds = 4096
+
 // buildSSSP constructs single-source shortest paths with a frontier work
 // queue (the data-access shape of GAP's delta-stepping: queue of active
 // vertices, ranged scan of edges and weights, relaxations into dist).
@@ -42,12 +47,6 @@ func buildSSSP(dataset string, cores int, opts Options) (*Workload, error) {
 	}
 	n := g.NumNodes
 	src := g.MaxDegreeVertex()
-	maxIters := opts.MaxIters
-	if maxIters <= 0 {
-		// The frontier algorithm terminates when no relaxations remain;
-		// this is a runaway bound, not a convergence knob.
-		maxIters = 4096
-	}
 
 	sp := memspace.New()
 	// The work queue is reused round-robin; cap its size generously.
@@ -86,7 +85,7 @@ func buildSSSP(dataset string, cores int, opts Options) (*Workload, error) {
 		workQ.Data[0] = src
 		qStart, qEnd := 0, 1
 
-		for round := 0; qStart < qEnd && round < maxIters; round++ {
+		for round := 0; qStart < qEnd && round < ssspMaxRounds; round++ {
 			span := qEnd - qStart
 			newEnd := qEnd
 			bounds := balancedBounds(span, cores, func(i int) int {

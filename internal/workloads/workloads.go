@@ -69,10 +69,6 @@ type Options struct {
 	// SoftwarePrefetch inserts software prefetch instructions at a fixed
 	// look-ahead distance (the CGO'17 baseline; evaluated on pr).
 	SoftwarePrefetch bool
-	// PRIters overrides PageRank's iteration count (default 3).
-	PRIters int
-	// MaxIters bounds iterative kernels (cc rounds, sssp relaxations).
-	MaxIters int
 }
 
 // GraphAlgos lists the GAP kernels in paper order.
