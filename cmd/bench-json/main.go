@@ -1,15 +1,15 @@
 // Command bench-json runs the repo's performance gate: the hot-path
-// microbenchmarks (internal/cache, internal/sim, internal/dram) plus a
-// wall-clock timing of `prodigy-bench -quick` and an in-process quick
-// sweep recording Prodigy's prefetch accuracy/coverage/timeliness,
+// microbenchmarks (internal/cache, internal/sim, internal/dram,
+// internal/core, internal/stats) plus a wall-clock timing of
+// `prodigy-bench -quick` and an in-process quick sweep recording Prodigy's prefetch accuracy/coverage/timeliness,
 // written as one JSON document (BENCH_<n>.json, see docs/ARCHITECTURE.md
 // §Performance).
 //
 // When the output file already exists it doubles as the baseline: the
 // run fails (exit 1) if allocs/op on any benchmark in gated (the cache
-// demand, miss, shared-read and prefetch-fill paths, the DRAM backlog
-// and the memlat latency-recording path) regresses above the committed
-// value, or if the quick sweep's Prodigy accuracy or coverage drops
+// demand, miss, shared-read and prefetch-fill paths, the DRAM backlog,
+// Prodigy's DIG walk and the memlat latency-recording path) regresses
+// above the committed value, or if the quick sweep's Prodigy accuracy or coverage drops
 // below the committed baseline (beyond a small tolerance), so the hot
 // path stays allocation-free and the prefetcher stays effective by
 // construction. When the baseline has per-run walls, the new quick batch
@@ -105,9 +105,10 @@ type Doc struct {
 // committed baseline: the demand hot path, the DRAM-miss path, the
 // shared-read coherence walks and the prefetch-fill path, all carrying
 // the always-on lifecycle telemetry, the DRAM controller under a
-// standing prefetch backlog, plus the latency-histogram record path that
-// every obs.Recorder runs on each demand load and atomic.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkHistogramRecord"}
+// standing prefetch backlog, Prodigy's trigger-to-leaf DIG walk, plus the
+// latency-histogram record path that every obs.Recorder runs on each
+// demand load and atomic.
+var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkProdigyWalk", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.
 var qualityCells = []struct {
@@ -129,6 +130,7 @@ var suites = []struct{ pkg, pattern string }{
 	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkHierarchyMiss|BenchmarkHierarchySharedRead|BenchmarkFillPrefetch"},
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
 	{"./internal/dram", "BenchmarkControllerRequest|BenchmarkControllerBacklog"},
+	{"./internal/core", "BenchmarkProdigyWalk"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},
 }
 

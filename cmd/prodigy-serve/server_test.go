@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,8 +191,11 @@ func TestServerDetachStreamDelete(t *testing.T) {
 	dir := t.TempDir()
 	// Hold every cell until the DELETE has been answered, so the sweep is
 	// still running when it is canceled (canceling a finished sweep is a
-	// no-op); the timeout only unblocks a test that failed before that.
+	// no-op). A test that fails before the DELETE releases the cells in
+	// its cleanup, ahead of the server stop that waits for them; the
+	// timeout is only a backstop.
 	deleted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(deleted) })
 	cfg := testCfg()
 	cfg.Obs = func(string) (*obs.Recorder, func() error, error) {
 		select {
@@ -205,7 +209,9 @@ func TestServerDetachStreamDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := inst.url
-	defer mustStop(t, inst.stop)
+	// Cleanups run last-registered first: release, then stop.
+	t.Cleanup(func() { mustStop(t, inst.stop) })
+	t.Cleanup(release)
 
 	resp, err := http.Post(base+"/sweeps?detach=1", "application/json", strings.NewReader(testSpec))
 	if err != nil {
@@ -266,7 +272,7 @@ func TestServerDetachStreamDelete(t *testing.T) {
 	if dresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE = %s", dresp.Status)
 	}
-	close(deleted)
+	release()
 
 	// Attaching drains to end-of-stream once the (canceled) sweep
 	// finishes; attached clients never block forever.

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"math/bits"
 	"strconv"
 
 	"prodigy/internal/cache"
@@ -63,16 +64,6 @@ type Stats struct {
 	ResidentSkipped uint64 // requests skipped because the line was cached
 }
 
-// pfhr is one PreFetch status Handling Register (Fig. 9d).
-type pfhr struct {
-	free     bool
-	node     dig.NodeID
-	trigAddr uint64 // sequence identity: the trigger element's address
-	lineAddr uint64 // outstanding prefetch line
-	bitmap   uint64 // element offsets within the line still to process
-	gen      uint16 // reuse guard for in-flight fills
-}
-
 // trigState is the per-trigger-node progress the prefetcher keeps so
 // repeated demand hits to the same element do not re-trigger, and so
 // successive triggers extend rather than repeat the sequence window.
@@ -88,31 +79,59 @@ type trigState struct {
 	descending bool
 }
 
+// node is one node-table entry (the hardware's node-table RAM), resolved
+// once at programming time (the DIG is immutable after Build). Element
+// sizes are powers of two (dig.Builder enforces it), so address/index
+// conversions are shifts, and every per-node quantity the walk needs is a
+// field: no map lookup, edge-list scan or divide on the per-request path.
+type node struct {
+	id      dig.NodeID
+	trigger bool // has a trigger self-edge
+	// leaf: no out-edges (fills need no processing); rangedOut: some
+	// out-edge is ranged (demands advance the walk reactively).
+	leaf, rangedOut bool
+	shift           uint8 // log2 of the element size
+	base, bound     uint64
+	numElems        uint64
+	// maxRanged caps one ranged expansion into this node, in elements
+	// (Config.MaxRangedLines lines).
+	maxRanged uint64
+	out       []edge
+	trig      *trigState // nil unless trigger
+}
+
+// edge is a resolved traversal edge out of a node.
+type edge struct {
+	dst    *node
+	ranged bool
+}
+
+func (n *node) contains(addr uint64) bool { return addr >= n.base && addr < n.bound }
+
+// index converts an address within the node to an element index.
+func (n *node) index(addr uint64) uint64 { return (addr - n.base) >> n.shift }
+
+// elemAddr converts an element index to a virtual address.
+func (n *node) elemAddr(idx uint64) uint64 { return n.base + idx<<n.shift }
+
 // Prodigy is one core's prefetcher.
 type Prodigy struct {
 	env  prefetch.Env
-	d    *dig.DIG
 	cfg  Config
-	regs []pfhr
-	trig map[dig.NodeID]*trigState
-	// byID is the node table indexed directly by NodeID (the hardware's
-	// node-table RAM); advance dereferences it once per edge per element,
-	// where DIG.NodeByID's linear scan showed up in profiles.
-	byID []*dig.Node
-	// trigByID, leafByID, and rangedOut are per-NodeID tables resolved
-	// once at programming time (the DIG is immutable after Build): the
-	// trigger state, whether the node has no out-edges, and whether any
-	// out-edge is ranged. They keep map lookups and edge-list scans off
-	// the per-demand hot path.
-	trigByID  []*trigState
-	leafByID  []bool
-	rangedOut []bool
+	pfhr pfhrFile
+	// nodes is the node table in DIG order (the order of the per-demand
+	// range scan); byID indexes the same entries by NodeID.
+	nodes []node
+	byID  []*node
+	// lineShift is log2 of the cache line size (a power of two, validated
+	// by the cache geometry).
+	lineShift uint
 	// lastNode short-circuits the per-demand node-table scan when
 	// consecutive demands land in the same node (the overwhelmingly
 	// common case while streaming through an array). Only used when the
 	// node ranges are pairwise disjoint, so the shortcut returns exactly
 	// what the scan would.
-	lastNode     *dig.Node
+	lastNode     *node
 	nodesOverlap bool
 	// oneStep marks a reactive demand-advance in progress: its requests go
 	// out untracked (no PFHR, no continuation) — later demands re-arm the
@@ -141,7 +160,8 @@ func New(d *dig.DIG, cfg Config) prefetch.Factory {
 }
 
 // NewPrefetcher builds a single Prodigy instance (tests use this
-// directly; the simulator goes through New).
+// directly; the simulator goes through New). env.LineSize must be a power
+// of two.
 func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 	if cfg.PFHREntries <= 0 {
 		cfg.PFHREntries = DefaultConfig().PFHREntries
@@ -153,54 +173,55 @@ func NewPrefetcher(env prefetch.Env, d *dig.DIG, cfg Config) *Prodigy {
 		cfg.MaxRangedLines = DefaultConfig().MaxRangedLines
 	}
 	p := &Prodigy{
-		env:  env,
-		d:    d,
-		cfg:  cfg,
-		regs: make([]pfhr, cfg.PFHREntries),
-		trig: map[dig.NodeID]*trigState{},
-	}
-	for i := range p.regs {
-		p.regs[i].free = true
+		env:       env,
+		cfg:       cfg,
+		pfhr:      newPFHRFile(cfg.PFHREntries),
+		nodes:     make([]node, len(d.Nodes)),
+		lineShift: uint(bits.TrailingZeros(uint(env.LineSize))),
 	}
 	maxID := dig.NodeID(0)
 	for i := range d.Nodes {
-		if d.Nodes[i].ID > maxID {
-			maxID = d.Nodes[i].ID
+		maxID = max(maxID, d.Nodes[i].ID)
+	}
+	p.byID = make([]*node, int(maxID)+1)
+	for i := range d.Nodes {
+		dn := &d.Nodes[i]
+		n := &p.nodes[i]
+		*n = node{
+			id:      dn.ID,
+			trigger: dn.IsTrigger,
+			leaf:    d.IsLeaf(dn.ID),
+			shift:   uint8(bits.TrailingZeros8(dn.DataSize)),
+			base:    dn.Base,
+			bound:   dn.Bound,
 		}
+		n.numElems = (n.bound - n.base) >> n.shift
+		n.maxRanged = uint64(cfg.MaxRangedLines) << p.lineShift >> n.shift
+		p.byID[dn.ID] = n
 	}
-	p.byID = make([]*dig.Node, int(maxID)+1)
-	for i := range d.Nodes {
-		p.byID[d.Nodes[i].ID] = &d.Nodes[i]
-	}
-	p.trigByID = make([]*trigState, int(maxID)+1)
-	p.leafByID = make([]bool, int(maxID)+1)
-	p.rangedOut = make([]bool, int(maxID)+1)
-	for i := range d.Nodes {
-		id := d.Nodes[i].ID
-		p.leafByID[id] = d.IsLeaf(id)
-		for _, e := range d.OutEdges(id) {
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		for _, e := range d.OutEdges(n.id) {
 			if e.Type == dig.Ranged {
-				p.rangedOut[id] = true
+				n.rangedOut = true
+			}
+			if (e.Type == dig.SingleValued || e.Type == dig.Ranged) && int(e.Dst) < len(p.byID) && p.byID[e.Dst] != nil {
+				n.out = append(n.out, edge{dst: p.byID[e.Dst], ranged: e.Type == dig.Ranged})
 			}
 		}
-	}
-	for i := range d.Nodes {
-		for j := i + 1; j < len(d.Nodes); j++ {
-			a, b := &d.Nodes[i], &d.Nodes[j]
-			if a.Base < b.Bound && b.Base < a.Bound {
+		if n.trigger {
+			n.trig = &trigState{
+				lastDemandIdx: -1,
+				look:          int64(d.Lookahead(n.id)),
+				numSeqs:       int64(d.NumSeqs(n.id)),
+				descending:    d.TriggerCfg[n.id].Descending,
+			}
+		}
+		for j := i + 1; j < len(p.nodes); j++ {
+			if m := &p.nodes[j]; n.base < m.bound && m.base < n.bound {
 				p.nodesOverlap = true
 			}
 		}
-	}
-	for _, id := range d.TriggerNodes() {
-		ts := &trigState{
-			lastDemandIdx: -1,
-			look:          int64(d.Lookahead(id)),
-			numSeqs:       int64(d.NumSeqs(id)),
-			descending:    d.TriggerCfg[id].Descending,
-		}
-		p.trig[id] = ts
-		p.trigByID[id] = ts
 	}
 	// PFHR occupancy and sequence counters for the interval metrics.
 	// Counters are summed across cores (registered under shared names);
@@ -242,26 +263,18 @@ func (p *Prodigy) Pause() { p.paused = true }
 // Resume re-enables prefetching after a Pause.
 func (p *Prodigy) Resume() { p.paused = false }
 
-// Paused reports whether prefetching is suspended.
-func (p *Prodigy) Paused() bool { return p.paused }
-
-// nodeByID is the O(1) node-table lookup (nil for unregistered IDs).
-func (p *Prodigy) nodeByID(id dig.NodeID) *dig.Node {
-	if int(id) < len(p.byID) {
-		return p.byID[id]
-	}
-	return nil
-}
-
 // FreePFHRs returns the number of free registers (test hook).
-func (p *Prodigy) FreePFHRs() int {
-	n := 0
-	for i := range p.regs {
-		if p.regs[i].free {
-			n++
+func (p *Prodigy) FreePFHRs() int { return p.pfhr.free() }
+
+// containing is the node-table range scan the hardware performs on every
+// L1D snoop: the first node containing addr, or nil.
+func (p *Prodigy) containing(addr uint64) *node {
+	for i := range p.nodes {
+		if p.nodes[i].contains(addr) {
+			return &p.nodes[i]
 		}
 	}
-	return n
+	return nil
 }
 
 // OnDemand snoops a demand access (the prefetcher "reacts to demand
@@ -275,8 +288,8 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 		return
 	}
 	n := p.lastNode
-	if n == nil || !n.Contains(addr) {
-		n = p.d.NodeContaining(addr)
+	if n == nil || !n.contains(addr) {
+		n = p.containing(addr)
 		if n == nil {
 			return
 		}
@@ -284,7 +297,7 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 			p.lastNode = n
 		}
 	}
-	if !n.IsTrigger {
+	if !n.trigger {
 		p.demandAdvance(n, addr)
 		return
 	}
@@ -292,8 +305,8 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 	// covered this element was dropped or squashed, the demand re-arms its
 	// downstream walk (partial hiding beats none).
 	p.demandAdvance(n, addr)
-	ts := p.trigByID[n.ID]
-	idx := int64(n.Index(addr))
+	ts := n.trig
+	idx := int64(n.index(addr))
 	if ts.started && idx == ts.lastDemandIdx {
 		return // same work item; no new trigger event
 	}
@@ -304,7 +317,7 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 	// Drop-on-catch-up: the core has reached this element; any live
 	// sequence starting here can only partially hide latency.
 	if !p.cfg.SingleSequence {
-		p.dropSequence(n.ElemAddr(uint64(idx)))
+		p.dropSequence(n.elemAddr(uint64(idx)))
 	}
 
 	look := ts.look
@@ -334,7 +347,7 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 		if dir*(s-ts.nextSeqIdx) < 0 {
 			continue // already covered by an earlier trigger
 		}
-		if s < 0 || uint64(s) >= n.NumElems() {
+		if s < 0 || uint64(s) >= n.numElems {
 			continue
 		}
 		p.startSequence(n, uint64(s))
@@ -348,14 +361,13 @@ func (p *Prodigy) OnDemand(now int64, pc uint32, addr uint64, level cache.Level)
 // a single-valued target is demanded within a couple of instructions —
 // prefetching it reactively can no longer hide anything and only floods
 // the memory controller.
-func (p *Prodigy) demandAdvance(n *dig.Node, addr uint64) {
-	if !p.rangedOut[n.ID] {
+func (p *Prodigy) demandAdvance(n *node, addr uint64) {
+	if !n.rangedOut {
 		return
 	}
-	line := uint64(p.env.LineSize)
-	elemAddr := n.ElemAddr(n.Index(addr))
-	lineAddr := elemAddr / line * line
-	off := (elemAddr - lineAddr) / uint64(n.DataSize)
+	elemAddr := n.elemAddr(n.index(addr))
+	lineAddr := elemAddr >> p.lineShift << p.lineShift
+	off := (elemAddr - lineAddr) >> n.shift
 	p.oneStep = true
 	p.advance(n, elemAddr, lineAddr, 1<<off, 0)
 	p.oneStep = false
@@ -367,36 +379,22 @@ func (p *Prodigy) rangedOnly() bool { return p.oneStep }
 
 // startSequence begins a prefetch sequence at element seqIdx of the
 // trigger node: the first request fetches the trigger data itself.
-func (p *Prodigy) startSequence(n *dig.Node, seqIdx uint64) {
+func (p *Prodigy) startSequence(n *node, seqIdx uint64) {
 	p.Stats.SeqStarted++
 	p.env.Obs.Instant(p.env.Core, "seq-start", "prodigy")
-	elemAddr := n.ElemAddr(seqIdx)
+	elemAddr := n.elemAddr(seqIdx)
 	p.Stats.IssuedTrigger++
 	p.requestElems(n, elemAddr, elemAddr, 1, 0, kindTrigger)
 }
 
 // dropSequence frees every PFHR belonging to the sequence anchored at
-// trigAddr (Section IV-C1's selective dropping).
+// trigAddr (Section IV-C1's selective dropping). Only sequences still
+// waiting on their trigger-node data are abandoned: those can at best
+// partially hide the latency the core is already paying. Walks that
+// advanced deeper are fetching data the core needs imminently and run to
+// completion.
 func (p *Prodigy) dropSequence(trigAddr uint64) {
-	dropped := false
-	for i := range p.regs {
-		r := &p.regs[i]
-		if r.free || r.trigAddr != trigAddr {
-			continue
-		}
-		// Only sequences still waiting on their trigger-node data are
-		// abandoned: those can at best partially hide the latency the
-		// core is already paying. Walks that advanced deeper are fetching
-		// data the core needs imminently and run to completion.
-		n := p.nodeByID(r.node)
-		if n == nil || !n.IsTrigger {
-			continue
-		}
-		r.free = true
-		r.gen++
-		dropped = true
-	}
-	if dropped {
+	if p.pfhr.dropAnchored(trigAddr) {
 		p.Stats.SeqDropped++
 		p.env.Obs.Instant(p.env.Core, "seq-drop", "prodigy")
 	}
@@ -415,26 +413,25 @@ const (
 	kindRanged
 )
 
-func (p *Prodigy) requestElems(n *dig.Node, trigAddr, addr uint64, count uint64, depth int, kind int) {
+func (p *Prodigy) requestElems(n *node, trigAddr, addr uint64, count uint64, depth int, kind int) {
 	if depth > maxWalkDepth {
 		return
 	}
-	line := uint64(p.env.LineSize)
-	end := addr + count*uint64(n.DataSize)
-	if end > n.Bound {
-		end = n.Bound
+	end := addr + count<<n.shift
+	if end > n.bound {
+		end = n.bound
 	}
-	elem := uint64(n.DataSize)
+	elemMask := uint64(1)<<n.shift - 1
 	for cur := addr; cur < end; {
-		lineAddr := cur / line * line
-		next := lineAddr + line
+		lineAddr := cur >> p.lineShift << p.lineShift
+		next := lineAddr + 1<<p.lineShift
 		if next > end {
 			next = end
 		}
 		// Element-offset bitmap within this line (Fig. 9d): the covered
 		// elements are contiguous, so the bitmap is a shifted run of ones.
-		first := (cur - lineAddr) / elem
-		nbits := (next - cur + elem - 1) / elem
+		first := (cur - lineAddr) >> n.shift
+		nbits := (next - cur + elemMask) >> n.shift
 		bitmap := (uint64(1)<<nbits - 1) << first
 		p.requestLine(n, trigAddr, lineAddr, bitmap, depth, kind)
 		cur = next
@@ -454,8 +451,8 @@ func (p *Prodigy) countIssuedLine(kind int) {
 	}
 }
 
-func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uint64, depth int, kind int) {
-	leaf := p.leafByID[n.ID] || p.oneStep
+func (p *Prodigy) requestLine(n *node, trigAddr, lineAddr uint64, bitmap uint64, depth int, kind int) {
+	leaf := n.leaf || p.oneStep
 	lvl := p.env.Probe(lineAddr)
 	if lvl == cache.LvlL1 {
 		p.Stats.ResidentSkipped++
@@ -481,29 +478,22 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	// the oldest anchor would let one drop-on-catch-up kill every merged
 	// sequence the moment the demand reaches the first of them, while
 	// allocating one PFHR per sequence would exhaust the 16-entry file.
-	idx := -1
-	for i := range p.regs {
-		r := &p.regs[i]
-		if r.free {
-			if idx < 0 {
-				idx = i
-			}
-			continue
-		}
-		if r.node == n.ID && r.lineAddr == lineAddr {
-			r.bitmap |= bitmap
-			r.trigAddr = trigAddr
-			return
-		}
+	idx, merge := p.pfhr.lookup(n.id, lineAddr)
+	if merge {
+		r := &p.pfhr.regs[idx]
+		r.bitmap |= bitmap
+		r.trigAddr = trigAddr
+		return
 	}
 	if idx < 0 {
 		p.Stats.PFHRFull++
 		p.internalDrops++
 		return
 	}
-	r := &p.regs[idx]
-	r.free = false
-	r.node = n.ID
+	p.pfhr.take(idx)
+	r := &p.pfhr.regs[idx]
+	r.node = n.id
+	r.onTrig = n.trigger
 	r.trigAddr = trigAddr
 	r.lineAddr = lineAddr
 	r.bitmap = bitmap
@@ -511,8 +501,7 @@ func (p *Prodigy) requestLine(n *dig.Node, trigAddr, lineAddr uint64, bitmap uin
 	if !p.env.IssueAt(lineAddr, p.meta(idx), lvl) {
 		// The memory system dropped the request (MSHR cap): no fill will
 		// ever arrive, so release the register instead of leaking it.
-		r.free = true
-		r.gen++
+		p.pfhr.release(idx)
 		p.Stats.PFHRFull++
 	}
 }
@@ -526,7 +515,7 @@ const maxPFHREntries = 1 << 15
 // meta packs a PFHR index (low 16 bits) and its generation (high 16
 // bits) into the issue metadata.
 func (p *Prodigy) meta(idx int) uint32 {
-	return uint32(idx) | uint32(p.regs[idx].gen)<<16
+	return uint32(idx) | uint32(p.pfhr.regs[idx].gen)<<16
 }
 
 // unpackMeta splits fill metadata back into the PFHR index and
@@ -541,91 +530,68 @@ func (p *Prodigy) OnFill(now int64, addr uint64, meta uint32, level cache.Level)
 	if meta == prefetch.UntrackedMeta {
 		return
 	}
+	idx, gen := unpackMeta(meta)
+	if idx >= len(p.pfhr.regs) || !p.pfhr.isBusy(idx) || p.pfhr.regs[idx].gen != gen {
+		return // sequence was dropped while the request was in flight
+	}
+	r := &p.pfhr.regs[idx]
+	p.pfhr.release(idx)
 	if p.paused {
 		// Fills arriving while descheduled retire their PFHRs without
 		// walking further.
-		idx, gen := unpackMeta(meta)
-		if idx < len(p.regs) && !p.regs[idx].free && p.regs[idx].gen == gen {
-			p.regs[idx].free = true
-			p.regs[idx].gen++
-		}
 		return
 	}
-	idx, gen := unpackMeta(meta)
-	if idx >= len(p.regs) {
-		return
-	}
-	r := &p.regs[idx]
-	if r.free || r.gen != gen {
-		return // sequence was dropped while the request was in flight
-	}
-	n := p.nodeByID(r.node)
-	trigAddr, lineAddr, bitmap := r.trigAddr, r.lineAddr, r.bitmap
-	r.free = true
-	r.gen++
-	p.advance(n, trigAddr, lineAddr, bitmap, 0)
+	p.advance(p.byID[r.node], r.trigAddr, r.lineAddr, r.bitmap, 0)
 }
 
 // advance dereferences the elements named by bitmap in the filled line and
 // issues the next level of the DIG walk (Section IV-C2).
-func (p *Prodigy) advance(n *dig.Node, trigAddr, lineAddr uint64, bitmap uint64, depth int) {
-	edges := p.d.OutEdges(n.ID)
-	if len(edges) == 0 {
+func (p *Prodigy) advance(n *node, trigAddr, lineAddr uint64, bitmap uint64, depth int) {
+	if len(n.out) == 0 {
 		return
 	}
-	elemSize := uint64(n.DataSize)
 	for off := uint64(0); bitmap != 0; off, bitmap = off+1, bitmap>>1 {
 		if bitmap&1 == 0 {
 			continue
 		}
-		elemAddr := lineAddr + off*elemSize
-		if !n.Contains(elemAddr) {
+		elemAddr := lineAddr + off<<n.shift
+		if !n.contains(elemAddr) {
 			continue
 		}
 		val, ok := p.env.Read(elemAddr)
 		if !ok {
 			continue
 		}
-		for _, e := range edges {
-			dst := p.nodeByID(e.Dst)
-			if dst == nil {
-				continue
-			}
-			switch e.Type {
-			case dig.SingleValued:
+		for _, e := range n.out {
+			dst := e.dst
+			if !e.ranged {
 				if p.rangedOnly() {
 					continue
 				}
-				if val >= dst.NumElems() {
+				if val >= dst.numElems {
 					continue
 				}
 				p.Stats.IssuedSingle++
-				p.requestElems(dst, trigAddr, dst.ElemAddr(val), 1, depth+1, kindSingle)
-			case dig.Ranged:
-				if p.cfg.DisableRanged {
-					continue
-				}
-				// Read the pair (a[i], a[i+1]) bounding the stream. The
-				// hardware reads both off the fill (they are adjacent;
-				// a line-crossing pair costs one extra read).
-				hi, ok := p.env.Read(elemAddr + elemSize)
-				if !ok || hi <= val {
-					continue
-				}
-				if val >= dst.NumElems() {
-					continue
-				}
-				if hi > dst.NumElems() {
-					hi = dst.NumElems()
-				}
-				count := hi - val
-				maxElems := uint64(p.cfg.MaxRangedLines) * uint64(p.env.LineSize) / uint64(dst.DataSize)
-				if count > maxElems {
-					count = maxElems
-				}
-				p.Stats.IssuedRanged++
-				p.requestElems(dst, trigAddr, dst.ElemAddr(val), count, depth+1, kindRanged)
+				p.requestElems(dst, trigAddr, dst.elemAddr(val), 1, depth+1, kindSingle)
+				continue
 			}
+			if p.cfg.DisableRanged {
+				continue
+			}
+			// Read the pair (a[i], a[i+1]) bounding the stream. The
+			// hardware reads both off the fill (they are adjacent; a
+			// line-crossing pair costs one extra read).
+			hi, ok := p.env.Read(elemAddr + 1<<n.shift)
+			if !ok || hi <= val {
+				continue
+			}
+			if val >= dst.numElems {
+				continue
+			}
+			hi = min(hi, dst.numElems)
+			count := min(hi-val, dst.maxRanged)
+			p.Stats.IssuedRanged++
+			p.requestElems(dst, trigAddr, dst.elemAddr(val), count, depth+1, kindRanged)
 		}
 	}
 }

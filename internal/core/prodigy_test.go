@@ -450,18 +450,18 @@ func TestPFHRMetaPackingWideIndex(t *testing.T) {
 	st := newBFSSetup(t, Config{PFHREntries: 300, MaxRangedLines: 64},
 		dig.TriggerConfig{Lookahead: 1, NumSeqs: 1})
 	p := st.p
-	if len(p.regs) != 300 {
-		t.Fatalf("PFHR file size = %d, want 300", len(p.regs))
+	if len(p.pfhr.regs) != 300 {
+		t.Fatalf("PFHR file size = %d, want 300", len(p.pfhr.regs))
 	}
 	// Occupy a register above the old 8-bit index range and round-trip
 	// its metadata. Pre-fix, idx 260 packed to 260&0xFF = 4.
 	const idx = 260
-	n := p.d.NodeContaining(st.workQ.Addr(0))
-	p.regs[idx].free = false
-	p.regs[idx].gen = 5
-	p.regs[idx].node = n.ID
-	p.regs[idx].lineAddr = st.workQ.Addr(0) / 64 * 64
-	p.regs[idx].bitmap = 1
+	n := st.d.NodeContaining(st.workQ.Addr(0))
+	p.pfhr.take(idx)
+	p.pfhr.regs[idx].gen = 5
+	p.pfhr.regs[idx].node = n.ID
+	p.pfhr.regs[idx].lineAddr = st.workQ.Addr(0) / 64 * 64
+	p.pfhr.regs[idx].bitmap = 1
 	meta := p.meta(idx)
 	gotIdx, gotGen := unpackMeta(meta)
 	if gotIdx != idx || gotGen != 5 {
@@ -471,8 +471,8 @@ func TestPFHRMetaPackingWideIndex(t *testing.T) {
 		t.Fatal("packed meta collides with UntrackedMeta")
 	}
 	// The fill must retire exactly register 260.
-	p.OnFill(0, p.regs[idx].lineAddr, meta, cache.LvlMem)
-	if !p.regs[idx].free {
+	p.OnFill(0, p.pfhr.regs[idx].lineAddr, meta, cache.LvlMem)
+	if p.pfhr.isBusy(idx) {
 		t.Fatal("fill did not retire the high-index PFHR")
 	}
 }
@@ -483,11 +483,11 @@ func TestPFHRMetaPackingWideIndex(t *testing.T) {
 func TestPFHREntriesClamped(t *testing.T) {
 	st := newBFSSetup(t, Config{PFHREntries: 1 << 20, MaxRangedLines: 64},
 		dig.TriggerConfig{Lookahead: 1, NumSeqs: 1})
-	if len(st.p.regs) != maxPFHREntries {
-		t.Fatalf("PFHR file size = %d, want clamp at %d", len(st.p.regs), maxPFHREntries)
+	if len(st.p.pfhr.regs) != maxPFHREntries {
+		t.Fatalf("PFHR file size = %d, want clamp at %d", len(st.p.pfhr.regs), maxPFHREntries)
 	}
 	// Even the top register's metadata must stay distinguishable.
-	st.p.regs[maxPFHREntries-1].gen = 0xFFFF
+	st.p.pfhr.regs[maxPFHREntries-1].gen = 0xFFFF
 	if st.p.meta(maxPFHREntries-1) == prefetch.UntrackedMeta {
 		t.Fatal("top register metadata collides with UntrackedMeta")
 	}
@@ -505,7 +505,7 @@ func TestPauseResumeOSIntegration(t *testing.T) {
 	st.f.issued = nil
 
 	st.p.Pause()
-	if !st.p.Paused() {
+	if !st.p.paused {
 		t.Fatal("not paused")
 	}
 	st.p.OnDemand(0, 1, st.workQ.Addr(5), cache.LvlMem)

@@ -2,6 +2,7 @@ package dig
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -21,11 +22,24 @@ func NewBuilder() *Builder {
 	return &Builder{trigCfg: map[NodeID]TriggerConfig{}}
 }
 
+// ElemSizeError reports a RegisterNode element size the node table cannot
+// hold: not a power of two in [1, 128]. Prodigy's walk converts between
+// addresses and element indices with shifts, as the hardware does.
+type ElemSizeError struct {
+	Node, Size int
+}
+
+func (e *ElemSizeError) Error() string {
+	return fmt.Sprintf("dig: node %d has bad element size %d (want a power of two up to 128)", e.Node, e.Size)
+}
+
 // RegisterNode registers a data structure: base address, element count,
-// element size in bytes, and the node ID (the registerNode API call).
+// element size in bytes, and the node ID (the registerNode API call). The
+// element size must be a power of two that fits DataSize; any other size
+// makes Build fail with an *ElemSizeError.
 func (b *Builder) RegisterNode(name string, base, numElems uint64, elemSize int, id int) {
-	if elemSize <= 0 || elemSize > 255 {
-		b.errs = append(b.errs, fmt.Errorf("dig: node %d has bad element size %d", id, elemSize))
+	if elemSize <= 0 || elemSize > 255 || bits.OnesCount(uint(elemSize)) != 1 {
+		b.errs = append(b.errs, &ElemSizeError{Node: id, Size: elemSize})
 		return
 	}
 	b.nodes = append(b.nodes, Node{

@@ -1,6 +1,7 @@
 package dig
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -155,12 +156,15 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := b.Build(); err == nil {
 		t.Error("overlapping nodes should fail")
 	}
-	// Bad element size.
-	b = NewBuilder()
-	b.RegisterNode("a", 0x1000, 10, 0, 0)
-	b.RegisterTrigEdge(0x1000, TriggerConfig{})
-	if _, err := b.Build(); err == nil {
-		t.Error("zero element size should fail")
+	// Bad element sizes: zero, past DataSize, not a power of two.
+	for _, size := range []int{0, 256, 6} {
+		b = NewBuilder()
+		b.RegisterNode("a", 0x1000, 10, size, 0)
+		b.RegisterTrigEdge(0x1000, TriggerConfig{})
+		var se *ElemSizeError
+		if _, err := b.Build(); !errors.As(err, &se) || se.Size != size {
+			t.Errorf("element size %d: Build error = %v, want *ElemSizeError", size, err)
+		}
 	}
 	// Trigger type passed to RegisterTravEdge.
 	b = NewBuilder()

@@ -9,7 +9,7 @@ package memspace
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -25,6 +25,7 @@ type Region struct {
 	BaseAddr uint64
 	ElemSize uint64
 	Len      uint64 // number of elements
+	shift    uint8  // log2(ElemSize): element sizes are 4 or 8
 	read     func(idx uint64) uint64
 }
 
@@ -42,7 +43,10 @@ func (r *Region) Contains(addr uint64) bool {
 // Space is a simulated virtual address space: an ordered set of regions.
 type Space struct {
 	regions []*Region // sorted by BaseAddr
-	next    uint64
+	// bounds[i] is regions[i].Bound(), precomputed for FindRegion's binary
+	// search (strictly increasing, like the bases).
+	bounds []uint64
+	next   uint64
 }
 
 // New returns an empty address space.
@@ -53,24 +57,34 @@ func New() *Space {
 // Regions returns the allocated regions in address order.
 func (s *Space) Regions() []*Region { return s.regions }
 
+// alloc places a region of n elements of elemSize bytes, a power of two.
 func (s *Space) alloc(name string, elemSize, n uint64) *Region {
-	r := &Region{Name: name, BaseAddr: s.next, ElemSize: elemSize, Len: n}
+	r := &Region{Name: name, BaseAddr: s.next, ElemSize: elemSize, Len: n,
+		shift: uint8(bits.TrailingZeros64(elemSize))}
 	sz := elemSize * n
 	s.next += (sz + PageSize - 1) / PageSize * PageSize
 	// Keep at least one unmapped guard page between regions so that an
 	// off-by-one traversal bug faults loudly instead of aliasing.
 	s.next += PageSize
 	s.regions = append(s.regions, r)
+	s.bounds = append(s.bounds, r.Bound())
 	return r
 }
 
 // FindRegion returns the region containing addr, or nil.
 func (s *Space) FindRegion(addr uint64) *Region {
-	i := sort.Search(len(s.regions), func(i int) bool {
-		return s.regions[i].Bound() > addr
-	})
-	if i < len(s.regions) && s.regions[i].Contains(addr) {
-		return s.regions[i]
+	// Binary search for the first region whose bound lies above addr.
+	lo, hi := 0, len(s.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.bounds[mid] > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(s.regions) && addr >= s.regions[lo].BaseAddr {
+		return s.regions[lo]
 	}
 	return nil
 }
@@ -83,8 +97,7 @@ func (s *Space) ReadAt(addr uint64) (uint64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	idx := (addr - r.BaseAddr) / r.ElemSize
-	return r.read(idx), true
+	return r.read((addr - r.BaseAddr) >> r.shift), true
 }
 
 // U32 is a uint32 array living in a Space.

@@ -2,6 +2,7 @@ package memspace
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,18 @@ func TestUnmappedAddresses(t *testing.T) {
 	}
 }
 
+// refFindRegion is the closure-based sort.Search lookup FindRegion's
+// precomputed-bound search replaced, kept as the differential reference.
+func refFindRegion(s *Space, addr uint64) *Region {
+	i := sort.Search(len(s.regions), func(i int) bool {
+		return s.regions[i].Bound() > addr
+	})
+	if i < len(s.regions) && s.regions[i].Contains(addr) {
+		return s.regions[i]
+	}
+	return nil
+}
+
 func TestFindRegionManyRegions(t *testing.T) {
 	s := New()
 	var arrs []*U32
@@ -106,6 +119,40 @@ func TestFindRegionManyRegions(t *testing.T) {
 		}
 		if got := s.FindRegion(a.Bound() - 1); got != a.Region {
 			t.Fatalf("region %d not found by last byte", i)
+		}
+	}
+
+	// Differential check against the sort.Search lookup, on a space that
+	// mixes element sizes, zero-length regions and multi-page regions:
+	// every region's edges, its guard page, below Base and past the end.
+	s = New()
+	for i := 0; i < 40; i++ {
+		switch i % 4 {
+		case 0:
+			s.AllocU32("u32", 3*i)
+		case 1:
+			s.AllocU64("u64", 0)
+		case 2:
+			s.AllocF64("f64", 700*i)
+		default:
+			s.AllocF32("f32", i)
+		}
+	}
+	probes := []uint64{0, 1, Base - 1, Base, s.next, s.next + 1, ^uint64(0)}
+	for _, r := range s.Regions() {
+		for _, a := range []uint64{r.BaseAddr - 1, r.BaseAddr, r.BaseAddr + 1,
+			r.BaseAddr + r.Bytes()/2, r.Bound() - 1, r.Bound(), r.Bound() + 1,
+			r.Bound() + PageSize - 1, r.Bound() + PageSize} {
+			probes = append(probes, a)
+		}
+	}
+	for _, a := range probes {
+		want := refFindRegion(s, a)
+		if got := s.FindRegion(a); got != want {
+			t.Fatalf("FindRegion(%#x) = %v, sort.Search reference = %v", a, got, want)
+		}
+		if _, ok := s.ReadAt(a); ok != (want != nil) {
+			t.Fatalf("ReadAt(%#x) ok = %v, want %v", a, ok, want != nil)
 		}
 	}
 }

@@ -598,7 +598,7 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 	// occupancy counter gates the table probe so prefetch-less runs pay
 	// one compare here.
 	if m.inflightPerCore[core] != 0 {
-		if ev := m.inflight[core].get(addr / uint64(m.cfg.Cache.LineSize)); ev != nil {
+		if ev := m.inflight[core].get(m.hier.LineAddr(addr)); ev != nil {
 			if !ev.demandMerged {
 				// First merge on this line: one "late" lifecycle outcome
 				// (subsequent demands would have hit in cache either way).
@@ -680,9 +680,11 @@ func (m *Machine) issuePrefetch(core int, addr uint64, meta uint32) bool {
 // hierarchy probe. Nothing can move the line between the caller's probe
 // and this call, so reusing the level is exact.
 func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cache.Level) bool {
-	line := uint64(m.cfg.Cache.LineSize)
-	lineAddr := addr / line * line
-	if ev := m.inflight[core].get(lineAddr / line); ev != nil {
+	// The line size is a power of two (cache.Config.Validate), so the
+	// line index is a shift and the line's byte address a mask.
+	la := m.hier.LineAddr(addr)
+	lineAddr := addr &^ (uint64(m.cfg.Cache.LineSize) - 1)
+	if ev := m.inflight[core].get(la); ev != nil {
 		if meta != prefetch.UntrackedMeta && !containsMeta(ev.metas, meta) {
 			// Duplicate metas would deliver duplicate OnFill callbacks for
 			// one physical fill, letting fill-cascading prefetchers
@@ -738,7 +740,7 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	}
 	ev.issuedAt = m.now
 	m.events.push(ev)
-	m.inflight[core].put(lineAddr/line, ev)
+	m.inflight[core].put(la, ev)
 	m.inflightPerCore[core]++
 	m.stats.PrefetchIssued++
 	m.pfIssuedPC[core]++
@@ -764,7 +766,7 @@ func containsMeta(metas []uint32, m uint32) bool {
 func (m *Machine) processEvents(now int64) {
 	for len(m.events) > 0 && m.events[0].ready <= now {
 		ev := m.events.popMin()
-		m.inflight[ev.core].del(ev.lineAddr / uint64(m.cfg.Cache.LineSize))
+		m.inflight[ev.core].del(m.hier.LineAddr(ev.lineAddr))
 		m.inflightPerCore[ev.core]--
 		m.now = now
 		if m.cfg.PrefetchFillL2 {
@@ -947,13 +949,17 @@ func (m *Machine) Run() (Result, error) {
 		}
 
 		// Step the due cores in core-index order (the tie-break that keeps
-		// shared cache/DRAM state evolution deterministic).
+		// shared cache/DRAM state evolution deterministic). The same pass
+		// finds the earliest core wakeup for the scheduling step below.
+		next := farFuture
 		for i, c := range m.cores {
-			if wake[i] > now {
+			if w := wake[i]; w > now {
+				next = min(next, w)
 				continue
 			}
 			n := c.Step(now)
 			wake[i] = n
+			next = min(next, n)
 			if n >= farFuture {
 				// The core left the schedule: it either retired its whole
 				// stream or parked at a barrier.
@@ -981,15 +987,9 @@ func (m *Machine) Run() (Result, error) {
 
 		// Pick the next wakeup: the earliest core wakeup or prefetch fill,
 		// or the next cycle when a barrier release is pending.
-		next := farFuture
 		if parkedCores > 0 && parkedCores+doneCores == nCores {
 			next = now + 1
 		} else {
-			for _, w := range wake {
-				if w < next {
-					next = w
-				}
-			}
 			if len(m.events) > 0 && m.events[0].ready < next {
 				next = m.events[0].ready
 			}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"sync"
 )
 
 // Kind classifies a dynamic instruction.
@@ -95,6 +96,20 @@ func (in Instr) LoadDep() bool { return in.Flags&LoadDepFlag != 0 }
 // chunkSize is the number of instructions flushed to a core's queue at
 // once.
 const chunkSize = 4096
+
+// chunkPool recycles chunk buffers across generators: a consumed chunk
+// goes back to the pool, and the next emission anywhere — this epoch,
+// the next, or the next cell's generator — refills it instead of
+// allocating and zeroing a fresh 64 KiB array. It holds array pointers,
+// so Put and Get do not allocate.
+var chunkPool sync.Pool
+
+// putChunk returns a chunk's backing array to the pool.
+func putChunk(c []Instr) {
+	if cap(c) >= chunkSize {
+		chunkPool.Put((*[chunkSize]Instr)(c[:chunkSize]))
+	}
+}
 
 // Reader is the simulator-side cursor over one core's stream. Next
 // deposits each instruction in In rather than returning it; see Next.
@@ -179,11 +194,7 @@ type Gen struct {
 	queues  [][][]Instr // per-core published chunks, oldest first
 	readers []*Reader
 	bufs    [][]Instr // per-core chunk being filled
-	// free recycles fully-consumed chunk buffers back to the producer
-	// while it can still run: steady-state emission reuses a handful of
-	// chunkSize-capacity arrays instead of growing fresh ones each epoch.
-	free   [][]Instr
-	closed bool // the producer has finished or been abandoned
+	closed  bool      // the producer has finished or been abandoned
 
 	// The coroutine Run starts, nil otherwise (and after Abort).
 	next  func() (struct{}, bool)
@@ -216,12 +227,9 @@ func (g *Gen) Reader(core int) *Reader { return g.readers[core] }
 // pop hands the consumer the next chunk of core's queue, resuming the
 // producer while the queue is empty. Returns ok=false once the queue is
 // empty and the producer cannot add to it. used is the chunk the reader
-// just finished; its backing array is recycled for the producer to refill.
+// just finished; its backing array goes back to the pool.
 func (g *Gen) pop(core int, used []Instr) ([]Instr, bool) {
-	if cap(used) > 0 && !g.closed {
-		//lint:allow hotpath-alloc chunk recycling: the free list is bounded by the chunks in flight per epoch, so growth stops after the first epoch
-		g.free = append(g.free, used[:0])
-	}
+	putChunk(used)
 	for len(g.queues[core]) == 0 {
 		if g.closed || g.next == nil {
 			return nil, false
@@ -235,31 +243,32 @@ func (g *Gen) pop(core int, used []Instr) ([]Instr, bool) {
 	return c, true
 }
 
-// Abort ends production and discards everything not yet consumed. A
-// kernel suspended at a Barrier unwinds from it without running further.
-// The simulator calls it on every exit path — error, interrupt, panic and
-// clean finish — so a generator something still references holds no
-// chunk buffers and no coroutine.
+// Abort ends production and returns everything not yet consumed to the
+// chunk pool. A kernel suspended at a Barrier unwinds from it without
+// running further. The simulator calls it on every exit path — error,
+// interrupt, panic and clean finish — so a generator something still
+// references holds no chunk buffers and no coroutine.
 func (g *Gen) Abort() {
 	if g.stop != nil {
 		g.stop()
 	}
 	g.next, g.stop, g.yield = nil, nil, nil
 	g.closed = true
-	for c := range g.queues {
+	for c, q := range g.queues {
+		for _, b := range q {
+			putChunk(b)
+		}
 		g.queues[c] = nil
+		putChunk(g.bufs[c])
+		g.bufs[c] = nil
 	}
-	g.free = nil
 }
 
-// newBuf returns an empty chunk buffer, reusing a recycled backing array
-// when one is available.
+// newBuf returns an empty chunk buffer, drawn from the pool when it has
+// one.
 func (g *Gen) newBuf() []Instr {
-	if n := len(g.free); n > 0 {
-		b := g.free[n-1]
-		g.free[n-1] = nil
-		g.free = g.free[:n-1]
-		return b
+	if b, ok := chunkPool.Get().(*[chunkSize]Instr); ok {
+		return b[:0]
 	}
 	return make([]Instr, 0, chunkSize)
 }
@@ -349,7 +358,6 @@ func (g *Gen) Close() {
 		g.flush(c)
 	}
 	g.closed = true
-	g.free = nil
 }
 
 // Run makes fn the generator's producer: a coroutine that the readers

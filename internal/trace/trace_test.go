@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -47,39 +48,53 @@ func TestEmitAndCollect(t *testing.T) {
 	}
 }
 
+// TestConcurrentProducerConsumer streams epochs through several
+// generators at once, each drained on its own goroutine, as parallel
+// cells do: they share the chunk pool, so a chunk recycled by one must
+// never show up in another's stream.
 func TestConcurrentProducerConsumer(t *testing.T) {
-	const n = 100000
-	g := NewGen(1, 8192)
-	wait := g.Run(func(g *Gen) {
-		for i := 0; i < n; i++ {
-			g.Load(0, 1, uint64(i))
-			if i%1000 == 999 {
-				g.Barrier()
+	const n, gens = 100000, 4
+	var wg sync.WaitGroup
+	for k := 0; k < gens; k++ {
+		base := uint64(k) << 32 // each generator's own address range
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := NewGen(1, 0)
+			wait := g.Run(func(g *Gen) {
+				for i := 0; i < n; i++ {
+					g.Load(0, 1, base+uint64(i))
+					if i%1000 == 999 {
+						g.Barrier()
+					}
+				}
+			})
+			defer g.Abort()
+			r := g.Reader(0)
+			var loads, barriers int
+			next := base
+			for r.Next() {
+				switch r.In.Kind {
+				case Load:
+					if r.In.Addr != next {
+						t.Errorf("generator %d: got %#x, want %#x", k, r.In.Addr, next)
+						return
+					}
+					next++
+					loads++
+				case Barrier:
+					barriers++
+				}
 			}
-		}
-	})
-	r := g.Reader(0)
-	var loads, barriers int
-	prev := int64(-1)
-	for r.Next() {
-		switch r.In.Kind {
-		case Load:
-			if int64(r.In.Addr) != prev+1 {
-				t.Fatalf("out of order: got %d after %d", r.In.Addr, prev)
+			if err := wait(); err != nil {
+				t.Error(err)
 			}
-			prev = int64(r.In.Addr)
-			loads++
-		case Barrier:
-			barriers++
-		}
+			if loads != n || barriers != n/1000 {
+				t.Errorf("generator %d: %d loads, %d barriers, want %d, %d", k, loads, barriers, n, n/1000)
+			}
+		}()
 	}
-	wait()
-	if loads != n {
-		t.Fatalf("loads = %d, want %d", loads, n)
-	}
-	if barriers != n/1000 {
-		t.Fatalf("barriers = %d, want %d", barriers, n/1000)
-	}
+	wg.Wait()
 }
 
 func TestStrictAlternation(t *testing.T) {
@@ -180,7 +195,7 @@ func TestFinishedGenHoldsNoBuffers(t *testing.T) {
 		}
 		for r.Next() { // drain what an early abort left
 		}
-		held := len(g.free) + len(g.queues[0])
+		held := len(g.queues[0])
 		if g.bufs[0] != nil || r.cur != nil {
 			held++
 		}
