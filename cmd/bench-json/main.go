@@ -1,6 +1,6 @@
 // Command bench-json runs the repo's performance gate: the hot-path
 // microbenchmarks (internal/cache, internal/sim, internal/dram,
-// internal/core, internal/stats) plus a wall-clock timing of
+// internal/core, internal/trace, internal/stats) plus a wall-clock timing of
 // `prodigy-bench -quick` and an in-process quick sweep recording Prodigy's prefetch accuracy/coverage/timeliness,
 // written as one JSON document (BENCH_<n>.json, see docs/ARCHITECTURE.md
 // §Performance).
@@ -8,7 +8,8 @@
 // When the output file already exists it doubles as the baseline: the
 // run fails (exit 1) if allocs/op on any benchmark in gated (the cache
 // demand, miss, shared-read and prefetch-fill paths, the DRAM backlog,
-// Prodigy's DIG walk and the memlat latency-recording path) regresses
+// Prodigy's DIG walk, the trace's emit-and-drain path and the memlat
+// latency-recording path) regresses
 // above the committed value, or if the quick sweep's Prodigy accuracy or coverage drops
 // below the committed baseline (beyond a small tolerance), so the hot
 // path stays allocation-free and the prefetcher stays effective by
@@ -105,10 +106,11 @@ type Doc struct {
 // committed baseline: the demand hot path, the DRAM-miss path, the
 // shared-read coherence walks and the prefetch-fill path, all carrying
 // the always-on lifecycle telemetry, the DRAM controller under a
-// standing prefetch backlog, Prodigy's trigger-to-leaf DIG walk, plus the
+// standing prefetch backlog, Prodigy's trigger-to-leaf DIG walk, the
+// trace's per-instruction emit and drain across epochs, plus the
 // latency-histogram record path that every obs.Recorder runs on each
 // demand load and atomic.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkProdigyWalk", "BenchmarkHistogramRecord"}
+var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkProdigyWalk", "BenchmarkEmitDrain", "BenchmarkHistogramRecord"}
 
 // qualityCells is the quick sweep measured for the quality gate.
 var qualityCells = []struct {
@@ -131,6 +133,7 @@ var suites = []struct{ pkg, pattern string }{
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
 	{"./internal/dram", "BenchmarkControllerRequest|BenchmarkControllerBacklog"},
 	{"./internal/core", "BenchmarkProdigyWalk"},
+	{"./internal/trace", "BenchmarkEmitDrain"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},
 }
 

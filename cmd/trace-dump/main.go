@@ -6,11 +6,16 @@
 // Usage:
 //
 //	trace-dump -algo bfs -dataset po -n 40 [-core 0]
+//
+// Exit codes: 0 success, 1 the workload could not be built, 2 usage
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prodigy/internal/graph"
@@ -19,12 +24,24 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "bfs", "algorithm")
-	dataset := flag.String("dataset", "po", "graph dataset (graph algorithms only)")
-	n := flag.Int("n", 40, "instructions to print per core")
-	coreSel := flag.Int("core", -1, "print a single core (-1 = all)")
-	cores := flag.Int("cores", 2, "core count")
-	flag.Parse()
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
+}
+
+// run is the whole command; it returns the exit code.
+func run(stdout, stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("trace-dump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algo := fs.String("algo", "bfs", "algorithm")
+	dataset := fs.String("dataset", "po", "graph dataset (graph algorithms only)")
+	n := fs.Int("n", 40, "instructions to print per core")
+	coreSel := fs.Int("core", -1, "print a single core (-1 = all)")
+	cores := fs.Int("cores", 2, "core count")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ds := *dataset
 	if !workloads.IsGraphAlgo(*algo) {
@@ -32,15 +49,15 @@ func main() {
 	}
 	w, err := workloads.Build(*algo, ds, *cores, workloads.Options{Scale: graph.ScaleTiny})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	streams := trace.Collect(w.Cores, w.Run)
 	for c, seq := range streams {
 		if *coreSel >= 0 && c != *coreSel {
 			continue
 		}
-		fmt.Printf("--- core %d (%d instructions total) ---\n", c, len(seq))
+		fmt.Fprintf(stdout, "--- core %d (%d instructions total) ---\n", c, len(seq))
 		for i, in := range seq {
 			if i >= *n {
 				break
@@ -48,15 +65,16 @@ func main() {
 			switch in.Kind {
 			case trace.Load, trace.Store, trace.Atomic, trace.SoftPrefetch:
 				node := "?"
-				if nd := w.DIG.NodeContaining(in.Addr); nd != nil {
-					node = fmt.Sprintf("%s[%d]", nd.Name, nd.Index(in.Addr))
+				if nd := w.DIG.NodeContaining(uint64(in.Addr)); nd != nil {
+					node = fmt.Sprintf("%s[%d]", nd.Name, nd.Index(uint64(in.Addr)))
 				}
-				fmt.Printf("%6d  %-7s pc=%-4d %#010x  %s\n", i, in.Kind, in.PC, in.Addr, node)
+				fmt.Fprintf(stdout, "%6d  %-7s pc=%-4d %#010x  %s\n", i, in.Kind, in.PC, in.Addr, node)
 			case trace.Branch:
-				fmt.Printf("%6d  %-7s pc=%-4d taken=%-5v loadDep=%v\n", i, in.Kind, in.PC, in.Taken(), in.LoadDep())
+				fmt.Fprintf(stdout, "%6d  %-7s pc=%-4d taken=%-5v loadDep=%v\n", i, in.Kind, in.PC, in.Taken(), in.LoadDep())
 			default:
-				fmt.Printf("%6d  %-7s pc=%d\n", i, in.Kind, in.PC)
+				fmt.Fprintf(stdout, "%6d  %-7s pc=%d\n", i, in.Kind, in.PC)
 			}
 		}
 	}
+	return 0
 }

@@ -338,7 +338,7 @@ func (c *Core) dispatch(now int64, in trace.Instr) {
 	case trace.Branch:
 		c.Branches++
 		taken := in.Taken()
-		pred := c.predict(in.PC, taken)
+		pred := c.predict(uint32(in.PC), taken)
 		resolve := now + 1
 		if in.LoadDep() && c.lastLoadReady > resolve {
 			resolve = c.lastLoadReady
@@ -354,7 +354,7 @@ func (c *Core) dispatch(now int64, in trace.Instr) {
 		}
 	case trace.SoftPrefetch:
 		if c.softPF != nil {
-			c.softPF(now, in.Addr)
+			c.softPF(now, uint64(in.Addr))
 		}
 	}
 	i := c.head + c.count

@@ -8,6 +8,7 @@
 package memspace
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -18,6 +19,11 @@ const PageSize = 4096
 // Base is the lowest virtual address handed out by a Space. Address zero is
 // reserved so that a zero address can act as a sentinel.
 const Base = 0x10000
+
+// Limit bounds the simulated address space: no region reaches past it.
+// Instruction traces carry 32-bit addresses (trace.Instr), so the space
+// is 4 GiB.
+const Limit = 1 << 32
 
 // Region describes one allocated array's placement in the address space.
 type Region struct {
@@ -57,11 +63,31 @@ func New() *Space {
 // Regions returns the allocated regions in address order.
 func (s *Space) Regions() []*Region { return s.regions }
 
+// Fit returns an error unless a region of n elements of elemSize bytes
+// fits in the room left below Limit. It allocates nothing, so callers can
+// refuse an oversized request before building any of it.
+func (s *Space) Fit(name string, elemSize uint64, n int) error {
+	var room uint64
+	if s.next < Limit {
+		room = Limit - s.next
+	}
+	if n < 0 || uint64(n) > room/elemSize {
+		return fmt.Errorf("memspace: region %q of %d %d-byte elements does not fit in the 4 GiB address space (%d bytes free at %#x)",
+			name, n, elemSize, room, s.next)
+	}
+	return nil
+}
+
 // alloc places a region of n elements of elemSize bytes, a power of two.
-func (s *Space) alloc(name string, elemSize, n uint64) *Region {
-	r := &Region{Name: name, BaseAddr: s.next, ElemSize: elemSize, Len: n,
+// It panics, before the caller allocates the backing array, if the region
+// would reach past Limit.
+func (s *Space) alloc(name string, elemSize uint64, n int) *Region {
+	if err := s.Fit(name, elemSize, n); err != nil {
+		panic(err)
+	}
+	r := &Region{Name: name, BaseAddr: s.next, ElemSize: elemSize, Len: uint64(n),
 		shift: uint8(bits.TrailingZeros64(elemSize))}
-	sz := elemSize * n
+	sz := r.Bytes()
 	s.next += (sz + PageSize - 1) / PageSize * PageSize
 	// Keep at least one unmapped guard page between regions so that an
 	// off-by-one traversal bug faults loudly instead of aliasing.
@@ -108,8 +134,8 @@ type U32 struct {
 
 // AllocU32 allocates a uint32 array of n elements.
 func (s *Space) AllocU32(name string, n int) *U32 {
-	a := &U32{Data: make([]uint32, n)}
-	a.Region = s.alloc(name, 4, uint64(n))
+	a := &U32{Region: s.alloc(name, 4, n)}
+	a.Data = make([]uint32, n)
 	a.Region.read = func(i uint64) uint64 { return uint64(a.Data[i]) }
 	return a
 }
@@ -125,8 +151,8 @@ type U64 struct {
 
 // AllocU64 allocates a uint64 array of n elements.
 func (s *Space) AllocU64(name string, n int) *U64 {
-	a := &U64{Data: make([]uint64, n)}
-	a.Region = s.alloc(name, 8, uint64(n))
+	a := &U64{Region: s.alloc(name, 8, n)}
+	a.Data = make([]uint64, n)
 	a.Region.read = func(i uint64) uint64 { return a.Data[i] }
 	return a
 }
@@ -143,8 +169,8 @@ type F64 struct {
 
 // AllocF64 allocates a float64 array of n elements.
 func (s *Space) AllocF64(name string, n int) *F64 {
-	a := &F64{Data: make([]float64, n)}
-	a.Region = s.alloc(name, 8, uint64(n))
+	a := &F64{Region: s.alloc(name, 8, n)}
+	a.Data = make([]float64, n)
 	a.Region.read = func(i uint64) uint64 { return math.Float64bits(a.Data[i]) }
 	return a
 }
@@ -160,8 +186,8 @@ type F32 struct {
 
 // AllocF32 allocates a float32 array of n elements.
 func (s *Space) AllocF32(name string, n int) *F32 {
-	a := &F32{Data: make([]float32, n)}
-	a.Region = s.alloc(name, 4, uint64(n))
+	a := &F32{Region: s.alloc(name, 4, n)}
+	a.Data = make([]float32, n)
 	a.Region.read = func(i uint64) uint64 { return uint64(math.Float32bits(a.Data[i])) }
 	return a
 }

@@ -1,8 +1,11 @@
 package memspace
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +193,74 @@ func TestQuickNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFitBoundary checks that a region may end exactly at Limit and not
+// one element past it, for either element size, and that each placed
+// region shrinks the room left.
+func TestFitBoundary(t *testing.T) {
+	for _, es := range []uint64{4, 8} {
+		s := New()
+		max := int((Limit - Base) / es)
+		if err := s.Fit("x", es, max); err != nil {
+			t.Errorf("%d-byte: a region ending at Limit refused: %v", es, err)
+		}
+		if err := s.Fit("x", es, max+1); err == nil {
+			t.Errorf("%d-byte: a region ending past Limit accepted", es)
+		}
+		if err := s.Fit("x", es, -1); err == nil {
+			t.Errorf("%d-byte: a negative length accepted", es)
+		}
+	}
+	s := New()
+	a := s.AllocU32("a", 1000)
+	if err := s.Fit("x", 4, int((Limit-Base)/4)); err == nil {
+		t.Error("Fit ignores the room an earlier region took")
+	}
+	// The next region starts past a's last page and one guard page.
+	next := (a.Bound()+PageSize-1)/PageSize*PageSize + PageSize
+	if err := s.Fit("x", 4, int((Limit-next)/4)); err != nil {
+		t.Errorf("the rest of the space refused: %v", err)
+	}
+}
+
+// TestAllocRefusesBeforeAllocating checks that every allocator refuses
+// a region that cannot fit below Limit with its own error, naming the
+// region, before it allocates the backing array. The lengths are ones
+// make itself rejects, so a refusal placed after the make shows up as
+// the runtime's error instead of this package's.
+func TestAllocRefusesBeforeAllocating(t *testing.T) {
+	allocs := map[string]func(*Space, string, int){
+		"U32": func(s *Space, name string, n int) { s.AllocU32(name, n) },
+		"U64": func(s *Space, name string, n int) { s.AllocU64(name, n) },
+		"F64": func(s *Space, name string, n int) { s.AllocF64(name, n) },
+		"F32": func(s *Space, name string, n int) { s.AllocF32(name, n) },
+	}
+	for typ, alloc := range allocs {
+		for _, n := range []int{-1, 1 << 62} {
+			s := New()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			msg := func() (msg string) {
+				defer func() {
+					if p := recover(); p != nil {
+						msg = fmt.Sprint(p)
+					}
+				}()
+				alloc(s, "huge", n)
+				return ""
+			}()
+			runtime.ReadMemStats(&after)
+			if !strings.Contains(msg, "memspace:") || !strings.Contains(msg, `"huge"`) {
+				t.Errorf("Alloc%s(%d): panic %q, want the memspace refusal naming the region", typ, n, msg)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("Alloc%s(%d): %d bytes allocated before refusing", typ, n, grew)
+			}
+			if len(s.Regions()) != 0 {
+				t.Errorf("Alloc%s(%d): refused region still placed", typ, n)
+			}
+		}
 	}
 }

@@ -120,7 +120,7 @@ func TestPrefetchSharesDemandTLB(t *testing.T) {
 	m := mustMachine(t, serialConfig(1), space, trace.NewGen(1, 0))
 	base := uint64(memspace.Base)
 	// Demand load walks the page and installs the translation.
-	m.demandAccess(0, 0, trace.Instr{Kind: trace.Load, Addr: base, PC: 1})
+	m.demandAccess(0, 0, trace.Instr{Kind: trace.Load, Addr: uint32(base), PC: 1})
 	tb := m.tlbs[0]
 	if tb.Stats.Accesses != 1 || tb.Stats.Misses != 1 {
 		t.Fatalf("TLB stats after demand = %+v, want one access, one miss", tb.Stats)

@@ -34,7 +34,7 @@ func TestLifecycleTimelyFill(t *testing.T) {
 	}
 	m.processEvents(1 << 30) // fill completes long before any demand
 	m.now = 1 << 30
-	_, level := m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 1})
+	_, level := m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 1})
 	if level != cache.LvlL1 {
 		t.Fatalf("demand level = %v, want L1 (prefetch filled)", level)
 	}
@@ -53,7 +53,7 @@ func TestLifecycleTimelyFill(t *testing.T) {
 	}
 	// A second demand to the same line must not double-count: the line is
 	// now marked used.
-	m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 2})
+	m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 2})
 	if q2 := pfq(m); q2.Timely != 1 {
 		t.Fatalf("timely after re-hit = %d, want 1 (first use only)", q2.Timely)
 	}
@@ -66,9 +66,9 @@ func TestLifecycleLateMerge(t *testing.T) {
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	// Demand arrives while the fill is still in flight.
-	m.demandAccess(0, 1, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 1})
+	m.demandAccess(0, 1, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 1})
 	// A second demand to the same in-flight line is still one late line.
-	m.demandAccess(0, 2, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 2})
+	m.demandAccess(0, 2, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 2})
 	m.processEvents(1 << 30)
 	q := pfq(m)
 	if q.Late != 1 || q.LateMem != 1 {
@@ -145,7 +145,7 @@ func TestLifecycleRedundantIssue(t *testing.T) {
 	// Fill it, demand it into L1, then re-prefetch the resident line.
 	m.processEvents(1 << 30)
 	m.now = 1 << 30
-	m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 1})
+	m.demandAccess(0, m.now, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 1})
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	if q := pfq(m); q.Redundant != 2 {
 		t.Fatalf("redundant = %d, want 2 (L1-resident elision)", q.Redundant)
@@ -223,7 +223,7 @@ func TestLedgerHookRecordsLifecycle(t *testing.T) {
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	m.issuePrefetch(0, arr.Addr(64), prefetch.UntrackedMeta)
 	// Merge a demand into the second line before its fill lands.
-	m.demandAccess(0, 6, trace.Instr{Kind: trace.Load, Addr: arr.Addr(64), PC: 1})
+	m.demandAccess(0, 6, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(64)), PC: 1})
 	m.processEvents(1 << 20)
 	type record struct {
 		IssuedAt, FilledAt int64

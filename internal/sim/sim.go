@@ -589,7 +589,8 @@ func (m *Machine) demandAccess(core int, now int64, in trace.Instr) (int64, cach
 // demandResolve is the hook-free body of demandAccess.
 func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cache.Level) {
 	m.now = now
-	addr := in.Addr
+	addr := uint64(in.Addr)
+	pc := uint32(in.PC)
 	tlbLat := m.tlbs[core].Translate(addr)
 	write := in.Kind == trace.Store || in.Kind == trace.Atomic
 
@@ -634,7 +635,7 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 				}
 				ready = base + tlbLat + int64(m.cfg.Cache.L1Lat)
 			}
-			m.pfs[core].OnDemand(now, in.PC, addr, ev.level)
+			m.pfs[core].OnDemand(now, pc, addr, ev.level)
 			return ready, ev.level
 		}
 	}
@@ -658,7 +659,7 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 	} else {
 		ready = now + tlbLat + int64(res.Lat)
 	}
-	m.pfs[core].OnDemand(now, in.PC, addr, res.Level)
+	m.pfs[core].OnDemand(now, pc, addr, res.Level)
 	return ready, res.Level
 }
 

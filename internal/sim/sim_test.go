@@ -340,7 +340,7 @@ func TestLevelServiceClassification(t *testing.T) {
 	m := mustMachine(t, Default(1), space, trace.NewGen(1, 0))
 	m.now = 0
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
-	ready, level := m.demandAccess(0, 1, trace.Instr{Kind: trace.Load, Addr: arr.Addr(0), PC: 1})
+	ready, level := m.demandAccess(0, 1, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(0)), PC: 1})
 	if level != cache.LvlMem {
 		t.Fatalf("merged demand level = %v, want MEM", level)
 	}
@@ -391,7 +391,7 @@ func TestDemandPriorityKeepsDemandsFast(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.issuePrefetch(0, arr.Addr(i*16), prefetch.UntrackedMeta)
 	}
-	ready, level := m.demandAccess(0, 0, trace.Instr{Kind: trace.Load, Addr: arr.Addr(1 << 15), PC: 1})
+	ready, level := m.demandAccess(0, 0, trace.Instr{Kind: trace.Load, Addr: uint32(arr.Addr(1 << 15)), PC: 1})
 	if level != cache.LvlMem {
 		t.Fatalf("level = %v", level)
 	}
@@ -476,7 +476,7 @@ func TestMergedStoreDrainsThroughStoreBuffer(t *testing.T) {
 	m.issuePrefetch(0, arr.Addr(0), prefetch.UntrackedMeta)
 	m.issuePrefetch(0, arr.Addr(256), prefetch.UntrackedMeta)
 
-	ready, level := m.demandAccess(0, 1, trace.Instr{Kind: trace.Store, Addr: arr.Addr(0), PC: 1})
+	ready, level := m.demandAccess(0, 1, trace.Instr{Kind: trace.Store, Addr: uint32(arr.Addr(0)), PC: 1})
 	if level != cache.LvlMem {
 		t.Fatalf("merged store level = %v, want MEM", level)
 	}
@@ -487,7 +487,7 @@ func TestMergedStoreDrainsThroughStoreBuffer(t *testing.T) {
 		t.Fatalf("LateMerges = %d, want 1", m.stats.LateMerges)
 	}
 
-	ready, _ = m.demandAccess(0, 1, trace.Instr{Kind: trace.Atomic, Addr: arr.Addr(256), PC: 2})
+	ready, _ = m.demandAccess(0, 1, trace.Instr{Kind: trace.Atomic, Addr: uint32(arr.Addr(256)), PC: 2})
 	if ready <= 2 {
 		t.Fatalf("merged atomic ready at %d, must wait for the fill", ready)
 	}
@@ -554,6 +554,22 @@ func TestMachinePanicUnwindsProducer(t *testing.T) {
 	}
 	if finished >= 50 {
 		t.Fatalf("kernel finished all epochs after the machine panicked")
+	}
+}
+
+// TestOutOfRangeAddressFailsRun: an address the 32-bit trace encoding
+// cannot hold fails the run with the producer's error naming it, rather
+// than simulating a truncated address that aliases the array.
+func TestOutOfRangeAddressFailsRun(t *testing.T) {
+	space := memspace.New()
+	arr := space.AllocU32("a", 1024)
+	_, err := Run(Default(1), space, trace.NewGen(1, 0), func(g *trace.Gen) {
+		g.Load(0, 1, arr.Addr(0))
+		g.Barrier()
+		g.Load(0, 1, 1<<32+arr.Addr(0))
+	})
+	if err == nil || !strings.Contains(err.Error(), "0x100010000") {
+		t.Fatalf("err = %v, want the producer error naming 0x100010000", err)
 	}
 }
 

@@ -72,20 +72,33 @@ const (
 	LoadDepFlag
 )
 
-// Instr is one dynamic instruction. It is kept to 16 bytes so that large
-// epochs stay cheap to buffer.
+// Instr is one dynamic instruction. It is 8 bytes: an epoch costs 8
+// bytes per dynamic instruction to buffer and a chunk is 32 KiB. The
+// narrow fields hold by construction. Every address a workload touches
+// lies in a memspace.Space, whose allocators refuse any region reaching
+// past memspace.Limit (2^32), and every PC is a static instruction site
+// that a kernel numbers with a small constant, far below 2^16. The
+// emitters still check both limits and panic rather than truncate, so a
+// value outside them fails the run (Run turns the panic into its error)
+// instead of aliasing another address or site.
 type Instr struct {
 	// Addr is the virtual byte address for memory kinds, 0 otherwise.
-	Addr uint64
+	Addr uint32
 	// PC identifies the static instruction site (used by the branch
 	// predictor and PC-indexed prefetchers).
-	PC uint32
+	PC uint16
 	// Kind is the instruction class.
 	Kind Kind
 	// Flags holds TakenFlag / LoadDepFlag bits.
 	Flags uint8
-	_     [2]byte
 }
+
+// Limits of the encoding: an address must lie below addrLimit and a PC
+// below pcLimit.
+const (
+	addrLimit = 1 << 32
+	pcLimit   = 1 << 16
+)
 
 // Taken reports whether a branch instruction was taken.
 func (in Instr) Taken() bool { return in.Flags&TakenFlag != 0 }
@@ -100,7 +113,7 @@ const chunkSize = 4096
 // chunkPool recycles chunk buffers across generators: a consumed chunk
 // goes back to the pool, and the next emission anywhere — this epoch,
 // the next, or the next cell's generator — refills it instead of
-// allocating and zeroing a fresh 64 KiB array. It holds array pointers,
+// allocating and zeroing a fresh 32 KiB array. It holds array pointers,
 // so Put and Get do not allocate.
 var chunkPool sync.Pool
 
@@ -273,17 +286,33 @@ func (g *Gen) newBuf() []Instr {
 	return make([]Instr, 0, chunkSize)
 }
 
-func (g *Gen) emit(core int, in Instr) {
+// emit appends one instruction to core's chunk, refusing a PC or address
+// the 8-byte encoding cannot hold rather than truncating it.
+func (g *Gen) emit(core int, k Kind, pc uint32, addr uint64, flags uint8) {
+	if addr >= addrLimit || pc >= pcLimit {
+		refuse(k, pc, addr)
+	}
 	b := g.bufs[core]
 	if b == nil {
 		b = g.newBuf()
 	}
-	b = append(b, in)
+	b = append(b, Instr{Addr: uint32(addr), PC: uint16(pc), Kind: k, Flags: flags})
 	if len(b) >= chunkSize {
 		g.queues[core] = append(g.queues[core], b)
 		b = nil
 	}
 	g.bufs[core] = b
+}
+
+// refuse panics with the out-of-range value; under Run the panic becomes
+// the run's error.
+//
+//hot:cold
+func refuse(k Kind, pc uint32, addr uint64) {
+	if pc >= pcLimit {
+		panic(fmt.Sprintf("trace: %s at pc %d: pc does not fit in 16 bits", k, pc))
+	}
+	panic(fmt.Sprintf("trace: %s at pc %d: address %#x is outside the 4 GiB address space", k, pc, addr))
 }
 
 func (g *Gen) flush(core int) {
@@ -294,19 +323,13 @@ func (g *Gen) flush(core int) {
 }
 
 // Load emits a load of the element at addr.
-func (g *Gen) Load(core int, pc uint32, addr uint64) {
-	g.emit(core, Instr{Kind: Load, PC: pc, Addr: addr})
-}
+func (g *Gen) Load(core int, pc uint32, addr uint64) { g.emit(core, Load, pc, addr, 0) }
 
 // Store emits a store to addr.
-func (g *Gen) Store(core int, pc uint32, addr uint64) {
-	g.emit(core, Instr{Kind: Store, PC: pc, Addr: addr})
-}
+func (g *Gen) Store(core int, pc uint32, addr uint64) { g.emit(core, Store, pc, addr, 0) }
 
 // Atomic emits a read-modify-write to addr.
-func (g *Gen) Atomic(core int, pc uint32, addr uint64) {
-	g.emit(core, Instr{Kind: Atomic, PC: pc, Addr: addr})
-}
+func (g *Gen) Atomic(core int, pc uint32, addr uint64) { g.emit(core, Atomic, pc, addr, 0) }
 
 // Branch emits a conditional branch with its outcome.
 func (g *Gen) Branch(core int, pc uint32, taken, loadDep bool) {
@@ -317,33 +340,33 @@ func (g *Gen) Branch(core int, pc uint32, taken, loadDep bool) {
 	if loadDep {
 		f |= LoadDepFlag
 	}
-	g.emit(core, Instr{Kind: Branch, PC: pc, Flags: f})
+	g.emit(core, Branch, pc, 0, f)
 }
 
 // Ops emits n single-cycle integer ALU operations.
 func (g *Gen) Ops(core int, pc uint32, n int) {
 	for i := 0; i < n; i++ {
-		g.emit(core, Instr{Kind: Int, PC: pc})
+		g.emit(core, Int, pc, 0, 0)
 	}
 }
 
 // FOps emits n floating-point operations.
 func (g *Gen) FOps(core int, pc uint32, n int) {
 	for i := 0; i < n; i++ {
-		g.emit(core, Instr{Kind: FP, PC: pc})
+		g.emit(core, FP, pc, 0, 0)
 	}
 }
 
 // SoftPrefetch emits a software prefetch of addr.
 func (g *Gen) SoftPrefetch(core int, pc uint32, addr uint64) {
-	g.emit(core, Instr{Kind: SoftPrefetch, PC: pc, Addr: addr})
+	g.emit(core, SoftPrefetch, pc, addr, 0)
 }
 
 // Barrier emits a barrier to every core, publishes the epoch, and —
 // under Run — suspends the kernel until a reader asks for the next epoch.
 func (g *Gen) Barrier() {
 	for c := range g.queues {
-		g.emit(c, Instr{Kind: Barrier})
+		g.emit(c, Barrier, 0, 0, 0)
 		g.flush(c)
 	}
 	if g.yield != nil && !g.yield(struct{}{}) {

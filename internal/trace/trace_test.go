@@ -9,10 +9,10 @@ import (
 
 func TestInstrSize(t *testing.T) {
 	// The encoding is deliberately compact; regressions here blow up epoch
-	// buffering memory.
+	// buffering memory (8 bytes per buffered dynamic instruction).
 	var in Instr
-	if sz := int(unsafeSizeof(in)); sz != 16 {
-		t.Fatalf("Instr size = %d bytes, want 16", sz)
+	if sz := int(unsafeSizeof(in)); sz != 8 {
+		t.Fatalf("Instr size = %d bytes, want 8", sz)
 	}
 }
 
@@ -48,6 +48,96 @@ func TestEmitAndCollect(t *testing.T) {
 	}
 }
 
+// TestLimitsRoundTrip emits through every emitter at the edges of the
+// encoding — the highest address and PC it holds, both branch flags —
+// and checks that each field comes back unchanged.
+func TestLimitsRoundTrip(t *testing.T) {
+	const maxAddr, maxPC = 1<<32 - 1, 1<<16 - 1
+	out := Collect(1, func(g *Gen) {
+		g.Load(0, maxPC, maxAddr)
+		g.Store(0, maxPC, maxAddr)
+		g.Atomic(0, maxPC, maxAddr)
+		g.SoftPrefetch(0, maxPC, maxAddr)
+		g.Branch(0, maxPC, true, true)
+		g.Branch(0, maxPC, false, true)
+		g.Branch(0, maxPC, true, false)
+		g.Ops(0, maxPC, 1)
+		g.FOps(0, maxPC, 1)
+		g.Barrier()
+	})[0]
+	want := []Instr{
+		{Kind: Load, PC: maxPC, Addr: maxAddr},
+		{Kind: Store, PC: maxPC, Addr: maxAddr},
+		{Kind: Atomic, PC: maxPC, Addr: maxAddr},
+		{Kind: SoftPrefetch, PC: maxPC, Addr: maxAddr},
+		{Kind: Branch, PC: maxPC, Flags: TakenFlag | LoadDepFlag},
+		{Kind: Branch, PC: maxPC, Flags: LoadDepFlag},
+		{Kind: Branch, PC: maxPC, Flags: TakenFlag},
+		{Kind: Int, PC: maxPC},
+		{Kind: FP, PC: maxPC},
+		{Kind: Barrier},
+	}
+	if len(out) != len(want) {
+		t.Fatalf("got %d instructions, want %d: %+v", len(out), len(want), out)
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Errorf("instr %d = %+v, want %+v", i, out[i], want[i])
+		}
+	}
+}
+
+// TestOutOfRangeRefused checks that an address or PC the encoding cannot
+// hold fails the run with an error naming the value, and that nothing
+// truncated reaches the stream: the consumer sees exactly the valid
+// instructions emitted before the bad one.
+func TestOutOfRangeRefused(t *testing.T) {
+	cases := []struct {
+		name, want string
+		emit       func(g *Gen)
+	}{
+		{"load address", "0x100000000", func(g *Gen) { g.Load(0, 1, 1<<32) }},
+		{"store address", "0x100000005", func(g *Gen) { g.Store(0, 1, 1<<32+5) }},
+		{"atomic address", "0xffffffffffffffff", func(g *Gen) { g.Atomic(0, 1, 1<<64-1) }},
+		{"softpf address", "0x100000000", func(g *Gen) { g.SoftPrefetch(0, 1, 1<<32) }},
+		{"load pc", "pc 65536", func(g *Gen) { g.Load(0, 1<<16, 0x40) }},
+		{"branch pc", "pc 65536", func(g *Gen) { g.Branch(0, 1<<16, true, true) }},
+		{"ops pc", "pc 70000", func(g *Gen) { g.Ops(0, 70000, 2) }},
+		{"fops pc", "pc 65536", func(g *Gen) { g.FOps(0, 1<<16, 1) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewGen(1, 0)
+			wait := g.Run(func(g *Gen) {
+				g.Load(0, 7, 0x40)
+				g.Barrier()
+				g.Load(0, 7, 0x80)
+				c.emit(g)
+				g.Load(0, 7, 0xc0) // never reached
+			})
+			defer g.Abort()
+			var got []Instr
+			r := g.Reader(0)
+			for r.Next() {
+				got = append(got, r.In)
+			}
+			err := wait()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one naming %q", err, c.want)
+			}
+			want := []Instr{{Kind: Load, PC: 7, Addr: 0x40}, {Kind: Barrier}, {Kind: Load, PC: 7, Addr: 0x80}}
+			if len(got) != len(want) {
+				t.Fatalf("stream = %+v, want %+v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("instr %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentProducerConsumer streams epochs through several
 // generators at once, each drained on its own goroutine, as parallel
 // cells do: they share the chunk pool, so a chunk recycled by one must
@@ -56,7 +146,7 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 	const n, gens = 100000, 4
 	var wg sync.WaitGroup
 	for k := 0; k < gens; k++ {
-		base := uint64(k) << 32 // each generator's own address range
+		base := uint64(k) << 28 // each generator's own address range
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -76,7 +166,7 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 			for r.Next() {
 				switch r.In.Kind {
 				case Load:
-					if r.In.Addr != next {
+					if uint64(r.In.Addr) != next {
 						t.Errorf("generator %d: got %#x, want %#x", k, r.In.Addr, next)
 						return
 					}
@@ -281,4 +371,63 @@ func TestKindString(t *testing.T) {
 	if Kind(200).String() != "?" {
 		t.Error("unknown kind should be ?")
 	}
+}
+
+// BenchmarkEmitDrain measures the trace's cost per instruction from both
+// ends, as a simulation pays it: a kernel under Run emits a fixed mix of
+// loads, stores, atomics, branches and ALU operations across 8 cores in
+// runs of 64, with a barrier every 64Ki instructions, and the consumer
+// drains each core's epoch up to its barrier before any reader asks for
+// the next. One op is one emitted instruction; the barrier entries are
+// part of the cost, not the count.
+func BenchmarkEmitDrain(b *testing.B) {
+	const cores, epoch = 8, 1 << 16
+	b.ReportAllocs()
+	g := NewGen(cores, 0)
+	wait := g.Run(func(g *Gen) {
+		for k := 0; k < b.N; k++ {
+			c := (k >> 6) % cores
+			a := uint64(k&0xffff) << 2
+			switch k & 7 {
+			case 0, 1, 2:
+				g.Load(c, 100, a)
+			case 3:
+				g.Branch(c, 101, k&8 != 0, true)
+			case 4:
+				g.Store(c, 102, a)
+			case 5:
+				g.Ops(c, 103, 1)
+			case 6:
+				g.Atomic(c, 104, a)
+			case 7:
+				g.FOps(c, 105, 1)
+			}
+			if k%epoch == epoch-1 {
+				g.Barrier()
+			}
+		}
+	})
+	defer g.Abort()
+	var sink uint32
+	live := make([]*Reader, cores)
+	for c := range live {
+		live[c] = g.Reader(c)
+	}
+	for len(live) > 0 {
+		next := live[:0]
+		for _, r := range live {
+			for r.Next() {
+				if r.In.Kind == Barrier {
+					next = append(next, r)
+					break
+				}
+				sink += r.In.Addr
+			}
+		}
+		live = next
+	}
+	if err := wait(); err != nil {
+		b.Fatal(err)
+	}
+	_ = sink
 }

@@ -142,6 +142,9 @@ func BuildMemlat(cfg MemlatConfig) (*Workload, error) {
 	n := cfg.WorkingSet / grain
 
 	sp := memspace.New()
+	if err := sp.Fit("chain", 8, cfg.WorkingSet/8); err != nil {
+		return nil, fmt.Errorf("memlat(%s): working set %d: %w", cfg.Pattern, cfg.WorkingSet, err)
+	}
 	chain := sp.AllocU64("chain", cfg.WorkingSet/8)
 
 	// lineElem maps a line index in the visit order to the element index

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"prodigy/internal/memspace"
@@ -65,5 +67,23 @@ func TestMemlatRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := BuildMemlat(MemlatConfig{Pattern: MemlatTLB, WorkingSet: 4096 + 64}); err == nil {
 		t.Fatal("non-page-multiple tlb working set accepted")
+	}
+}
+
+// TestMemlatRejectsOversizedWorkingSet checks that a working set past the
+// 4 GiB simulated address space is an error, returned before any of it
+// is allocated.
+func TestMemlatRejectsOversizedWorkingSet(t *testing.T) {
+	for _, p := range []string{MemlatChase, MemlatStride, MemlatTLB} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := BuildMemlat(MemlatConfig{Pattern: p, WorkingSet: memspace.Limit})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "4 GiB") {
+			t.Errorf("%s: err = %v, want the address-space refusal", p, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: %d bytes allocated before refusing", p, grew)
+		}
 	}
 }

@@ -87,7 +87,7 @@ func TestTraceAddressesWithinSpace(t *testing.T) {
 			for i, in := range seq {
 				switch in.Kind {
 				case trace.Load, trace.Store, trace.Atomic, trace.SoftPrefetch:
-					if w.Space.FindRegion(in.Addr) == nil {
+					if w.Space.FindRegion(uint64(in.Addr)) == nil {
 						t.Fatalf("%s core %d instr %d: %v to unmapped %#x",
 							algo, c, i, in.Kind, in.Addr)
 					}
@@ -117,7 +117,7 @@ func TestDIGCoversTraceLoads(t *testing.T) {
 					continue
 				}
 				total++
-				if w.DIG.Covers(in.Addr) {
+				if w.DIG.Covers(uint64(in.Addr)) {
 					covered++
 				}
 			}
@@ -327,7 +327,7 @@ func TestNonLeafDIGNodesAreReadOnlyDuringTraversal(t *testing.T) {
 				if in.Kind != trace.Store && in.Kind != trace.Atomic {
 					continue
 				}
-				n := w.DIG.NodeContaining(in.Addr)
+				n := w.DIG.NodeContaining(uint64(in.Addr))
 				if n == nil {
 					continue
 				}
@@ -363,10 +363,10 @@ func TestDIGDescribesActualIndirection(t *testing.T) {
 	}
 	out := runWorkload(t, w)
 	for _, in := range out[0] {
-		if in.Kind != trace.Load || !edgeNode.Contains(in.Addr) {
+		if in.Kind != trace.Load || !edgeNode.Contains(uint64(in.Addr)) {
 			continue
 		}
-		v, ok := w.Space.ReadAt(in.Addr)
+		v, ok := w.Space.ReadAt(uint64(in.Addr))
 		if !ok {
 			t.Fatal("edge load unmapped")
 		}
