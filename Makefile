@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json fmt test race fuzz bench bench-json quick-gate tables trace-demo
+.PHONY: check build vet lint lint-json fmt test race fuzz bench-json quick-gate tables trace-demo
 
 check: build vet lint race quick-gate
 
@@ -64,9 +64,6 @@ fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzBankVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHierarchyVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheGeometry$$' -fuzztime 10s
-
-bench:
-	$(GO) test -bench=. -benchmem
 
 # Hot-path performance gate: run the microbenchmarks, a wall-clock timing
 # of `prodigy-bench -quick`, and the quick prefetch-quality sweep; write

@@ -80,7 +80,7 @@ func main() {
 
 	var diags []lint.Diagnostic
 	if *escape {
-		diags, err = lint.EscapeCheck(cfg, pkgs, nil)
+		diags, err = lint.EscapeCheck(cfg, pkgs)
 		if err != nil {
 			fail(err)
 		}

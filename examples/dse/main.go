@@ -7,41 +7,51 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"strings"
 
-	"prodigy"
+	"prodigy/internal/exp"
 )
 
 func main() {
-	cfg := prodigy.QuickConfig()
-	h := prodigy.NewHarness(cfg)
-
-	base, err := h.RunOne("bfs", "lj", prodigy.SchemeNone)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	fmt.Println("PFHR file size sweep on bfs-lj (speedup over no prefetching):")
+func run(w io.Writer) error {
+	cfg := exp.Quick()
+	h := exp.New(cfg)
+
+	base, err := h.RunOne("bfs", "lj", exp.SchemeNone)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "PFHR file size sweep on bfs (geomean over %s):\n", strings.Join(cfg.Datasets, "/"))
 	r12, err := h.Fig12()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, sz := range r12.Sizes {
-		fmt.Printf("  %2d PFHRs: %.2fx vs 4-entry baseline\n", sz, r12.Speedup["bfs"][i])
+		fmt.Fprintf(w, "  %2d PFHRs: %.2fx vs 4-entry baseline\n", sz, r12.Speedup["bfs"][i])
 	}
 
-	fmt.Println("\nlook-ahead distance ablation (geomean over bfs/pr/spmv):")
+	fmt.Fprintln(w, "\nlook-ahead distance ablation (geomean over bfs/pr/spmv):")
 	la, err := h.AblationLookahead()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, v := range la.Variants {
-		fmt.Printf("  %-10s %.2fx\n", v, la.Speedup[i])
+		fmt.Fprintf(w, "  %-10s %.2fx\n", v, la.Speedup[i])
 	}
 
-	pro, err := h.RunOne("bfs", "lj", prodigy.SchemeProdigy)
+	pro, err := h.RunOne("bfs", "lj", exp.SchemeProdigy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ndefault design point on bfs-lj: %.2fx\n", base.Speedup(pro))
+	fmt.Fprintf(w, "\ndefault design point on bfs-lj: %.2fx\n", base.Speedup(pro))
+	return nil
 }

@@ -8,42 +8,50 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"prodigy"
+	"prodigy/internal/exp"
+	"prodigy/internal/graph"
+	"prodigy/internal/workloads"
 )
 
 func main() {
-	cfg := prodigy.QuickConfig()
-	cfg.Cores = 4
-	h := prodigy.NewHarness(cfg)
-
-	schemes := []prodigy.Scheme{
-		prodigy.SchemeNone, prodigy.SchemeGHB, prodigy.SchemeIMP, prodigy.SchemeProdigy,
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
+
+func run(w io.Writer) error {
+	cfg := exp.Quick()
+	cfg.Cores = 4
+	h := exp.New(cfg)
+
+	schemes := []exp.Scheme{exp.SchemeNone, exp.SchemeGHB, exp.SchemeIMP, exp.SchemeProdigy}
 	for _, algo := range []string{"bfs", "pr"} {
-		fmt.Printf("== %s on livejournal (scaled) ==\n", algo)
-		var base *prodigy.Run
+		fmt.Fprintf(w, "== %s on livejournal (scaled) ==\n", algo)
+		var base *exp.Run
 		for _, s := range schemes {
-			run, err := h.RunOne(algo, "lj", s)
+			r, err := h.RunOne(algo, "lj", s)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			if s == prodigy.SchemeNone {
-				base = run
+			if s == exp.SchemeNone {
+				base = r
 			}
-			fmt.Printf("  %-12s %9d cycles  speedup %.2fx  DRAM-stall %4.1f%%  LLC misses %d\n",
-				s, run.Res.Cycles, base.Speedup(run), 100*run.DRAMStallFrac(),
-				run.Res.Cache.DemandMem)
+			fmt.Fprintf(w, "  %-12s %9d cycles  speedup %.2fx  DRAM-stall %4.1f%%  LLC misses %d\n",
+				s, r.Res.Cycles, base.Speedup(r), 100*r.DRAMStallFrac(),
+				r.Res.Cache.DemandMem)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// The DIG that drives Prodigy on BFS (the paper's Fig. 5a).
-	w, err := prodigy.BuildWorkload("bfs", "lj", cfg.Cores, prodigy.WorkloadOptions{Scale: prodigy.ScaleTiny})
+	wl, err := workloads.Build("bfs", "lj", cfg.Cores, workloads.Options{Scale: graph.ScaleTiny})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("BFS Data Indirection Graph:")
-	fmt.Println(w.DIG)
+	fmt.Fprintf(w, "BFS Data Indirection Graph:\n%v\n", wl.DIG)
+	return nil
 }

@@ -15,29 +15,43 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"prodigy"
+	"prodigy/internal/core"
+	"prodigy/internal/cpu"
+	"prodigy/internal/dig"
+	"prodigy/internal/memspace"
+	"prodigy/internal/sim"
+	"prodigy/internal/trace"
 )
 
 const n = 1 << 15
 
 func main() {
-	baseline := simulate(false)
-	withPro := simulate(true)
-	fmt.Printf("baseline: %8d cycles (DRAM-stall %4.1f%%)\n",
-		baseline.Cycles, 100*frac(baseline, prodigy.DRAMStall))
-	fmt.Printf("prodigy:  %8d cycles (DRAM-stall %4.1f%%)\n",
-		withPro.Cycles, 100*frac(withPro, prodigy.DRAMStall))
-	fmt.Printf("speedup:  %.2fx\n", float64(baseline.Cycles)/float64(withPro.Cycles))
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func frac(r prodigy.SimResult, k prodigy.StallKind) float64 {
-	return float64(r.Agg.Cycles[k]) / float64(r.Agg.Total())
+func run(w io.Writer) error {
+	var cycles [2]int64
+	for i, name := range []string{"baseline:", "prodigy: "} {
+		res, err := simulate(i == 1)
+		if err != nil {
+			return err
+		}
+		cycles[i] = res.Cycles
+		fmt.Fprintf(w, "%s %8d cycles (DRAM-stall %4.1f%%)\n", name, res.Cycles,
+			100*float64(res.Agg.Cycles[cpu.DRAMStall])/float64(res.Agg.Total()))
+	}
+	fmt.Fprintf(w, "speedup:  %.2fx\n", float64(cycles[0])/float64(cycles[1]))
+	return nil
 }
 
-func simulate(withProdigy bool) prodigy.SimResult {
-	space := prodigy.NewSpace()
+func simulate(withProdigy bool) (sim.Result, error) {
+	space := memspace.New()
 	idx := space.AllocU32("idx", n)
 	data := space.AllocU32("data", n)
 
@@ -51,25 +65,25 @@ func simulate(withProdigy bool) prodigy.SimResult {
 	}
 
 	// Register the DIG: idx -w0-> data, trigger on idx.
-	b := prodigy.NewDIGBuilder()
+	b := dig.NewBuilder()
 	b.RegisterNode("idx", idx.BaseAddr, n, 4, 0)
 	b.RegisterNode("data", data.BaseAddr, n, 4, 1)
-	b.RegisterTravEdge(idx.BaseAddr, data.BaseAddr, prodigy.SingleValued)
-	b.RegisterTrigEdge(idx.BaseAddr, prodigy.TriggerConfig{})
+	b.RegisterTravEdge(idx.BaseAddr, data.BaseAddr, dig.SingleValued)
+	b.RegisterTrigEdge(idx.BaseAddr, dig.TriggerConfig{})
 	d, err := b.Build()
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 
-	machine := prodigy.DefaultMachine(1)
+	machine := sim.Default(1)
 	if withProdigy {
-		machine.Prefetcher = prodigy.NewProdigy(d, prodigy.DefaultProdigyConfig())
+		machine.Prefetcher = core.New(d, core.DefaultConfig())
 	}
 
 	// The kernel: load idx[i], load data[idx[i]], branch on the value
 	// (the data-dependent branch that makes irregular kernels
 	// latency-bound, Section II).
-	res, err := prodigy.RunMachine(machine, space, prodigy.NewTraceGen(1), func(g *prodigy.TraceGen) {
+	return sim.Run(machine, space, trace.NewGen(1, 0), func(g *trace.Gen) {
 		for i := 0; i < n; i++ {
 			v := idx.Data[i]
 			g.Load(0, 1, idx.Addr(i))
@@ -78,8 +92,4 @@ func simulate(withProdigy bool) prodigy.SimResult {
 			g.Ops(0, 4, 1)
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res
 }

@@ -8,30 +8,38 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"prodigy"
+	"prodigy/internal/exp"
 )
 
 func main() {
-	// QuickConfig sets Verify: every run re-checks its numerical result
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	// exp.Quick sets Verify: every run re-checks its numerical result
 	// against an independent reference, and RunOne fails if it is wrong,
 	// so outputs are shown to stay correct under prefetching.
-	cfg := prodigy.QuickConfig()
-	h := prodigy.NewHarness(cfg)
+	h := exp.New(exp.Quick())
 
 	for _, algo := range []string{"spmv", "symgs", "cg"} {
-		base, err := h.RunOne(algo, "", prodigy.SchemeNone)
+		base, err := h.RunOne(algo, "", exp.SchemeNone)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		pro, err := h.RunOne(algo, "", prodigy.SchemeProdigy)
+		pro, err := h.RunOne(algo, "", exp.SchemeProdigy)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-6s baseline %9d cycles -> prodigy %9d cycles  (%.2fx, DRAM misses %d -> %d)\n",
+		fmt.Fprintf(w, "%-6s baseline %9d cycles -> prodigy %9d cycles  (%.2fx, DRAM misses %d -> %d)\n",
 			algo, base.Res.Cycles, pro.Res.Cycles, base.Speedup(pro),
 			base.Res.Cache.DemandMem, pro.Res.Cache.DemandMem)
 	}
-	fmt.Println("\nall kernels verified against float64 references")
+	fmt.Fprintln(w, "\nall kernels verified against float64 references")
+	return nil
 }

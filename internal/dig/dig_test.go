@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // buildBFSLike constructs the Fig. 5(a) DIG: workQ -> offsetList (w0),
@@ -203,6 +204,38 @@ func TestStorageBudget(t *testing.T) {
 	bytes := bits / 8
 	if bytes < 400 || bytes > 600 {
 		t.Fatalf("DIG tables = %d bytes, want ~530 (paper: 0.53KB)", bytes)
+	}
+}
+
+// Property: a DIG built from any set of disjoint arrays with a valid
+// trigger always reports storage within the 16-entry hardware budget
+// model, and its look-ahead is positive.
+func TestQuickDIGBudget(t *testing.T) {
+	f := func(sizes []uint8) bool {
+		b := NewBuilder()
+		base := uint64(0x10000)
+		count := 0
+		for i, sz := range sizes {
+			if count >= 14 {
+				break
+			}
+			n := uint64(sz) + 1
+			b.RegisterNode("arr", base, n, 4, i)
+			base += (n*4/4096 + 2) * 4096
+			count++
+		}
+		if count == 0 {
+			return true
+		}
+		b.RegisterTrigEdge(0x10000, TriggerConfig{})
+		d, err := b.Build()
+		if err != nil {
+			return false
+		}
+		return d.StorageBits(16) <= 16*300 && d.Lookahead(d.TriggerNodes()[0]) > 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

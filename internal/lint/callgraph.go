@@ -85,17 +85,6 @@ func (n *FuncNode) qualName() string {
 	return name
 }
 
-// Body returns the node's body, or nil when it is outside the load set.
-func (n *FuncNode) Body() *ast.BlockStmt {
-	switch {
-	case n.Decl != nil:
-		return n.Decl.Body
-	case n.Lit != nil:
-		return n.Lit.Body
-	}
-	return nil
-}
-
 // CallGraph is the whole-program approximate call graph over a load set.
 type CallGraph struct {
 	// Roots are the //hot:path functions, in deterministic order.

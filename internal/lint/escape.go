@@ -21,14 +21,11 @@ import (
 // compiler diagnostic lines: "path/file.go:line:col: message".
 var escapeDiagRE = regexp.MustCompile(`^(\S+\.go):(\d+):(\d+): (.*)$`)
 
-// EscapeCheck runs the compiler contract check over the load set. The
-// graph may be nil (it is rebuilt); pass a prepared one to avoid the
-// rebuild. Diagnostics carry the "escape-check" analyzer name. A non-nil
-// error means the build itself could not run, not a finding.
-func EscapeCheck(cfg Config, pkgs []*Package, g *CallGraph) ([]Diagnostic, error) {
-	if g == nil {
-		g = BuildCallGraph(pkgs)
-	}
+// EscapeCheck runs the compiler contract check over the load set.
+// Diagnostics carry the "escape-check" analyzer name. A non-nil error
+// means the build itself could not run, not a finding.
+func EscapeCheck(cfg Config, pkgs []*Package) ([]Diagnostic, error) {
+	g := BuildCallGraph(pkgs)
 
 	// Only packages with contracts are compiled.
 	var contract []*Package

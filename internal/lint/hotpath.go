@@ -41,10 +41,6 @@ func (h *HotPathAlloc) Prepare(pkgs []*Package) {
 	h.graph = BuildCallGraph(pkgs)
 }
 
-// Graph exposes the prepared call graph (escape-check reuses it for the
-// //hot:inline and //hot:noescape contracts).
-func (h *HotPathAlloc) Graph() *CallGraph { return h.graph }
-
 // Check implements Analyzer.
 func (h *HotPathAlloc) Check(pkg *Package, report func(pos token.Pos, format string, args ...any)) {
 	if h.graph == nil {

@@ -73,15 +73,10 @@ type RunConfig struct {
 	ReportUnused bool
 }
 
-// Run applies the analyzers to every package and returns the surviving
-// diagnostics sorted by position. Findings matched by an allow directive
-// for the reporting analyzer are dropped; malformed directives are
-// reported under the "lint" analyzer.
-func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	return RunAll(pkgs, RunConfig{Analyzers: analyzers})
-}
-
-// RunAll is Run with configuration.
+// RunAll applies the configured analyzers to every package and returns
+// the surviving diagnostics sorted by position. Findings matched by an
+// allow directive for the reporting analyzer are dropped; malformed
+// directives are reported under the "lint" analyzer.
 func RunAll(pkgs []*Package, cfg RunConfig) []Diagnostic {
 	for _, a := range cfg.Analyzers {
 		if pa, ok := a.(ProgramAnalyzer); ok {

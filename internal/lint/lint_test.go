@@ -52,7 +52,7 @@ func wantMarkers(pkg *Package) map[diagKey]int {
 
 func checkGolden(t *testing.T, pkg *Package, analyzers []Analyzer, want map[diagKey]int) {
 	t.Helper()
-	checkDiags(t, Run([]*Package{pkg}, analyzers), want)
+	checkDiags(t, RunAll([]*Package{pkg}, RunConfig{Analyzers: analyzers}), want)
 }
 
 // checkDiags compares a diagnostic list against the want-marker multiset.
@@ -141,7 +141,7 @@ func TestEscapeCheckGolden(t *testing.T) {
 		t.Fatalf("FindModuleRoot: %v", err)
 	}
 	pkg := loadFixture(t, "escape")
-	diags, err := EscapeCheck(cfg, []*Package{pkg}, nil)
+	diags, err := EscapeCheck(cfg, []*Package{pkg})
 	if err != nil {
 		t.Fatalf("EscapeCheck: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestUnusedAllow(t *testing.T) {
 	}
 
 	// Without the opt-in the stale directive is silent.
-	if diags := Run([]*Package{pkg}, []Analyzer{ErrCheck{}}); len(diags) != 0 {
+	if diags := RunAll([]*Package{pkg}, RunConfig{Analyzers: []Analyzer{ErrCheck{}}}); len(diags) != 0 {
 		t.Errorf("default run = %v, want none", diags)
 	}
 
@@ -195,11 +195,11 @@ func TestDeterminismScope(t *testing.T) {
 		WallClock: func(string) bool { return false },
 		MapRange:  func(string) bool { return false },
 	}
-	if n := len(Run([]*Package{pkg}, []Analyzer{neither})) - 1; n != 0 {
+	if n := len(RunAll([]*Package{pkg}, RunConfig{Analyzers: []Analyzer{neither}})) - 1; n != 0 {
 		// The reason-less directive diagnostic is scope-independent.
 		t.Errorf("out-of-scope package still yields %d determinism diagnostics", n)
 	}
-	if len(Run([]*Package{pkg}, []Analyzer{d})) < 4 {
+	if len(RunAll([]*Package{pkg}, RunConfig{Analyzers: []Analyzer{d}})) < 4 {
 		t.Error("default scope missed the seeded violations")
 	}
 }
@@ -231,7 +231,7 @@ func TestExpandPatterns(t *testing.T) {
 // editors rely on.
 func TestDiagnosticString(t *testing.T) {
 	pkg := loadFixture(t, "errcheck")
-	diags := Run([]*Package{pkg}, []Analyzer{ErrCheck{}})
+	diags := RunAll([]*Package{pkg}, RunConfig{Analyzers: []Analyzer{ErrCheck{}}})
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}
