@@ -51,8 +51,9 @@ race:
 # controller against its retained slice-queue reference, the
 # fingerprinted cache bank against its retained filter-and-scan
 # reference, the cache hierarchy's directory-guided coherence walks
-# against the retained every-core walks, and cache/TLB geometry
-# validation. Not part of `make
+# against the retained every-core walks, cache/TLB geometry
+# validation, and the counting-sort graph builders against the retained
+# sort-based ones. Not part of `make
 # check`; `go test ./...` already replays the seed corpora
 # (internal/exp/farm/testdata/fuzz, internal/dram/testdata/fuzz,
 # internal/cache/testdata/fuzz).
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzBankVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHierarchyVsRef$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheGeometry$$' -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzGraphBuildVsRef$$' -fuzztime 10s
 
 # Hot-path performance gate: run the microbenchmarks, a wall-clock timing
 # of `prodigy-bench -quick`, and the quick prefetch-quality sweep; write

@@ -51,7 +51,7 @@ func TestFig5dRangedDetection(t *testing.T) {
 	b := NewAlloc("b", 0x10000, 1000, 4, 1)
 	i := NewVar("i")
 	lo := NewLoad(a.Arr, V(i), "lo")
-	hi := NewLoad(a.Arr, VPlus(i, 1), "hi")
+	hi := NewLoad(a.Arr, Expr{Var: i, Off: 1}, "hi")
 	j := NewVar("j")
 	bb := NewLoad(b.Arr, V(j), "bb")
 	f := &Func{Name: "ranged", Body: []Stmt{
@@ -83,7 +83,7 @@ func TestRangedRequiresMatchingBounds(t *testing.T) {
 	j := NewVar("j")
 
 	lo1 := NewLoad(a.Arr, V(i), "lo")
-	hi1 := NewLoad(a2.Arr, VPlus(i, 1), "hi") // different array
+	hi1 := NewLoad(a2.Arr, Expr{Var: i, Off: 1}, "hi") // different array
 	body1 := NewLoad(b.Arr, V(j), "x")
 	f1 := &Func{Body: []Stmt{a, a2, b, &Loop{Var: i, Body: []Stmt{
 		lo1, hi1, &Loop{Var: j, Lower: lo1, Upper: hi1, Body: []Stmt{body1}},
@@ -93,7 +93,7 @@ func TestRangedRequiresMatchingBounds(t *testing.T) {
 	}
 
 	lo2 := NewLoad(a.Arr, V(i), "lo")
-	hi2 := NewLoad(a.Arr, VPlus(i, 2), "hi") // +2, not +1
+	hi2 := NewLoad(a.Arr, Expr{Var: i, Off: 2}, "hi") // +2, not +1
 	body2 := NewLoad(b.Arr, V(j), "x")
 	f2 := &Func{Body: []Stmt{a, b, &Loop{Var: i, Body: []Stmt{
 		lo2, hi2, &Loop{Var: j, Lower: lo2, Upper: hi2, Body: []Stmt{body2}},

@@ -689,18 +689,6 @@ func (k *Kernel) LiftIR(sp *memspace.Space) (*compiler.Func, error) {
 	return &compiler.Func{Name: k.Algo, Body: body}, nil
 }
 
-// DeriveDIG lifts the kernel over a workload's real address space and
-// replays the compiler's registrations through the runtime library,
-// producing the DIG the hardware would be programmed with (the automated
-// half of Fig. 7).
-func (k *Kernel) DeriveDIG(sp *memspace.Space) (*dig.DIG, error) {
-	f, err := k.LiftIR(sp)
-	if err != nil {
-		return nil, err
-	}
-	return compiler.GenerateDIG(f)
-}
-
 // Drift compares the hand-written registration against the
 // compiler-extracted DIG and returns every disagreement.
 func (k *Kernel) Drift() []Drift {

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"prodigy/internal/compiler"
 	"prodigy/internal/dig"
 	"prodigy/internal/graph"
 	"prodigy/internal/workloads"
@@ -161,9 +162,14 @@ func TestDeriveDIGMatchesRuntime(t *testing.T) {
 			t.Errorf("%s: Build: %v", algo, err)
 			continue
 		}
-		derived, err := k.DeriveDIG(w.Space)
+		f, err := k.LiftIR(w.Space)
 		if err != nil {
-			t.Errorf("%s: DeriveDIG: %v", algo, err)
+			t.Errorf("%s: LiftIR: %v", algo, err)
+			continue
+		}
+		derived, err := compiler.GenerateDIG(f)
+		if err != nil {
+			t.Errorf("%s: GenerateDIG: %v", algo, err)
 			continue
 		}
 		if !dig.Equal(w.DIG, derived) {

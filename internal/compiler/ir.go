@@ -31,9 +31,6 @@ type Expr struct {
 // V references a variable.
 func V(v *Var) Expr { return Expr{Var: v} }
 
-// VPlus references a variable plus a constant offset.
-func VPlus(v *Var, off int64) Expr { return Expr{Var: v, Off: off} }
-
 // Stmt is an IR statement.
 type Stmt interface{ stmt() }
 

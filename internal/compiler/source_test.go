@@ -3,6 +3,7 @@ package compiler_test
 import (
 	"testing"
 
+	"prodigy/internal/compiler"
 	"prodigy/internal/compiler/frontend"
 	"prodigy/internal/dig"
 	"prodigy/internal/graph"
@@ -36,9 +37,13 @@ func deriveOn(t *testing.T, byAlgo map[string]*frontend.Kernel, algo, dataset st
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, err = k.DeriveDIG(w.Space)
+	f, err := k.LiftIR(w.Space)
 	if err != nil {
-		t.Fatalf("DeriveDIG: %v", err)
+		t.Fatalf("LiftIR: %v", err)
+	}
+	derived, err = compiler.GenerateDIG(f)
+	if err != nil {
+		t.Fatalf("GenerateDIG: %v", err)
 	}
 	return w.DIG, derived, w
 }

@@ -125,11 +125,15 @@ func LoadUndirected(name string, scale Scale) *Graph {
 // weights in [1, 64] (SSSP input). It shares LoadUndirected's CSR arrays.
 func LoadWeighted(name string, scale Scale) *Graph {
 	return loadVariant(name, scale, "weighted", func() *Graph {
-		u := LoadUndirected(name, scale)
-		w := &Graph{NumNodes: u.NumNodes, OffsetList: u.OffsetList, EdgeList: u.EdgeList}
-		w.AddWeights(77, 64)
-		return w
+		return weighted(LoadUndirected(name, scale))
 	})
+}
+
+// weighted returns u's CSR arrays with SSSP's edge weights added.
+func weighted(u *Graph) *Graph {
+	w := &Graph{NumNodes: u.NumNodes, OffsetList: u.OffsetList, EdgeList: u.EdgeList}
+	w.AddWeights(77, 64)
+	return w
 }
 
 // LoadWithCSC returns the directed dataset with its transpose built
@@ -137,11 +141,15 @@ func LoadWeighted(name string, scale Scale) *Graph {
 // shares Load's CSR arrays.
 func LoadWithCSC(name string, scale Scale) *Graph {
 	return loadVariant(name, scale, "csc", func() *Graph {
-		g := Load(name, scale)
-		c := &Graph{NumNodes: g.NumNodes, OffsetList: g.OffsetList, EdgeList: g.EdgeList}
-		c.BuildCSC()
-		return c
+		return withCSC(Load(name, scale))
 	})
+}
+
+// withCSC returns g's CSR arrays with the transpose built.
+func withCSC(g *Graph) *Graph {
+	c := &Graph{NumNodes: g.NumNodes, OffsetList: g.OffsetList, EdgeList: g.EdgeList}
+	c.BuildCSC()
+	return c
 }
 
 // LoadHubSorted returns the HubSort-reordered variant of the base loader's

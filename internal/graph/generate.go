@@ -1,18 +1,5 @@
 package graph
 
-// Uniform generates an Erdős–Rényi style directed graph with n vertices and
-// m edges drawn uniformly at random (GAP's urand analogue).
-func Uniform(n, m int, seed uint64) *Graph {
-	r := NewRand(seed)
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	for i := 0; i < m; i++ {
-		src[i] = uint32(r.Intn(n))
-		dst[i] = uint32(r.Intn(n))
-	}
-	return FromEdges(n, src, dst)
-}
-
 // RMAT generates a power-law graph with the recursive-matrix method
 // (Graph500/kron analogue). scale is log2 of the vertex count; edgeFactor
 // is edges per vertex. Probabilities follow the standard (a,b,c,d) =
@@ -30,19 +17,15 @@ func RMAT(scale, edgeFactor int, seed uint64) *Graph {
 	dst := make([]uint32, m)
 	for i := 0; i < m; i++ {
 		var u, v uint32
-		for bit := scale - 1; bit >= 0; bit-- {
+		// Draws pick the bits from the top down.
+		for range scale {
 			y := r.Next() >> 11
-			switch {
-			case y < ta:
-				// upper-left: neither bit set
-			case y < tb:
-				v |= 1 << uint(bit)
-			case y < tc:
-				u |= 1 << uint(bit)
-			default:
-				u |= 1 << uint(bit)
-				v |= 1 << uint(bit)
-			}
+			// The quadrants are y < ta (neither bit), [ta, tb) (v),
+			// [tb, tc) (u) and y >= tc (both). As y < 2^53, t-1-y wraps
+			// past 2^63 exactly when y >= t, so its top bit is y >= t.
+			ga, gb, gc := (ta-1-y)>>63, (tb-1-y)>>63, (tc-1-y)>>63
+			u = u<<1 | uint32(gb)
+			v = v<<1 | uint32(ga^gb^gc)
 		}
 		src[i] = u
 		dst[i] = v

@@ -3,11 +3,7 @@
 // reordering used by the Fig. 18 experiment.
 package graph
 
-import (
-	"fmt"
-	"slices"
-	"sort"
-)
+import "fmt"
 
 // Graph is a directed graph in compressed sparse row (CSR) form, optionally
 // with the transpose (CSC) and per-edge weights.
@@ -57,57 +53,65 @@ func (g *Graph) String() string {
 
 // FromEdges builds a CSR graph from an edge list. Self-loops are kept;
 // duplicate edges are kept (matching GAP semantics for synthetic inputs).
+// Adjacency lists come out sorted (GAP builds sorted CSR) without a
+// comparison sort: a stable counting pass buckets the edges by
+// destination, and scattering those buckets by source in ascending
+// destination order leaves each source's list in destination order.
 func FromEdges(n int, src, dst []uint32) *Graph {
 	if len(src) != len(dst) {
 		panic("graph: src/dst length mismatch")
 	}
-	off := make([]uint32, n+1)
-	for _, u := range src {
-		off[u+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	edges := make([]uint32, len(src))
-	cursor := make([]uint32, n)
-	copy(cursor, off[:n])
-	for i, u := range src {
-		edges[cursor[u]] = dst[i]
-		cursor[u]++
-	}
-	g := &Graph{NumNodes: n, OffsetList: off, EdgeList: edges}
-	g.sortAdjacency()
-	return g
+	inOff, in, _ := scatter(n, nil, dst, src, nil)
+	off, edges, _ := scatter(n, inOff, in, nil, nil)
+	return &Graph{NumNodes: n, OffsetList: off, EdgeList: edges}
 }
 
-// sortAdjacency sorts each adjacency list (GAP builds sorted CSR).
-func (g *Graph) sortAdjacency() {
-	for u := 0; u < g.NumNodes; u++ {
-		slices.Sort(g.EdgeList[g.OffsetList[u]:g.OffsetList[u+1]])
+// scatter is the stable counting sort behind every CSR built here. Item i
+// goes to bucket key[i] < n, and items reach a bucket in index order. It
+// returns the CSR offsets of the buckets and the items' values: val[i], or,
+// when val is nil, the row r of the CSR offsets off holding item i
+// (off[r] <= i < off[r+1]), which makes scatter a transpose with sorted
+// lists. w, when non-nil with a non-nil val, is a payload moved alongside
+// val.
+func scatter(n int, off, key, val, w []uint32) (bOff, out, wOut []uint32) {
+	bOff = make([]uint32, n+1)
+	for _, k := range key {
+		bOff[k+1]++
 	}
+	for i := 1; i <= n; i++ {
+		bOff[i] += bOff[i-1]
+	}
+	// bOff[k] serves as bucket k's cursor and ends at the start of
+	// bucket k+1; the shift after the scatter restores the offsets.
+	out = make([]uint32, len(key))
+	if val == nil {
+		for r := 0; r+1 < len(off); r++ {
+			for _, k := range key[off[r]:off[r+1]] {
+				out[bOff[k]] = uint32(r)
+				bOff[k]++
+			}
+		}
+	} else {
+		if w != nil {
+			wOut = make([]uint32, len(key))
+		}
+		for i, k := range key {
+			p := bOff[k]
+			bOff[k]++
+			out[p] = val[i]
+			if w != nil {
+				wOut[p] = w[i]
+			}
+		}
+	}
+	copy(bOff[1:], bOff[:n])
+	bOff[0] = 0
+	return bOff, out, wOut
 }
 
 // BuildCSC populates InOffsetList/InEdgeList with the transpose.
 func (g *Graph) BuildCSC() {
-	n := g.NumNodes
-	off := make([]uint32, n+1)
-	for _, v := range g.EdgeList {
-		off[v+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	in := make([]uint32, len(g.EdgeList))
-	cursor := make([]uint32, n)
-	copy(cursor, off[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(uint32(u)) {
-			in[cursor[v]] = uint32(u)
-			cursor[v]++
-		}
-	}
-	g.InOffsetList = off
-	g.InEdgeList = in
+	g.InOffsetList, g.InEdgeList, _ = scatter(g.NumNodes, g.OffsetList, g.EdgeList, nil, nil)
 }
 
 // AddWeights assigns deterministic pseudo-random weights in [1, maxW] to
@@ -115,6 +119,14 @@ func (g *Graph) BuildCSC() {
 func (g *Graph) AddWeights(seed uint64, maxW uint32) {
 	r := NewRand(seed)
 	g.Weights = make([]uint32, len(g.EdgeList))
+	if maxW != 0 && maxW&(maxW-1) == 0 {
+		// x % maxW == x & (maxW-1) for a power of two, without the divide.
+		mask := uint64(maxW - 1)
+		for i := range g.Weights {
+			g.Weights[i] = 1 + uint32(r.Next()&mask)
+		}
+		return
+	}
 	for i := range g.Weights {
 		g.Weights[i] = 1 + uint32(r.Next()%uint64(maxW))
 	}
@@ -122,28 +134,35 @@ func (g *Graph) AddWeights(seed uint64, maxW uint32) {
 
 // Undirected returns a graph with every edge mirrored (deduplicated),
 // as GAP does for BFS/CC/BC on symmetric inputs: each vertex's neighbours
-// are the sorted, unique union of its out- and in-neighbours.
+// are the sorted, unique union of its out- and in-neighbours. The
+// transpose gives sorted in-lists and its transpose sorted out-lists, also
+// when g's own lists are unsorted (HubSort output); each vertex's two
+// lists are then merged, dropping repeats.
 func (g *Graph) Undirected() *Graph {
-	src := make([]uint32, 0, 2*len(g.EdgeList))
-	dst := make([]uint32, 0, 2*len(g.EdgeList))
-	for u := 0; u < g.NumNodes; u++ {
-		for _, v := range g.Neighbors(uint32(u)) {
-			src = append(src, uint32(u), v)
-			dst = append(dst, v, uint32(u))
+	n := g.NumNodes
+	inOff, in, _ := scatter(n, g.OffsetList, g.EdgeList, nil, nil)
+	outOff, out, _ := scatter(n, inOff, in, nil, nil)
+	off := make([]uint32, n+1)
+	edges := make([]uint32, 2*len(in))
+	w := uint32(0)
+	for u := 0; u < n; u++ {
+		off[u] = w
+		a, b := out[outOff[u]:outOff[u+1]], in[inOff[u]:inOff[u+1]]
+		for len(a) > 0 || len(b) > 0 {
+			var x uint32
+			if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+				x, a = a[0], a[1:]
+			} else {
+				x, b = b[0], b[1:]
+			}
+			if w == off[u] || edges[w-1] != x {
+				edges[w] = x
+				w++
+			}
 		}
 	}
-	h := FromEdges(g.NumNodes, src, dst)
-	// Drop repeats from each sorted list in place: the write position
-	// never passes the start of the list being read.
-	w := uint32(0)
-	for u := 0; u < h.NumNodes; u++ {
-		s := h.Neighbors(uint32(u))
-		h.OffsetList[u] = w
-		w += uint32(copy(h.EdgeList[w:], slices.Compact(s)))
-	}
-	h.OffsetList[h.NumNodes] = w
-	h.EdgeList = h.EdgeList[:w]
-	return h
+	off[n] = w
+	return &Graph{NumNodes: n, OffsetList: off, EdgeList: edges[:w]}
 }
 
 // MaxDegreeVertex returns the vertex with the largest out-degree; GAP picks
@@ -156,38 +175,4 @@ func (g *Graph) MaxDegreeVertex() uint32 {
 		}
 	}
 	return best
-}
-
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	// P99 is the 99th-percentile degree; the skew indicator used to check
-	// that synthetic stand-ins match their real counterparts' shape.
-	P99 int
-}
-
-// Degrees computes out-degree statistics.
-func (g *Graph) Degrees() DegreeStats {
-	n := g.NumNodes
-	ds := make([]int, n)
-	min, max, sum := int(^uint(0)>>1), 0, 0
-	for u := 0; u < n; u++ {
-		d := g.OutDegree(uint32(u))
-		ds[u] = d
-		sum += d
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	sort.Ints(ds)
-	return DegreeStats{
-		Min:  min,
-		Max:  max,
-		Mean: float64(sum) / float64(n),
-		P99:  ds[n*99/100],
-	}
 }

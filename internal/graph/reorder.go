@@ -64,30 +64,10 @@ func Relabel(g *Graph, newID []uint32) *Graph {
 			}
 		}
 	}
-	// FromEdges sorts adjacency lists, which would scramble the weight
-	// pairing; rebuild manually keeping (dst, weight) together.
-	off := make([]uint32, n+1)
-	for _, u := range src {
-		off[u+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	edges := make([]uint32, len(src))
-	var weights []uint32
-	if w != nil {
-		weights = make([]uint32, len(src))
-	}
-	cursor := make([]uint32, n)
-	copy(cursor, off[:n])
-	for i, u := range src {
-		p := cursor[u]
-		edges[p] = dst[i]
-		if w != nil {
-			weights[p] = w[i]
-		}
-		cursor[u]++
-	}
+	// Not FromEdges: it carries no weights and orders each list by
+	// destination. The stable scatter keeps every list in g's order, each
+	// weight beside its edge (the hub-* fingerprints pin that order).
+	off, edges, weights := scatter(n, nil, src, dst, w)
 	out := &Graph{NumNodes: n, OffsetList: off, EdgeList: edges, Weights: weights}
 	if g.InOffsetList != nil {
 		out.BuildCSC()
