@@ -126,10 +126,8 @@ var qualityCells = []struct {
 // this easily.
 const qualityTolerance = 0.002
 
-// suites lists the hot-path benchmarks (package -> -bench regexp), plus
-// the paper datasets' construction, which every sweep process pays once
-// and which allocates by design, so it is not gated. The sim filter must
-// not match BenchmarkRunObs*, which run full simulations.
+// suites lists the hot-path benchmarks (package -> -bench regexp). The
+// sim filter must not match BenchmarkRunObs*, which run full simulations.
 var suites = []struct{ pkg, pattern string }{
 	{"./internal/cache", "BenchmarkHierarchyAccess|BenchmarkHierarchyMiss|BenchmarkHierarchySharedRead|BenchmarkFillPrefetch"},
 	{"./internal/sim", "BenchmarkPrefetchIssueProcess"},
@@ -137,7 +135,6 @@ var suites = []struct{ pkg, pattern string }{
 	{"./internal/core", "BenchmarkProdigyWalk"},
 	{"./internal/trace", "BenchmarkEmitDrain"},
 	{"./internal/stats", "BenchmarkHistogramRecord"},
-	{"./internal/graph", "BenchmarkPaperDatasets"},
 }
 
 func main() {

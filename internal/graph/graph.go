@@ -115,20 +115,16 @@ func (g *Graph) BuildCSC() {
 }
 
 // AddWeights assigns deterministic pseudo-random weights in [1, maxW] to
-// every edge (used by SSSP).
+// every edge (used by SSSP). maxW must be a power of two, so a mask picks
+// the weight.
 func (g *Graph) AddWeights(seed uint64, maxW uint32) {
+	if maxW == 0 || maxW&(maxW-1) != 0 {
+		panic(fmt.Sprintf("graph: AddWeights maxW %d is not a power of two", maxW))
+	}
 	r := NewRand(seed)
 	g.Weights = make([]uint32, len(g.EdgeList))
-	if maxW != 0 && maxW&(maxW-1) == 0 {
-		// x % maxW == x & (maxW-1) for a power of two, without the divide.
-		mask := uint64(maxW - 1)
-		for i := range g.Weights {
-			g.Weights[i] = 1 + uint32(r.Next()&mask)
-		}
-		return
-	}
 	for i := range g.Weights {
-		g.Weights[i] = 1 + uint32(r.Next()%uint64(maxW))
+		g.Weights[i] = 1 + uint32(r.Next()&uint64(maxW-1))
 	}
 }
 

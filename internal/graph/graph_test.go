@@ -287,6 +287,19 @@ func TestQuickUndirected(t *testing.T) {
 	}
 }
 
+func TestAddWeightsRefusesNonPowerOfTwo(t *testing.T) {
+	for _, maxW := range []uint32{0, 3, 1000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddWeights(1, %d) did not panic", maxW)
+				}
+			}()
+			FromEdges(2, []uint32{0}, []uint32{1}).AddWeights(1, maxW)
+		}()
+	}
+}
+
 func TestSizeBytes(t *testing.T) {
 	g := FromEdges(3, []uint32{0}, []uint32{1})
 	if got := g.SizeBytes(); got != 4*(4+1) {

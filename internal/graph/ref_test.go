@@ -121,7 +121,7 @@ func checkBuildVsRef(n int, src, dst []uint32) error {
 	// entries and keeping each weight with its edge. Reversed IDs turn
 	// the sorted lists into descending ones.
 	wg := &Graph{NumNodes: n, OffsetList: g.OffsetList, EdgeList: g.EdgeList}
-	wg.AddWeights(1, 1000)
+	wg.AddWeights(1, 1024)
 	rev := make([]uint32, n)
 	for u := range rev {
 		rev[u] = uint32(n - 1 - u)
