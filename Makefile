@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json fmt test race fuzz bench-json quick-gate tables trace-demo
+.PHONY: check build vet lint lint-json fmt test race perfbench-test fuzz bench-json quick-gate tables trace-demo
 
-check: build vet lint race quick-gate
+check: build vet lint race perfbench-test quick-gate
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,14 @@ test:
 # cache, run memoization) fail loudly.
 race:
 	$(GO) test -race ./...
+
+# The benchmark's self-test (perfbench/ is its own module, outside the
+# root ./... pattern): it runs every workload at tiny scale, driving a
+# real prodigy-serve binary through a cold fill and byte-checked
+# replays, so a response-framing or telemetry break fails here and not
+# only in the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Fuzz for 10 s each: the farm's inputs from outside (the sweep journal
 # and result cache loaders and the sweep spec's decoding and expansion), the DRAM

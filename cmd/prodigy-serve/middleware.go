@@ -8,9 +8,9 @@ package main
 // §Service telemetry.
 
 import (
-	"fmt"
 	"log/slog"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,7 +22,7 @@ var reqID atomic.Uint64
 
 // statusWriter observes the status code and body size a handler
 // produced. It forwards Flush so the sweep NDJSON streaming path keeps
-// flushing per line through the wrapper.
+// flushing per batch through the wrapper.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -54,12 +54,21 @@ func (w *statusWriter) Flush() {
 }
 
 // withTelemetry wraps next with the request-metrics and access-log
-// layer. reg and logger may each be nil to disable that half.
-func withTelemetry(next http.Handler, reg *telemetry.Registry, logger *slog.Logger) http.Handler {
+// layer. reg and logger may each be nil to disable that half. routes
+// are the mux patterns next serves; each route's metric handles are
+// resolved on its first request (so an idle route exports no series) and
+// reused after, and requests matching none count under "unmatched".
+func withTelemetry(next http.Handler, routes []string, reg *telemetry.Registry, logger *slog.Logger) http.Handler {
 	inflight := reg.Gauge("http_in_flight",
 		"HTTP requests currently being served.")
+	// The table is complete before the first request and only read
+	// after, so lookups take no lock.
+	table := map[string]*routeMetrics{"unmatched": {reg: reg, route: "unmatched"}}
+	for _, route := range routes {
+		table[route] = &routeMetrics{reg: reg, route: route}
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("r%06d", reqID.Add(1))
+		id := requestID(reqID.Add(1))
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w}
 		inflight.Add(1)
@@ -79,15 +88,7 @@ func withTelemetry(next http.Handler, reg *telemetry.Registry, logger *slog.Logg
 		if status == 0 {
 			status = http.StatusOK
 		}
-		reg.Counter("http_requests_total",
-			"HTTP requests served, by matched route.",
-			"route", route).Inc()
-		reg.Counter("http_responses_total",
-			"HTTP responses, by matched route and status class.",
-			"route", route, "class", fmt.Sprintf("%dxx", status/100)).Inc()
-		reg.Histogram("http_request_duration_us",
-			"HTTP request duration, microseconds, by matched route.",
-			"route", route).Observe(dur.Microseconds())
+		table[route].record(status, dur)
 		if logger != nil {
 			logger.Info("request",
 				"id", id,
@@ -101,4 +102,61 @@ func withTelemetry(next http.Handler, reg *telemetry.Registry, logger *slog.Logg
 			)
 		}
 	})
+}
+
+// requestID renders the n-th request's ID, "r" and at least six digits
+// (r000042).
+func requestID(n uint64) string {
+	var b [32]byte
+	i := len(b)
+	for n > 0 || i > len(b)-6 {
+		i--
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	i--
+	b[i] = 'r'
+	return string(b[i:])
+}
+
+// statusClasses are the http_responses_total class labels, indexed by
+// status/100 (net/http rejects codes outside 100–999).
+var statusClasses = [10]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
+
+// routeMetrics is one route's request metrics. Each handle is resolved
+// from the registry the first time the route needs it, once.
+type routeMetrics struct {
+	reg   *telemetry.Registry
+	route string
+
+	once      sync.Once
+	requests  *telemetry.Counter
+	duration  *telemetry.Histogram
+	responses [len(statusClasses)]atomic.Pointer[telemetry.Counter]
+}
+
+// record counts one request that ended with status after dur.
+func (m *routeMetrics) record(status int, dur time.Duration) {
+	m.once.Do(m.resolve)
+	m.requests.Inc()
+	class := &m.responses[status/100]
+	c := class.Load()
+	if c == nil {
+		c = m.reg.Counter("http_responses_total",
+			"HTTP responses, by matched route and status class.",
+			"route", m.route, "class", statusClasses[status/100])
+		class.Store(c)
+	}
+	c.Inc()
+	m.duration.Observe(dur.Microseconds())
+}
+
+// resolve looks up the route's request counter and duration histogram.
+func (m *routeMetrics) resolve() {
+	m.requests = m.reg.Counter("http_requests_total",
+		"HTTP requests served, by matched route.",
+		"route", m.route)
+	m.duration = m.reg.Histogram("http_request_duration_us",
+		"HTTP request duration, microseconds, by matched route.",
+		"route", m.route)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"prodigy/internal/exp"
 	"prodigy/internal/exp/farm"
+	"prodigy/internal/obs"
 	"prodigy/internal/statdiff"
 	"prodigy/internal/telemetry"
 )
@@ -49,23 +51,28 @@ func newServer(cacheDir string, cfg exp.Config, accessLog *slog.Logger, pprofOn 
 	}
 	s := &server{farm: f, reg: reg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.healthz)
-	mux.HandleFunc("POST /sweeps", s.postSweep)
-	mux.HandleFunc("GET /sweeps", s.listSweeps)
-	mux.HandleFunc("GET /sweeps/{id}", s.getSweep)
-	mux.HandleFunc("GET /sweeps/{id}/stream", s.streamSweep)
-	mux.HandleFunc("DELETE /sweeps/{id}", s.deleteSweep)
-	mux.HandleFunc("GET /diff", s.diff)
-	mux.HandleFunc("GET /metrics", s.metrics)
-	mux.HandleFunc("GET /varz", s.varz)
-	if pprofOn {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	var routes []string
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, h)
+		routes = append(routes, pattern)
 	}
-	return &http.Server{Handler: withTelemetry(mux, reg, accessLog)}, f, nil
+	handle("GET /healthz", s.healthz)
+	handle("POST /sweeps", s.postSweep)
+	handle("GET /sweeps", s.listSweeps)
+	handle("GET /sweeps/{id}", s.getSweep)
+	handle("GET /sweeps/{id}/stream", s.streamSweep)
+	handle("DELETE /sweeps/{id}", s.deleteSweep)
+	handle("GET /diff", s.diff)
+	handle("GET /metrics", s.metrics)
+	handle("GET /varz", s.varz)
+	if pprofOn {
+		handle("GET /debug/pprof/", pprof.Index)
+		handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+		handle("GET /debug/pprof/profile", pprof.Profile)
+		handle("GET /debug/pprof/symbol", pprof.Symbol)
+		handle("GET /debug/pprof/trace", pprof.Trace)
+	}
+	return &http.Server{Handler: withTelemetry(mux, routes, reg, accessLog)}, f, nil
 }
 
 // healthz is drain-aware: once shutdown begins the server is still
@@ -109,8 +116,8 @@ func writeStatusJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // postSweep submits a sweep. By default the response is the sweep's
-// chunked NDJSON stream (cached replays first, then live completions)
-// and the submitting client owns the sweep's lifecycle: disconnecting
+// NDJSON (cached replays first, then live completions; see sendLog) and
+// the submitting client owns the sweep's lifecycle: disconnecting
 // before completion cancels the in-flight cells. With ?detach=1 the
 // sweep runs server-side and the response is its status; attach
 // separately via GET /sweeps/{id}/stream (detached streams never cancel
@@ -144,18 +151,35 @@ func (s *server) postSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sweep-Id", sw.ID)
 	w.Header().Set("X-Sweep-Cells", strconv.Itoa(st.Cells))
 	w.Header().Set("X-Sweep-Cached", strconv.Itoa(st.Cached))
-	if r.URL.Query().Get("detach") != "" {
+	if r.URL.RawQuery != "" && r.URL.Query().Get("detach") != "" {
 		writeStatusJSON(w, http.StatusAccepted, st)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := sw.Log.Stream(r.Context(), w); err != nil {
+	if err := sendLog(r.Context(), w, sw.Log); err != nil {
 		// The submitting client went away mid-sweep: cancel the cells it
 		// was waiting on (completed cells stay cached).
 		if cerr := s.farm.Cancel(sw.ID); cerr != nil {
 			_ = cerr // the sweep vanished; nothing to cancel
 		}
 	}
+}
+
+// sendLog sends a sweep's NDJSON log as the response body. A log that is
+// already closed (an all-cached or finished sweep) goes out whole, with
+// a Content-Length. For an open one the headers go out at once, with
+// chunked transfer, and each batch of lines is flushed as it arrives
+// until the sweep finishes. Either way the response completes when the
+// handler returns, after the telemetry middleware has counted it. It
+// returns Stream's error: the client went away, or the write failed.
+func sendLog(ctx context.Context, w http.ResponseWriter, l *obs.LineLog) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if size, closed := l.Size(); closed {
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+	} else if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	_, err := l.Stream(ctx, w)
+	return err
 }
 
 func (s *server) listSweeps(w http.ResponseWriter, r *http.Request) {
@@ -181,8 +205,7 @@ func (s *server) streamSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such sweep", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := sw.Log.Stream(r.Context(), w); err != nil {
+	if err := sendLog(r.Context(), w, sw.Log); err != nil {
 		_ = err // client went away; the sweep keeps running
 	}
 }

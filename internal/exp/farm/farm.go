@@ -160,8 +160,9 @@ type Spec struct {
 }
 
 // cells validates the spec and expands it into grid cells in
-// deterministic grid order. defaults supplies the dataset list used
-// when the spec names none.
+// deterministic grid order: algos, then datasets, then schemes, each in
+// first-mention order with repeats dropped. defaults supplies the
+// dataset list used when the spec names none.
 func (sp Spec) cells(defaults []string) ([]exp.Cell, error) {
 	if len(sp.Algos) == 0 {
 		return nil, fmt.Errorf("farm: sweep spec names no algorithms")
@@ -169,55 +170,72 @@ func (sp Spec) cells(defaults []string) ([]exp.Cell, error) {
 	if len(sp.Schemes) == 0 {
 		return nil, fmt.Errorf("farm: sweep spec names no schemes")
 	}
-	known := map[string]bool{}
-	for _, a := range workloads.AllAlgos {
-		known[a] = true
+	// The name buffers have room for every name of the fixed lists.
+	var algoBuf, dsBuf [16]string
+	var schemeBuf [16]exp.Scheme
+	algos, bad := firstMentions(algoBuf[:0], sp.Algos, workloads.AllAlgos)
+	if bad >= 0 {
+		return nil, fmt.Errorf("farm: unknown algorithm %q (want one of %v)", sp.Algos[bad], workloads.AllAlgos)
 	}
-	for _, a := range sp.Algos {
-		if !known[a] {
-			return nil, fmt.Errorf("farm: unknown algorithm %q (want one of %v)", a, workloads.AllAlgos)
+	named := sp.Datasets
+	if len(named) == 0 {
+		named = defaults
+	}
+	datasets, bad := firstMentions(dsBuf[:0], named, datasetNames)
+	if bad >= 0 {
+		return nil, fmt.Errorf("farm: unknown dataset %q (want one of %v)", named[bad], datasetNames)
+	}
+	schemes, bad := firstMentions(schemeBuf[:0], sp.Schemes, allSchemes)
+	if bad >= 0 {
+		_, err := exp.ParseScheme(sp.Schemes[bad])
+		return nil, err
+	}
+	n := 0
+	for _, a := range algos {
+		if workloads.IsGraphAlgo(a) {
+			n += len(datasets) * len(schemes)
+		} else {
+			n += len(schemes)
 		}
 	}
-	datasets := sp.Datasets
-	if len(datasets) == 0 {
-		datasets = defaults
-	}
-	knownDS := map[string]bool{}
-	for _, d := range graph.DatasetNames() {
-		knownDS[d] = true
-	}
-	for _, d := range datasets {
-		if !knownDS[d] {
-			return nil, fmt.Errorf("farm: unknown dataset %q (want one of %v)", d, graph.DatasetNames())
-		}
-	}
-	schemes := make([]exp.Scheme, 0, len(sp.Schemes))
-	for _, s := range sp.Schemes {
-		k, err := exp.ParseScheme(s)
-		if err != nil {
-			return nil, err
-		}
-		schemes = append(schemes, k)
-	}
-	var cells []exp.Cell
-	seen := map[exp.Cell]bool{}
-	for _, a := range sp.Algos {
+	cells := make([]exp.Cell, 0, n)
+	for _, a := range algos {
 		ds := datasets
 		if !workloads.IsGraphAlgo(a) {
 			ds = []string{""}
 		}
 		for _, d := range ds {
 			for _, s := range schemes {
-				c := exp.Cell{Algo: a, Dataset: d, Scheme: s}
-				if seen[c] {
-					continue
-				}
-				seen[c] = true
-				cells = append(cells, c)
+				cells = append(cells, exp.Cell{Algo: a, Dataset: d, Scheme: s})
 			}
 		}
 	}
 	return cells, nil
+}
+
+// The fixed lists a spec names its datasets and schemes from.
+var (
+	datasetNames = graph.DatasetNames()
+	allSchemes   = exp.Schemes()
+)
+
+// firstMentions appends to out the names in the order of their first
+// mention, repeats dropped, each as its entry of known (a fixed list of
+// at most 64 names). bad is -1, or the index of the first name known
+// lacks.
+func firstMentions[T ~string](out []T, names []string, known []T) ([]T, int) {
+	var seen uint64
+	for j, name := range names {
+		i := slices.Index(known, T(name))
+		if i < 0 {
+			return nil, j
+		}
+		if seen&(1<<i) == 0 {
+			seen |= 1 << i
+			out = append(out, known[i])
+		}
+	}
+	return out, -1
 }
 
 // Status is a sweep's point-in-time progress snapshot.
@@ -314,7 +332,7 @@ func (f *Farm) Start(spec Spec) (*Sweep, error) {
 		done:   make(chan struct{}),
 	}
 	s.started = time.Now() //lint:allow determinism service telemetry wall clock; simulated results never read it
-	var replayed [][]byte
+	replayed := make([][]byte, 0, len(cells))
 	var torun []exp.Cell
 	for i, c := range cells {
 		if line, ok := f.store.Get(keys[i]); ok {

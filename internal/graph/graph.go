@@ -133,13 +133,15 @@ func (g *Graph) AddWeights(seed uint64, maxW uint32) {
 // are the sorted, unique union of its out- and in-neighbours. The
 // transpose gives sorted in-lists and its transpose sorted out-lists, also
 // when g's own lists are unsorted (HubSort output); each vertex's two
-// lists are then merged, dropping repeats.
+// lists are then merged, dropping repeats. The merged edges are copied
+// into an array of their exact size: the memoized dataset variants live
+// for the whole process.
 func (g *Graph) Undirected() *Graph {
 	n := g.NumNodes
 	inOff, in, _ := scatter(n, g.OffsetList, g.EdgeList, nil, nil)
 	outOff, out, _ := scatter(n, inOff, in, nil, nil)
 	off := make([]uint32, n+1)
-	edges := make([]uint32, 2*len(in))
+	merged := make([]uint32, 2*len(in))
 	w := uint32(0)
 	for u := 0; u < n; u++ {
 		off[u] = w
@@ -151,14 +153,16 @@ func (g *Graph) Undirected() *Graph {
 			} else {
 				x, b = b[0], b[1:]
 			}
-			if w == off[u] || edges[w-1] != x {
-				edges[w] = x
+			if w == off[u] || merged[w-1] != x {
+				merged[w] = x
 				w++
 			}
 		}
 	}
 	off[n] = w
-	return &Graph{NumNodes: n, OffsetList: off, EdgeList: edges[:w]}
+	edges := make([]uint32, w)
+	copy(edges, merged)
+	return &Graph{NumNodes: n, OffsetList: off, EdgeList: edges}
 }
 
 // MaxDegreeVertex returns the vertex with the largest out-degree; GAP picks

@@ -73,6 +73,21 @@ func TestUndirectedSymmetric(t *testing.T) {
 	}
 }
 
+// TestUndirectedExactSize checks that a symmetrized graph keeps no
+// spare edge capacity: the memoized dataset variants live for the whole
+// process.
+func TestUndirectedExactSize(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"Uniform":           Uniform(50, 300, 9).Undirected(),
+		"LoadUndirected po": LoadUndirected("po", ScaleTiny),
+		"LoadUndirected sk": LoadUndirected("sk", ScaleTiny),
+	} {
+		if cap(g.EdgeList) != len(g.EdgeList) {
+			t.Errorf("%s: EdgeList len %d, cap %d", name, len(g.EdgeList), cap(g.EdgeList))
+		}
+	}
+}
+
 func TestWeightsDeterministic(t *testing.T) {
 	g1 := Uniform(20, 100, 5)
 	g1.AddWeights(42, 64)

@@ -23,8 +23,8 @@ type LineLog struct {
 	mu     sync.Mutex
 	lines  [][]byte
 	closed bool
-	// changed is closed-and-replaced on every append and on Close, waking
-	// all pending Stream calls.
+	// changed is closed-and-replaced on every append, and closed for
+	// good on Close, waking all pending Stream calls.
 	changed chan struct{}
 	// met counts streaming activity (see StreamMetrics); the zero value
 	// records nothing.
@@ -92,8 +92,7 @@ func (l *LineLog) Close() {
 		return
 	}
 	l.closed = true
-	close(l.changed)
-	l.changed = make(chan struct{})
+	close(l.changed) // stays closed: nothing waits on a closed log
 }
 
 // Len returns the number of lines appended so far.
@@ -131,6 +130,18 @@ func (l *LineLog) Lines() [][]byte {
 	return out
 }
 
+// Size returns the log's length in bytes as Snapshot or Stream sends
+// it (each line newline-terminated) and whether the log is closed. The
+// size of a closed log is final.
+func (l *LineLog) Size() (n int, closed bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		n += len(line) + 1
+	}
+	return n, l.closed
+}
+
 // next returns the lines appended at or after index from, whether the
 // log is closed, and a channel that signals the next state change.
 func (l *LineLog) next(from int) ([][]byte, bool, <-chan struct{}) {
@@ -147,20 +158,27 @@ func (l *LineLog) metrics() (StreamMetrics, int) {
 	return l.met, len(l.lines)
 }
 
+// batchBufs recycles Stream's batch buffers across calls.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Stream copies every line — full history first, then live appends — to
 // w, newline-terminated, returning when the log is closed (nil error),
 // the context is canceled (ctx.Err()), or a write fails. Each batch of
-// lines picked up from the log goes out in one Write, flushed eagerly
-// when w implements Flush(), so chunked HTTP clients see each completed
-// cell without waiting for the sweep to finish. It returns the number of
-// lines written.
+// lines picked up from the log goes out in one Write; a closed log goes
+// out in a single batch. When w implements Flush(), each batch after
+// which Stream waits for more is flushed at once, so chunked HTTP
+// clients see each completed cell without waiting for the sweep to
+// finish. The last batch is left to the caller to complete: an HTTP
+// handler sends it by returning, after any middleware has finished with
+// the request. It returns the number of lines written.
 func (l *LineLog) Stream(ctx context.Context, w io.Writer) (int, error) {
 	type flusher interface{ Flush() }
 	met, replayEnd := l.metrics()
 	met.Subscribers.Add(1)
 	defer met.Subscribers.Add(-1)
+	bufp := batchBufs.Get().(*[]byte)
+	defer batchBufs.Put(bufp)
 	n := 0
-	var buf []byte
 	for {
 		lines, closed, changed := l.next(n)
 		if len(lines) > 0 {
@@ -168,20 +186,21 @@ func (l *LineLog) Stream(ctx context.Context, w io.Writer) (int, error) {
 			for _, line := range lines {
 				size += len(line) + 1
 			}
+			buf := (*bufp)[:0]
 			if cap(buf) < size {
 				buf = make([]byte, 0, size)
 			}
-			buf = buf[:0]
 			for _, line := range lines {
 				buf = append(buf, line...)
 				buf = append(buf, '\n')
 			}
+			*bufp = buf
 			written, err := w.Write(buf)
 			n += met.credit(lines, n, replayEnd, written)
 			if err != nil {
 				return n, err
 			}
-			if f, ok := w.(flusher); ok {
+			if f, ok := w.(flusher); ok && !closed {
 				f.Flush()
 			}
 		}

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"prodigy/internal/stats"
 )
@@ -206,10 +207,15 @@ func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram
 
 // child resolves (creating as needed) one family child. Misuse —
 // re-registering a name as a different kind, or an odd label list — is
-// a programming error and panics, mirroring expvar.
+// a programming error and panics, mirroring expvar. Resolving an
+// existing child allocates nothing: the label pairs are sorted and the
+// lookup key rendered in stack buffers, and only a new child keeps
+// copies of them.
 func (r *Registry) child(name, help string, k kind, labelPairs []string) *metric {
 	if len(labelPairs)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: metric %q: odd label list %q", name, labelPairs))
+		// Format a copy: passing labelPairs itself would move every
+		// caller's variadic slice to the heap.
+		panic(fmt.Sprintf("telemetry: metric %q: odd label list %q", name, append([]string(nil), labelPairs...)))
 	}
 	r.mu.Lock()
 	f, ok := r.families[name]
@@ -222,13 +228,18 @@ func (r *Registry) child(name, help string, k kind, labelPairs []string) *metric
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, f.kind, k))
 	}
 
-	pairs := sortPairs(labelPairs)
-	key := renderLabels(pairs)
+	var pairBuf [8]string
+	var keyBuf [128]byte
+	pairs := sortPairs(append(pairBuf[:0], labelPairs...))
+	key := appendLabels(keyBuf[:0], pairs)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, ok := f.children[key]
+	m, ok := f.children[string(key)]
 	if !ok {
-		m = &metric{labels: key, pairs: pairs}
+		m = &metric{labels: string(key)}
+		if len(pairs) > 0 {
+			m.pairs = append([]string(nil), pairs...)
+		}
 		switch k {
 		case kindCounter:
 			m.c = &Counter{}
@@ -237,7 +248,7 @@ func (r *Registry) child(name, help string, k kind, labelPairs []string) *metric
 		case kindHistogram:
 			m.h = &Histogram{}
 		}
-		f.children[key] = m
+		f.children[m.labels] = m
 	}
 	return m
 }
@@ -255,62 +266,54 @@ func (r *Registry) ordered() []*family {
 	return out
 }
 
-// sortPairs returns the flat (key, value, ...) list sorted by key.
+// sortPairs sorts the flat (key, value, ...) list by key in place,
+// keeping pairs with equal keys in their given order, and returns it.
 func sortPairs(pairs []string) []string {
-	if len(pairs) == 0 {
-		return nil
+	for i := 2; i+1 < len(pairs); i += 2 {
+		for j := i; j >= 2 && pairs[j] < pairs[j-2]; j -= 2 {
+			pairs[j], pairs[j+1], pairs[j-2], pairs[j-1] = pairs[j-2], pairs[j-1], pairs[j], pairs[j+1]
+		}
 	}
-	type kv struct{ k, v string }
-	kvs := make([]kv, 0, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		kvs = append(kvs, kv{pairs[i], pairs[i+1]})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
-	out := make([]string, 0, len(kvs)*2)
-	for _, p := range kvs {
-		out = append(out, p.k, p.v)
-	}
-	return out
+	return pairs
 }
 
-// renderLabels renders sorted pairs into the `{k="v",...}` block with
-// values escaped per the Prometheus text format.
-func renderLabels(pairs []string) string {
+// appendLabels appends the `{k="v",...}` block of sorted pairs to dst,
+// with values escaped per the Prometheus text format; no pairs append
+// nothing.
+func appendLabels(dst []byte, pairs []string) []byte {
 	if len(pairs) == 0 {
-		return ""
+		return dst
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(pairs[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(pairs[i+1]))
-		b.WriteByte('"')
+		dst = append(dst, pairs[i]...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, pairs[i+1])
+		dst = append(dst, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
-// escapeLabel escapes a label value for the text exposition format.
-func escapeLabel(v string) string {
+// appendEscaped appends a label value escaped for the text exposition
+// format.
+func appendEscaped(dst []byte, v string) []byte {
 	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+		return append(dst, v...)
 	}
-	var b strings.Builder
 	for _, r := range v {
 		switch r {
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }

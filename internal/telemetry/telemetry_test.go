@@ -213,6 +213,24 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestChildLookupAllocatesNothing pins that re-resolving an existing
+// labeled child, as a per-event call site does, allocates nothing.
+func TestChildLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	route := "POST /sweeps"
+	r.Counter("http_responses_total", "", "route", route, "class", "2xx")
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Counter("http_responses_total", "", "route", route, "class", "2xx").Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("re-resolving a child allocates %v times, want 0", allocs)
+	}
+	// 101: AllocsPerRun makes one warm-up call.
+	if got := r.Counter("http_responses_total", "", "class", "2xx", "route", route).Value(); got != 101 {
+		t.Fatalf("counter = %d, want 101: the lookup missed the existing child", got)
+	}
+}
+
 // TestKindConflictPanics pins the programmer-error contract.
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
