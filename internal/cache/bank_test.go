@@ -58,6 +58,29 @@ func addrPool(rng *rand.Rand, sets, assoc int) []uint64 {
 	return out
 }
 
+// slot returns the global slot index of way k of set s.
+func (b *bank) slot(s, k int) int {
+	return (k>>3*b.nsets+s)<<3 | k&7
+}
+
+// wayOf returns the way of set s that slot i holds (the inverse of slot).
+func (b *bank) wayOf(s, i int) int {
+	return (i>>3-s)/b.nsets*8 + i&7
+}
+
+// lookup returns the way of lineAddr within its set, or -1.
+func (b *bank) lookup(lineAddr uint64) int {
+	if i := b.findIdx(lineAddr); i >= 0 {
+		return b.wayOf(int(lineAddr&b.setMask), i)
+	}
+	return -1
+}
+
+// way returns the line in way w of lineAddr's set.
+func (b *bank) way(lineAddr uint64, w int) *line {
+	return &b.lines[b.slot(int(lineAddr&b.setMask), w)]
+}
+
 // way converts a slot of either bank to its way within la's set (-1
 // stays -1).
 func (p *bankPair) way(la uint64, i int) int {
@@ -189,7 +212,7 @@ func (p *bankPair) checkSet(t testing.TB, s int) {
 		// An empty slot's lru is never read, and only the reference
 		// clears it.
 		rl := p.ref.lines[ri]
-		if p.b.lines[i] != (line{rl.state, rl.prefetched, rl.used, rl.pfTag}) || valid && p.b.lru[i] != rl.lru {
+		if p.b.lines[i] != (line{rl.state, rl.prefetched, rl.used, rl.fromMem}) || valid && p.b.lru[i] != rl.lru {
 			t.Fatalf("set %d way %d: line %+v, lru %d; want %+v", s, w, p.b.lines[i], p.b.lru[i], rl)
 		}
 		switch {

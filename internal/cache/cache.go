@@ -137,14 +137,6 @@ func ScaledDefault(cores int) Config {
 	}
 }
 
-// Prefetch-tag encoding: the issuing core in the low bits plus one flag
-// recording whether the fill was serviced from DRAM, packed into one
-// byte of line, so tagging costs no extra set state.
-const (
-	pfCoreMask uint8 = 0x7F
-	pfMemBit   uint8 = 0x80
-)
-
 // line is one cache line's coherence and prefetch state. The rest of a
 // slot lives in the bank's dense arrays (structure-of-arrays split): its
 // tag in tags, a one-byte fingerprint of the tag in the fps words and
@@ -157,10 +149,9 @@ type line struct {
 	state      uint8
 	prefetched bool
 	used       bool // demanded at least once since fill
-	// pfTag attributes a prefetched line to its issuing core (pfCoreMask)
-	// and records DRAM service (pfMemBit); meaningful only while
-	// prefetched && !used.
-	pfTag uint8
+	// fromMem records that the prefetch fill was serviced by DRAM;
+	// meaningful only while prefetched && !used.
+	fromMem bool
 }
 
 // Fingerprint lanes. Byte lane i&7 of fps[i>>3] (little-endian)
@@ -268,11 +259,6 @@ func newBank(sizeBytes, assoc, lineSize int, directory bool) *bank {
 	return b
 }
 
-// slot returns the global slot index of way k of set s.
-func (b *bank) slot(s, k int) int {
-	return (k>>3*b.nsets+s)<<3 | k&7
-}
-
 // setLane writes slot i's fingerprint lane.
 func (b *bank) setLane(i int, fp uint64) {
 	sh := uint(i&7) * 8
@@ -359,24 +345,6 @@ func (b *bank) fill(i int, lineAddr uint64, ln line) {
 	b.touchIdx(i)
 }
 
-// lookup returns the way index within the set, or -1 (kept for tests and
-// inspection; the hot path uses findIdx).
-func (b *bank) lookup(lineAddr uint64) int {
-	if i := b.findIdx(lineAddr); i >= 0 {
-		return b.wayOf(int(lineAddr&b.setMask), i)
-	}
-	return -1
-}
-
-// wayOf returns the way of set s that slot i holds (the inverse of slot).
-func (b *bank) wayOf(s, i int) int {
-	return (i>>3-s)/b.nsets*8 + i&7
-}
-
-func (b *bank) way(lineAddr uint64, w int) *line {
-	return &b.lines[b.slot(int(lineAddr&b.setMask), w)]
-}
-
 //hot:inline
 func (b *bank) touchIdx(i int) {
 	b.tick++
@@ -448,41 +416,23 @@ type Stats struct {
 	Writebacks    uint64
 	Invalidations uint64
 
-	// Prefetch bookkeeping (Fig. 15).
-	PrefetchFills   uint64
-	PrefetchL1Hits  uint64 // demand found prefetched-unused line in L1
-	PrefetchL2Hits  uint64
-	PrefetchL3Hits  uint64
-	PrefetchEvicted uint64 // prefetched line left hierarchy unused
+	// Prefetch bookkeeping (Fig. 15). A prefetched line's first demand
+	// use counts once, at the level it hit (a timely use);
+	// PrefetchFillsMem and PrefetchTimelyMem are the DRAM-serviced
+	// subsets of the fills and of their timely uses.
+	PrefetchFills     uint64
+	PrefetchFillsMem  uint64
+	PrefetchL1Hits    uint64 // demand found prefetched-unused line in L1
+	PrefetchL2Hits    uint64
+	PrefetchL3Hits    uint64
+	PrefetchTimelyMem uint64
+	PrefetchEvicted   uint64 // prefetched line left hierarchy unused
 
 	// OrphanFills counts prefetch fills that installed a line in an L2
 	// while L3 held no copy of it: the line left L3 between the
 	// prefetch's L3 probe and its fill, and the private copy breaks
 	// inclusion until it leaves (see Hierarchy.orphanMask).
 	OrphanFills uint64
-}
-
-// LifeStats is one core's slice of the prefetch-lifecycle ledger. Fill
-// and outcome events are attributed to the *issuing* core via the packed
-// per-line tag (not the core whose demand later found the line);
-// DemandMisses is demand-side and belongs to the accessing core. The
-// engine joins both views into per-core accuracy/coverage/timeliness.
-type LifeStats struct {
-	// Fills counts completed prefetch fills; FillsMem the subset serviced
-	// from DRAM (the coverage-relevant ones).
-	Fills    uint64
-	FillsMem uint64
-	// Timely counts prefetched lines whose first demand use found them
-	// already resident (the prefetch hid the full latency); TimelyMem is
-	// the DRAM-serviced subset.
-	Timely    uint64
-	TimelyMem uint64
-	// EvictedUnused counts prefetched lines that left the hierarchy
-	// without ever being demanded (the "inaccurate" lifecycle class).
-	EvictedUnused uint64
-	// DemandMisses counts this core's demand accesses serviced by DRAM —
-	// the misses no prefetch covered.
-	DemandMisses uint64
 }
 
 // Hierarchy is the full multi-core cache system.
@@ -500,9 +450,6 @@ type Hierarchy struct {
 	orphans    []int32
 	orphanMask uint64
 	Stats      Stats
-	// Life is the per-core prefetch-lifecycle ledger (see LifeStats for
-	// which side of an event each index refers to).
-	Life []LifeStats
 	// OnL3Evict, when set, is called with the evicted line address
 	// (used by DROPLET-style prefetchers that watch DRAM traffic). It
 	// runs in the middle of a fill and must not call back into the
@@ -540,7 +487,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, Life: make([]LifeStats, cfg.Cores), orphans: make([]int32, cfg.Cores)}
+	h := &Hierarchy{cfg: cfg, orphans: make([]int32, cfg.Cores)}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		h.lineShift++
 	}
@@ -569,10 +516,6 @@ type Result struct {
 	Lat int
 	// Level is where the access was serviced.
 	Level Level
-	// PrefetchHit is the level at which a prefetched-and-not-yet-demanded
-	// line satisfied this access (LvlNone if the hit was not
-	// prefetch-provided).
-	PrefetchHit Level
 }
 
 // Access performs a demand read (write=false) or write (write=true) by
@@ -592,11 +535,9 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	if i := l1.findIdx(la); i >= 0 {
 		ln := &l1.lines[i]
 		l1.touchIdx(i)
-		res := Result{Lat: h.cfg.L1Lat, Level: LvlL1}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL1
 			h.Stats.PrefetchL1Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 			h.l2[core].markUsed(la)
 			h.l3.markUsed(la)
 		}
@@ -605,7 +546,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		if write && ln.state != stModified {
 			h.upgrade(core, la, i, h.l2[core].findIdx(la))
 		}
-		return res
+		return Result{Lat: h.cfg.L1Lat, Level: LvlL1}
 	}
 
 	// L2.
@@ -613,46 +554,40 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	if i := l2.findIdx(la); i >= 0 {
 		ln := &l2.lines[i]
 		l2.touchIdx(i)
-		res := Result{Lat: h.cfg.L2Lat, Level: LvlL2}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL2
 			h.Stats.PrefetchL2Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 			h.l3.markUsed(la)
 		}
 		ln.used = true
 		st := ln.state
 		j := l1.victim(la)
-		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, pfTag: ln.pfTag})
+		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, fromMem: ln.fromMem})
 		h.Stats.DemandL2Hits++
 		if write && st != stModified {
 			h.upgrade(core, la, j, i)
 		}
-		return res
+		return Result{Lat: h.cfg.L2Lat, Level: LvlL2}
 	}
 
 	// L3.
 	if i := h.l3.findIdx(la); i >= 0 {
 		ln := &h.l3.lines[i]
 		h.l3.touchIdx(i)
-		res := Result{Lat: h.cfg.L3Lat, Level: LvlL3}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL3
 			h.Stats.PrefetchL3Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 		}
 		ln.used = true
-		prefetched := ln.prefetched
-		pfTag := ln.pfTag
+		prefetched, fromMem := ln.prefetched, ln.fromMem
 		state := h.serviceFromL3(core, la, i, write)
-		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, pfTag: pfTag})
+		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, fromMem: fromMem})
 		h.Stats.DemandL3Hits++
-		return res
+		return Result{Lat: h.cfg.L3Lat, Level: LvlL3}
 	}
 
 	// DRAM.
 	h.Stats.DemandMem++
-	h.Life[core].DemandMisses++
 	state := uint8(stExclusive)
 	if write {
 		state = stModified
@@ -662,15 +597,14 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	return Result{Lat: h.cfg.L3Lat, Level: LvlMem}
 }
 
-// lifeTimely attributes the first demand use of a prefetched-unused line
-// to its issuing core (the packed per-line tag), splitting out fills that
-// were serviced by DRAM — the ones that converted a would-be miss.
-func (h *Hierarchy) lifeTimely(tag uint8) {
-	if c := int(tag & pfCoreMask); c < len(h.Life) {
-		h.Life[c].Timely++
-		if tag&pfMemBit != 0 {
-			h.Life[c].TimelyMem++
-		}
+// countTimelyMem counts the first demand use of the prefetched-unused
+// line ln in PrefetchTimelyMem when DRAM serviced its fill: those are
+// the timely uses that converted a would-be miss.
+//
+//hot:inline
+func (h *Hierarchy) countTimelyMem(ln *line) {
+	if ln.fromMem {
+		h.Stats.PrefetchTimelyMem++
 	}
 }
 
@@ -872,9 +806,6 @@ func (h *Hierarchy) evictL3(victimAddr uint64, i int) {
 	}
 	if ln.prefetched && !ln.used {
 		h.Stats.PrefetchEvicted++
-		if c := int(ln.pfTag & pfCoreMask); c < len(h.Life) {
-			h.Life[c].EvictedUnused++
-		}
 	}
 	if h.OnL3Evict != nil {
 		h.OnL3Evict(victimAddr)
@@ -924,15 +855,9 @@ func (h *Hierarchy) FillPrefetchL2(core int, addr uint64, fromLevel Level) {
 func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Only bool) {
 	la := h.LineAddr(addr)
 	h.Stats.PrefetchFills++
-	pfTag := uint8(core) & pfCoreMask
-	if fromLevel == LvlMem {
-		pfTag |= pfMemBit
-	}
-	if core < len(h.Life) {
-		h.Life[core].Fills++
-		if fromLevel == LvlMem {
-			h.Life[core].FillsMem++
-		}
+	fromMem := fromLevel == LvlMem
+	if fromMem {
+		h.Stats.PrefetchFillsMem++
 	}
 	// The line may have become resident at any level since the prefetch
 	// was issued, so each level is searched before it is filled. It may
@@ -942,11 +867,11 @@ func (h *Hierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Onl
 	if l3i >= 0 {
 		h.l3.sharers[l3i] |= 1 << uint(core)
 		h.l3.touchIdx(l3i)
-	} else if fromLevel == LvlMem {
+	} else if fromMem {
 		l3i = h.l3.victim(la)
-		h.fillL3(core, l3i, la, line{prefetched: true, pfTag: pfTag})
+		h.fillL3(core, l3i, la, line{prefetched: true, fromMem: true})
 	}
-	ln := line{state: stShared, prefetched: true, pfTag: pfTag}
+	ln := line{state: stShared, prefetched: true, fromMem: fromMem}
 	if i, hit := h.l2[core].findOrVictim(la); hit {
 		h.l2[core].touchIdx(i)
 		// A copy kept from before may be Exclusive or Modified (an orphan

@@ -179,15 +179,12 @@ func TestPrefetchFillAndUsefulness(t *testing.T) {
 	if r.Level != LvlL1 {
 		t.Fatalf("demand after prefetch level = %v, want L1", r.Level)
 	}
-	if r.PrefetchHit != LvlL1 {
-		t.Fatalf("PrefetchHit = %v, want L1", r.PrefetchHit)
-	}
 	if h.Stats.PrefetchL1Hits != 1 {
 		t.Error("L1 prefetch hit not counted")
 	}
 	// Second demand to the same line is a plain hit, not a prefetch hit.
-	r = h.Access(0, 0x5000, false)
-	if r.PrefetchHit != LvlNone {
+	h.Access(0, 0x5000, false)
+	if h.Stats.PrefetchL1Hits != 1 {
 		t.Error("prefetch hit double-counted")
 	}
 }
@@ -218,8 +215,8 @@ func TestPrefetchHitAtL2AfterL1Eviction(t *testing.T) {
 	if r.Level != LvlL2 {
 		t.Fatalf("level = %v, want L2", r.Level)
 	}
-	if r.PrefetchHit != LvlL2 {
-		t.Fatalf("PrefetchHit = %v, want L2", r.PrefetchHit)
+	if h.Stats.PrefetchL2Hits != 1 || h.Stats.PrefetchL1Hits != 0 {
+		t.Fatalf("prefetch hits L1/L2 = %d/%d, want 0/1", h.Stats.PrefetchL1Hits, h.Stats.PrefetchL2Hits)
 	}
 }
 

@@ -100,7 +100,7 @@ func (p *hierPair) apply(t testing.TB, k, a byte) {
 	p.check(t)
 }
 
-// check compares the two hierarchies' stats, ledgers, evictions and
+// check compares the two hierarchies' stats, evictions and
 // banks, then asserts the invariants the directory-guided walks rely on.
 func (p *hierPair) check(t testing.TB) {
 	t.Helper()
@@ -111,11 +111,6 @@ func (p *hierPair) check(t testing.TB) {
 	st.OrphanFills = 0
 	if st != p.ref.Stats {
 		t.Fatalf("Stats = %+v, want %+v", st, p.ref.Stats)
-	}
-	for c := range p.h.Life {
-		if p.h.Life[c] != p.ref.Life[c] {
-			t.Fatalf("Life[%d] = %+v, want %+v", c, p.h.Life[c], p.ref.Life[c])
-		}
 	}
 	if !slices.Equal(p.evicts, p.refEv) {
 		t.Fatalf("L3 evictions %#x, want %#x", p.evicts, p.refEv)

@@ -38,11 +38,10 @@ type refLine struct {
 	state      uint8
 	prefetched bool
 	used       bool // demanded at least once since fill
-	// pfTag attributes a prefetched line to its issuing core (pfCoreMask)
-	// and records DRAM service (pfMemBit); meaningful only while
-	// prefetched && !used.
-	pfTag uint8
-	lru   uint32
+	// fromMem records that the prefetch fill was serviced by DRAM;
+	// meaningful only while prefetched && !used.
+	fromMem bool
+	lru     uint32
 }
 
 // filterFib is the 64-bit Fibonacci hashing multiplier; the shifted
@@ -160,9 +159,6 @@ type refHierarchy struct {
 	l1, l2    []*bank
 	l3        *bank
 	Stats     Stats
-	// Life is the per-core prefetch-lifecycle ledger (see LifeStats for
-	// which side of an event each index refers to).
-	Life []LifeStats
 	// OnL3Evict, when set, is called with the evicted line address
 	// (used by DROPLET-style prefetchers that watch DRAM traffic). It
 	// runs in the middle of a fill and must not call back into the
@@ -176,7 +172,7 @@ func newRefHierarchy(cfg Config) (*refHierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &refHierarchy{cfg: cfg, Life: make([]LifeStats, cfg.Cores)}
+	h := &refHierarchy{cfg: cfg}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		h.lineShift++
 	}
@@ -206,11 +202,9 @@ func (h *refHierarchy) Access(core int, addr uint64, write bool) Result {
 	if i := l1.findIdx(la); i >= 0 {
 		ln := &l1.lines[i]
 		l1.touchIdx(i)
-		res := Result{Lat: h.cfg.L1Lat, Level: LvlL1}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL1
 			h.Stats.PrefetchL1Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 			h.l2[core].markUsed(la)
 			h.l3.markUsed(la)
 		}
@@ -219,7 +213,7 @@ func (h *refHierarchy) Access(core int, addr uint64, write bool) Result {
 		if write && ln.state != stModified {
 			h.upgrade(core, la, i, h.l2[core].findIdx(la))
 		}
-		return res
+		return Result{Lat: h.cfg.L1Lat, Level: LvlL1}
 	}
 
 	// L2.
@@ -227,51 +221,45 @@ func (h *refHierarchy) Access(core int, addr uint64, write bool) Result {
 	if i := l2.findIdx(la); i >= 0 {
 		ln := &l2.lines[i]
 		l2.touchIdx(i)
-		res := Result{Lat: h.cfg.L2Lat, Level: LvlL2}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL2
 			h.Stats.PrefetchL2Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 			h.l3.markUsed(la)
 		}
 		ln.used = true
 		st := ln.state
 		j := l1.victim(la)
-		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, pfTag: ln.pfTag})
+		h.fillL1(core, j, la, line{state: st, prefetched: ln.prefetched, used: true, fromMem: ln.fromMem})
 		h.Stats.DemandL2Hits++
 		if write && st != stModified {
 			h.upgrade(core, la, j, i)
 		}
-		return res
+		return Result{Lat: h.cfg.L2Lat, Level: LvlL2}
 	}
 
 	// L3.
 	if i := h.l3.findIdx(la); i >= 0 {
 		ln := &h.l3.lines[i]
 		h.l3.touchIdx(i)
-		res := Result{Lat: h.cfg.L3Lat, Level: LvlL3}
 		if ln.prefetched && !ln.used {
-			res.PrefetchHit = LvlL3
 			h.Stats.PrefetchL3Hits++
-			h.lifeTimely(ln.pfTag)
+			h.countTimelyMem(ln)
 		}
 		ln.used = true
-		prefetched := ln.prefetched
-		pfTag := ln.pfTag
+		prefetched, fromMem := ln.prefetched, ln.fromMem
 		sh := &h.l3.sharers[i]
 		state := h.serviceFromL3(core, la, sh, write)
-		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, pfTag: pfTag})
+		h.fillPrivate(core, la, line{state: state, prefetched: prefetched, used: true, fromMem: fromMem})
 		// Re-resolve the directory entry: the private fills may have
 		// evicted other lines but never move this one, so the slot index
 		// is still valid.
 		*sh |= 1 << uint(core)
 		h.Stats.DemandL3Hits++
-		return res
+		return Result{Lat: h.cfg.L3Lat, Level: LvlL3}
 	}
 
 	// DRAM.
 	h.Stats.DemandMem++
-	h.Life[core].DemandMisses++
 	state := uint8(stExclusive)
 	if write {
 		state = stModified
@@ -281,15 +269,12 @@ func (h *refHierarchy) Access(core int, addr uint64, write bool) Result {
 	return Result{Lat: h.cfg.L3Lat, Level: LvlMem}
 }
 
-// lifeTimely attributes the first demand use of a prefetched-unused line
-// to its issuing core (the packed per-line tag), splitting out fills that
-// were serviced by DRAM — the ones that converted a would-be miss.
-func (h *refHierarchy) lifeTimely(tag uint8) {
-	if c := int(tag & pfCoreMask); c < len(h.Life) {
-		h.Life[c].Timely++
-		if tag&pfMemBit != 0 {
-			h.Life[c].TimelyMem++
-		}
+// countTimelyMem counts the first demand use of the prefetched-unused
+// line ln in PrefetchTimelyMem when DRAM serviced its fill: those are
+// the timely uses that converted a would-be miss.
+func (h *refHierarchy) countTimelyMem(ln *line) {
+	if ln.fromMem {
+		h.Stats.PrefetchTimelyMem++
 	}
 }
 
@@ -456,9 +441,6 @@ func (h *refHierarchy) evictL3(victimAddr uint64, i int) {
 	}
 	if ln.prefetched && !ln.used {
 		h.Stats.PrefetchEvicted++
-		if c := int(ln.pfTag & pfCoreMask); c < len(h.Life) {
-			h.Life[c].EvictedUnused++
-		}
 	}
 	if h.OnL3Evict != nil {
 		h.OnL3Evict(victimAddr)
@@ -504,25 +486,19 @@ func (h *refHierarchy) FillPrefetchL2(core int, addr uint64, fromLevel Level) {
 func (h *refHierarchy) fillPrefetchAt(core int, addr uint64, fromLevel Level, l2Only bool) {
 	la := h.LineAddr(addr)
 	h.Stats.PrefetchFills++
-	pfTag := uint8(core) & pfCoreMask
-	if fromLevel == LvlMem {
-		pfTag |= pfMemBit
-	}
-	if core < len(h.Life) {
-		h.Life[core].Fills++
-		if fromLevel == LvlMem {
-			h.Life[core].FillsMem++
-		}
+	fromMem := fromLevel == LvlMem
+	if fromMem {
+		h.Stats.PrefetchFillsMem++
 	}
 	// The line may have become resident at any level since the prefetch
 	// was issued, so each level is searched before it is filled.
 	if i := h.l3.findIdx(la); i >= 0 {
 		h.l3.sharers[i] |= 1 << uint(core)
 		h.l3.touchIdx(i)
-	} else if fromLevel == LvlMem {
-		h.fillL3(core, h.l3.victim(la), la, line{prefetched: true, pfTag: pfTag})
+	} else if fromMem {
+		h.fillL3(core, h.l3.victim(la), la, line{prefetched: true, fromMem: true})
 	}
-	ln := line{state: stShared, prefetched: true, pfTag: pfTag}
+	ln := line{state: stShared, prefetched: true, fromMem: fromMem}
 	if i, hit := h.l2[core].findOrVictim(la); hit {
 		h.l2[core].touchIdx(i)
 	} else {

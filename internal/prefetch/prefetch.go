@@ -53,7 +53,7 @@ type Env struct {
 // requests it wanted to make — the scheme-side half of the lifecycle
 // telemetry (the memory-system half lives in sim.Stats). Every scheme
 // that can decline or lose a request implements IssueReporter so the
-// engine can fold these into the per-core prefetch-quality result.
+// engine can fold these into the machine's prefetch-quality account.
 type IssueStats struct {
 	// Requested counts lines actually handed to Env.Issue.
 	Requested uint64

@@ -18,10 +18,10 @@ import (
 // issue/demand/complete hooks directly so the classification is exact,
 // then reads it back through the same Result path callers use.
 
-// pfq collects the machine's per-core quality for core 0.
+// pfq collects the machine's prefetch quality.
 func pfq(m *Machine) PrefetchQuality {
 	res := m.collect(m.now)
-	return res.PFQ[0]
+	return res.PFQAgg
 }
 
 func TestLifecycleTimelyFill(t *testing.T) {
@@ -123,9 +123,9 @@ func TestLifecycleEvictedUnused(t *testing.T) {
 	if q.Accuracy() != 0 {
 		t.Fatalf("accuracy = %.2f, want 0 (no prefetch was used)", q.Accuracy())
 	}
-	// The per-core attribution must agree with the global Fig. 15 counter.
-	if q.EvictedUnused != m.hier.Stats.PrefetchEvicted {
-		t.Fatalf("per-core evicted %d != global %d", q.EvictedUnused, m.hier.Stats.PrefetchEvicted)
+	// Every fill past the L3's capacity evicts one unused line.
+	if want := uint64(lines - (16<<10)/64); q.Fills != uint64(lines) || q.EvictedUnused != want {
+		t.Fatalf("fills/evicted = %d/%d, want %d/%d", q.Fills, q.EvictedUnused, lines, want)
 	}
 }
 
@@ -173,32 +173,51 @@ func TestLifecycleMSHRDrop(t *testing.T) {
 }
 
 func TestQualityAggAcrossCores(t *testing.T) {
-	// Full-run path: the aggregate is the sum of per-core rows and the
-	// scheme label survives when uniform.
+	// Full-run path: the account is built from the machine-wide engine and
+	// hierarchy totals, and the scheme label survives when uniform.
 	space := memspace.New()
 	arr := space.AllocU32("a", 1<<14)
 	cfg := Default(2)
 	cfg.Prefetcher = prefetch.Stride(prefetch.DefaultStrideConfig())
-	res, err := Run(cfg, space, trace.NewGen(2, 0), func(g *trace.Gen) {
+	gen := trace.NewGen(2, 0)
+	m := mustMachine(t, cfg, space, gen)
+	wait := gen.Run(func(g *trace.Gen) {
 		for i := 0; i < len(arr.Data); i++ {
 			g.Load(i%2, 1, arr.Addr(i))
 		}
 	})
+	res, err := m.Run()
+	gen.Abort()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PFQ) != 2 {
-		t.Fatalf("PFQ rows = %d, want 2", len(res.PFQ))
+	if err := wait(); err != nil {
+		t.Fatal(err)
 	}
-	var want PrefetchQuality
-	for _, q := range res.PFQ {
-		want.Add(q)
+	// The prefetchers' own provenance adds to the engine's counts.
+	var own prefetch.IssueStats
+	for _, pf := range m.pfs {
+		is := pf.(prefetch.IssueReporter).IssueStats()
+		own.SkippedResident += is.SkippedResident
+		own.DroppedInternal += is.DroppedInternal
+	}
+	c, s := res.Cache, res.Sim
+	want := PrefetchQuality{
+		Scheme:        "stride",
+		Issued:        s.PrefetchIssued,
+		Fills:         c.PrefetchFills,
+		FillsMem:      c.PrefetchFillsMem,
+		Timely:        c.PrefetchL1Hits + c.PrefetchL2Hits + c.PrefetchL3Hits,
+		TimelyMem:     c.PrefetchTimelyMem,
+		Late:          res.PFQAgg.Late,
+		LateMem:       res.PFQAgg.LateMem,
+		EvictedUnused: c.PrefetchEvicted,
+		Redundant:     s.PrefetchMergedResident + own.SkippedResident,
+		Dropped:       s.PrefetchMSHRFull + own.DroppedInternal,
+		DemandMisses:  c.DemandMem,
 	}
 	if res.PFQAgg != want {
-		t.Fatalf("PFQAgg = %+v, want sum of rows %+v", res.PFQAgg, want)
-	}
-	if res.PFQAgg.Scheme != res.PFQ[0].Scheme {
-		t.Fatalf("agg scheme = %q, want %q", res.PFQAgg.Scheme, res.PFQ[0].Scheme)
+		t.Fatalf("PFQAgg = %+v, want the machine totals %+v", res.PFQAgg, want)
 	}
 	if res.PFQAgg.Issued == 0 || res.PFQAgg.Fills == 0 {
 		t.Fatalf("stride run recorded no lifecycle activity: %+v", res.PFQAgg)

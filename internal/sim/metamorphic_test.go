@@ -13,7 +13,7 @@ import (
 // own ablation: Prodigy programmed with an empty DIG has nothing to
 // trigger on, so every quick cell must give the result of running
 // without a prefetcher, field for field. Only the scheme's name in the
-// prefetch-quality accounts and its own counters (SchemeStats) differ.
+// prefetch-quality account and its own counters (SchemeStats) differ.
 func TestProdigyEmptyDIGIsNone(t *testing.T) {
 	for _, algo := range workloads.AllAlgos {
 		datasets := []string{""}
@@ -28,9 +28,6 @@ func TestProdigyEmptyDIGIsNone(t *testing.T) {
 			for _, r := range []*Result{&none, &empty} {
 				r.SchemeStats = nil
 				r.PFQAgg.Scheme = ""
-				for i := range r.PFQ {
-					r.PFQ[i].Scheme = ""
-				}
 			}
 			if !reflect.DeepEqual(none, empty) {
 				t.Errorf("%s-%s: Prodigy with an empty DIG differs from no prefetcher:\nnone  %+v\nempty %+v",

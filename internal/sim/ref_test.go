@@ -203,7 +203,7 @@ func refSpace(t *testing.T, seed int64, n int) (*memspace.Space, *memspace.U32, 
 // the retained per-cycle reference stepper (refRun) — and requires the
 // complete Result to match exactly: cycle count, per-core and aggregate
 // CPI stacks, retired counts, cache/DRAM/engine counters, and the full
-// prefetch-lifecycle quality account (PFQ/PFQAgg). Trials sweep core
+// prefetch-lifecycle quality account (PFQAgg). Trials sweep core
 // counts, prefetcher schemes (none, stride, Prodigy), MSHR caps, and
 // barrier-laden random instruction mixes.
 func TestSchedulerMatchesReferenceStepper(t *testing.T) {

@@ -114,13 +114,14 @@ type Stats struct {
 	PrefetchMSHRFull uint64
 }
 
-// PrefetchQuality is one core's prefetch-lifecycle account: every
+// PrefetchQuality is the machine's prefetch-lifecycle account: every
 // tracked line ends up timely (filled before its first demand use), late
 // (a demand merged while it was in flight), evicted unused (the
 // inaccurate class), redundant (absorbed by resident or in-flight
 // state), or dropped (MSHR cap or scheme-internal pressure such as
-// Prodigy's PFHR file). The derived accuracy/coverage/timeliness match
-// the paper's evaluation axes (Section VI-C, Fig. 15/16).
+// Prodigy's PFHR file). A line's first demand use counts once, whichever
+// core makes it. The derived accuracy/coverage/timeliness match the
+// paper's evaluation axes (Section VI-C, Fig. 15/16).
 type PrefetchQuality struct {
 	// Scheme is the owning prefetcher's name.
 	Scheme string `json:"scheme"`
@@ -146,8 +147,8 @@ type PrefetchQuality struct {
 	// Dropped counts requests that died before any fill: the engine's
 	// per-core MSHR cap plus scheme-internal drops (PFHR pressure).
 	Dropped uint64 `json:"dropped"`
-	// DemandMisses counts the core's demand accesses serviced by DRAM —
-	// the misses prefetching did not cover.
+	// DemandMisses counts the demand accesses serviced by DRAM — the
+	// misses prefetching did not cover.
 	DemandMisses uint64 `json:"demand_misses"`
 }
 
@@ -181,8 +182,8 @@ func (q *PrefetchQuality) Timeliness() float64 {
 	return float64(q.Timely) / float64(q.Timely+q.Late)
 }
 
-// Add folds another core's account into q (aggregate building). The
-// scheme name is kept when consistent and marked mixed otherwise.
+// Add folds another account into q (aggregate building). The scheme
+// name is kept when consistent and marked mixed otherwise.
 func (q *PrefetchQuality) Add(o PrefetchQuality) {
 	if q.Scheme == "" {
 		q.Scheme = o.Scheme
@@ -222,9 +223,8 @@ type Result struct {
 	// e.g. a core.Stats value for Prodigy). An entry is nil for schemes
 	// without such counters. Callers type-assert for the scheme's type.
 	SchemeStats []any
-	// PFQ is the per-core prefetch-lifecycle quality; PFQAgg is the
-	// machine-wide sum. Both are populated on clean and aborted runs.
-	PFQ    []PrefetchQuality
+	// PFQAgg is the machine's prefetch-lifecycle quality, populated on
+	// clean and aborted runs.
 	PFQAgg PrefetchQuality
 }
 
@@ -449,15 +449,10 @@ type Machine struct {
 	inflightPerCore []int
 	stats           Stats
 
-	// Per-core lifecycle tallies for PrefetchQuality (plain uint64 slices:
-	// the issue/merge paths are hot and must stay allocation-free).
-	// lateLines counts each line's first in-flight merge (Stats.LateMerges
-	// counts every merging demand); lateLinesMem the DRAM-serviced subset.
-	pfIssuedPC    []uint64
-	pfRedundantPC []uint64
-	pfDroppedPC   []uint64
-	lateLines     []uint64
-	lateLinesMem  []uint64
+	// lateLines counts each in-flight line's first demand merge for
+	// PrefetchQuality.Late (Stats.LateMerges counts every merging
+	// demand); lateLinesMem the DRAM-serviced subset.
+	lateLines, lateLinesMem uint64
 
 	// pfFlowSeq numbers the prefetch flow events (0 when cfg.Obs is nil).
 	pfFlowSeq uint64
@@ -489,11 +484,6 @@ func NewMachine(cfg Config, space *memspace.Space, gen *trace.Gen) (*Machine, er
 		m.inflight[c].init(cfg.PrefetchMSHRs)
 	}
 	m.inflightPerCore = make([]int, cfg.Cores)
-	m.pfIssuedPC = make([]uint64, cfg.Cores)
-	m.pfRedundantPC = make([]uint64, cfg.Cores)
-	m.pfDroppedPC = make([]uint64, cfg.Cores)
-	m.lateLines = make([]uint64, cfg.Cores)
-	m.lateLinesMem = make([]uint64, cfg.Cores)
 	if cfg.Obs != nil {
 		names := make([]string, len(cpu.StallKinds))
 		for i, k := range cpu.StallKinds {
@@ -603,9 +593,9 @@ func (m *Machine) demandResolve(core int, now int64, in trace.Instr) (int64, cac
 			if !ev.demandMerged {
 				// First merge on this line: one "late" lifecycle outcome
 				// (subsequent demands would have hit in cache either way).
-				m.lateLines[core]++
+				m.lateLines++
 				if ev.level == cache.LvlMem {
-					m.lateLinesMem[core]++
+					m.lateLinesMem++
 				}
 			}
 			ev.demandMerged = true
@@ -694,7 +684,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 			ev.metas = append(ev.metas, meta)
 		}
 		m.stats.PrefetchMergedResident++
-		m.pfRedundantPC[core]++
 		return true
 	}
 	lvl := probed
@@ -704,7 +693,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	if lvl == cache.LvlL1 {
 		// Already as close as a prefetch can put it.
 		m.stats.PrefetchMergedResident++
-		m.pfRedundantPC[core]++
 		if meta != prefetch.UntrackedMeta {
 			m.pfs[core].OnFill(m.now, lineAddr, meta, lvl)
 		}
@@ -712,7 +700,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	}
 	if m.inflightPerCore[core] >= m.cfg.PrefetchMSHRs {
 		m.stats.PrefetchMSHRFull++
-		m.pfDroppedPC[core]++
 		return false
 	}
 	tlbLat := m.tlbs[core].Translate(addr)
@@ -744,7 +731,6 @@ func (m *Machine) issuePrefetchAt(core int, addr uint64, meta uint32, probed cac
 	m.inflight[core].put(la, ev)
 	m.inflightPerCore[core]++
 	m.stats.PrefetchIssued++
-	m.pfIssuedPC[core]++
 	if m.cfg.Obs != nil {
 		m.pfFlowSeq++
 		ev.flowID = m.pfFlowSeq
@@ -833,35 +819,34 @@ func (m *Machine) collect(now int64) Result {
 	res.DRAM = m.mem.Stats
 	res.Sim = m.stats
 	res.DRAMUtilization = m.mem.Utilization(now)
-	res.PFQ = make([]PrefetchQuality, len(m.cores))
-	for c := range m.cores {
-		q := &res.PFQ[c]
-		q.Scheme = m.pfs[c].Name()
-		q.Issued = m.pfIssuedPC[c]
-		q.Late = m.lateLines[c]
-		q.LateMem = m.lateLinesMem[c]
-		q.Redundant = m.pfRedundantPC[c]
-		q.Dropped = m.pfDroppedPC[c]
-		life := m.hier.Life[c]
-		q.Fills = life.Fills
-		q.FillsMem = life.FillsMem
-		q.Timely = life.Timely
-		q.TimelyMem = life.TimelyMem
-		q.EvictedUnused = life.EvictedUnused
-		q.DemandMisses = life.DemandMisses
+	cs := &res.Cache
+	res.PFQAgg = PrefetchQuality{
+		Issued:        m.stats.PrefetchIssued,
+		Fills:         cs.PrefetchFills,
+		FillsMem:      cs.PrefetchFillsMem,
+		Timely:        cs.PrefetchL1Hits + cs.PrefetchL2Hits + cs.PrefetchL3Hits,
+		TimelyMem:     cs.PrefetchTimelyMem,
+		Late:          m.lateLines,
+		LateMem:       m.lateLinesMem,
+		EvictedUnused: cs.PrefetchEvicted,
+		Redundant:     m.stats.PrefetchMergedResident,
+		Dropped:       m.stats.PrefetchMSHRFull,
+		DemandMisses:  cs.DemandMem,
+	}
+	for c, pf := range m.pfs {
 		// Fold in provenance the prefetcher itself tracked: probe-elided
 		// requests are redundant work avoided, internal drops (e.g. a full
 		// PFHR file) never reached issuePrefetch so the MSHR counter above
 		// cannot see them.
-		if ir, ok := m.pfs[c].(prefetch.IssueReporter); ok {
+		own := PrefetchQuality{Scheme: pf.Name()}
+		if ir, ok := pf.(prefetch.IssueReporter); ok {
 			is := ir.IssueStats()
-			q.Redundant += is.SkippedResident
-			q.Dropped += is.DroppedInternal
+			own.Redundant, own.Dropped = is.SkippedResident, is.DroppedInternal
 		}
-		if sr, ok := m.pfs[c].(prefetch.StatsReporter); ok {
+		res.PFQAgg.Add(own)
+		if sr, ok := pf.(prefetch.StatsReporter); ok {
 			res.SchemeStats[c] = sr.SchemeStats()
 		}
-		res.PFQAgg.Add(*q)
 	}
 	return res
 }
