@@ -577,6 +577,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 		if ln.prefetched && !ln.used {
 			h.Stats.PrefetchL3Hits++
 			h.countTimelyMem(ln)
+			h.markPrivateUsed(la, h.l3.sharers[i]|h.orphanMask)
 		}
 		ln.used = true
 		prefetched, fromMem := ln.prefetched, ln.fromMem
@@ -724,6 +725,22 @@ func (h *Hierarchy) markUsed(core int, la uint64) {
 	h.l1[core].markUsed(la)
 	h.l2[core].markUsed(la)
 	h.l3.markUsed(la)
+}
+
+// markPrivateUsed sets the demanded bit of la's private copies in the
+// cores of holders. A demand's first use of a prefetched line at the L3
+// consumes the fill, so the issuer's own prefetched copies must not
+// count a second timely use when it hits them later. Only the L3's
+// sharers and the orphan holders can hold a copy, and a core's L1 lines
+// are a subset of its L2 lines (see serviceFromL3).
+func (h *Hierarchy) markPrivateUsed(la, holders uint64) {
+	for m := holders; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		if j := h.l2[c].findIdx(la); j >= 0 {
+			h.l2[c].lines[j].used = true
+			h.l1[c].markUsed(la)
+		}
+	}
 }
 
 // fillPrivate installs la, which missed core's L1 and L2, in both.

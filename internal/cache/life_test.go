@@ -9,7 +9,8 @@ import (
 
 // TestLifeCrossCoreUse: a line one core prefetched from DRAM and another
 // core demands first from the L3 is one DRAM-serviced fill and one
-// timely use of it; a demand miss counts wherever it happens.
+// timely use of it, even after the issuer hits its own prefetched copy;
+// a demand miss counts wherever it happens.
 func TestLifeCrossCoreUse(t *testing.T) {
 	h := mustNew(t, tinyConfig(2))
 	h.FillPrefetch(1, 0, LvlMem)
@@ -21,6 +22,14 @@ func TestLifeCrossCoreUse(t *testing.T) {
 	}
 	if h.Stats.PrefetchL3Hits != 1 || h.Stats.PrefetchTimelyMem != 1 {
 		t.Fatalf("L3 timely/timelyMem = %d/%d, want 1/1", h.Stats.PrefetchL3Hits, h.Stats.PrefetchTimelyMem)
+	}
+	// The first use consumed the fill, so core 1's later hit on its own
+	// copy is not a second timely use.
+	if res := h.Access(1, 0, false); res.Level != LvlL1 {
+		t.Fatalf("core 1's hit level = %v, want L1", res.Level)
+	}
+	if got := timely(h); got != 1 || h.Stats.PrefetchTimelyMem != 1 {
+		t.Fatalf("timely = %d (mem %d) after the issuer's hit, want 1 (1): one fill, one use", got, h.Stats.PrefetchTimelyMem)
 	}
 	h.Access(0, 1<<20, false)
 	if h.Stats.DemandMem != 1 {

@@ -244,6 +244,12 @@ func (h *refHierarchy) Access(core int, addr uint64, write bool) Result {
 		if ln.prefetched && !ln.used {
 			h.Stats.PrefetchL3Hits++
 			h.countTimelyMem(ln)
+			// The first use consumes the fill: no private copy may count
+			// it again.
+			for c := 0; c < h.cfg.Cores; c++ {
+				h.l1[c].markUsed(la)
+				h.l2[c].markUsed(la)
+			}
 		}
 		ln.used = true
 		prefetched, fromMem := ln.prefetched, ln.fromMem

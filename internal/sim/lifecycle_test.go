@@ -6,10 +6,14 @@ import (
 	"testing"
 
 	"prodigy/internal/cache"
+	"prodigy/internal/core"
+	"prodigy/internal/dig"
+	"prodigy/internal/graph"
 	"prodigy/internal/memspace"
 	"prodigy/internal/obs"
 	"prodigy/internal/prefetch"
 	"prodigy/internal/trace"
+	"prodigy/internal/workloads"
 )
 
 // These tests pin the five prefetch-lifecycle classes of the telemetry
@@ -228,6 +232,70 @@ func TestQualityAggAcrossCores(t *testing.T) {
 	}
 	if res.PFQAgg.Timely+res.PFQAgg.EvictedUnused > res.PFQAgg.Fills {
 		t.Fatalf("outcomes exceed fills: %+v", res.PFQAgg)
+	}
+}
+
+// TestLifecycleLaws checks two conservation laws of the lifecycle account
+// on every quick cell under every scheme. Each issued prefetch has filled
+// or is still in flight when the run ends. And no fill has two outcomes:
+// timely uses, fills a demand merged with in flight and unused evictions
+// together never exceed the fills.
+func TestLifecycleLaws(t *testing.T) {
+	pfhr := core.DefaultConfig().PFHREntries
+	schemes := []struct {
+		name string
+		// swpf builds the workload with software prefetch instructions.
+		swpf bool
+		fac  func(d *dig.DIG) prefetch.Factory
+	}{
+		{"none", false, func(*dig.DIG) prefetch.Factory { return nil }},
+		{"stride", false, func(*dig.DIG) prefetch.Factory { return prefetch.Stride(prefetch.DefaultStrideConfig()) }},
+		{"ghb-gdc", false, func(*dig.DIG) prefetch.Factory { return prefetch.GHB(prefetch.DefaultGHBConfig()) }},
+		{"imp", false, func(*dig.DIG) prefetch.Factory { return prefetch.IMP(prefetch.DefaultIMPConfig()) }},
+		{"aj", false, func(d *dig.DIG) prefetch.Factory {
+			return prefetch.AJ(d, func(chain *dig.DIG) prefetch.Factory {
+				return core.New(chain, core.Config{PFHREntries: pfhr, SingleSequence: true})
+			})
+		}},
+		{"droplet", false, func(d *dig.DIG) prefetch.Factory { return prefetch.Droplet(d, prefetch.DefaultDropletConfig()) }},
+		{"software-pf", true, func(*dig.DIG) prefetch.Factory { return nil }},
+		{"prodigy", false, func(d *dig.DIG) prefetch.Factory { return core.New(d, core.Config{PFHREntries: pfhr}) }},
+	}
+	for _, algo := range workloads.AllAlgos {
+		datasets := []string{""}
+		if workloads.IsGraphAlgo(algo) {
+			datasets = []string{"po", "lj"}
+		}
+		for _, ds := range datasets {
+			for _, s := range schemes {
+				cell := workloads.Label(algo, ds) + "/" + s.name
+				w, err := workloads.Build(algo, ds, 2, workloads.Options{Scale: graph.ScaleTiny, SoftwarePrefetch: s.swpf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := quickConfig()
+				cfg.Prefetcher = s.fac(w.DIG)
+				gen := trace.NewGen(2, 0)
+				m := mustMachine(t, cfg, w.Space, gen)
+				wait := gen.Run(w.Run)
+				res, err := m.Run()
+				gen.Abort()
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if err := wait(); err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				q := res.PFQAgg
+				if inFlight := uint64(len(m.events)); q.Issued != q.Fills+inFlight {
+					t.Errorf("%s: issued %d != fills %d + in flight %d", cell, q.Issued, q.Fills, inFlight)
+				}
+				if out := q.Timely + res.Sim.LateUsedFills + q.EvictedUnused; out > q.Fills {
+					t.Errorf("%s: timely %d + late-used fills %d + evicted unused %d = %d outcomes > %d fills",
+						cell, q.Timely, res.Sim.LateUsedFills, q.EvictedUnused, out, q.Fills)
+				}
+			}
+		}
 	}
 }
 

@@ -127,14 +127,9 @@ func TestAbortReportsObsExportError(t *testing.T) {
 	}
 }
 
-// runQuickCell runs one workload under Prodigy on the quick experiment
-// machine: two cores, the tiny graph scale and a 1/4/16 KiB hierarchy.
-// mshrs, when non-zero, caps each core's in-flight prefetches.
-func runQuickCell(t testing.TB, algo, dataset string, mshrs int, observe func(*Config)) Result {
-	w, err := workloads.Build(algo, dataset, 2, workloads.Options{Scale: graph.ScaleTiny})
-	if err != nil {
-		t.Fatal(err)
-	}
+// quickConfig is the quick experiment machine without a prefetcher: two
+// cores and a 1/4/16 KiB hierarchy.
+func quickConfig() Config {
 	cfg := Default(2)
 	cfg.Cache = cache.Config{
 		Cores: 2, LineSize: 64,
@@ -143,6 +138,18 @@ func runQuickCell(t testing.TB, algo, dataset string, mshrs int, observe func(*C
 		L3Size: 16 << 10, L3Assoc: 16,
 		L1Lat: 2, L2Lat: 6, L3Lat: 30,
 	}
+	return cfg
+}
+
+// runQuickCell runs one workload under Prodigy on the quick experiment
+// machine at the tiny graph scale. mshrs, when non-zero, caps each
+// core's in-flight prefetches.
+func runQuickCell(t testing.TB, algo, dataset string, mshrs int, observe func(*Config)) Result {
+	w, err := workloads.Build(algo, dataset, 2, workloads.Options{Scale: graph.ScaleTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
 	cfg.Prefetcher = core.New(w.DIG, core.DefaultConfig())
 	cfg.PrefetchMSHRs = mshrs
 	observe(&cfg)
