@@ -84,9 +84,9 @@ func timely(h *Hierarchy) uint64 {
 	return h.Stats.PrefetchL1Hits + h.Stats.PrefetchL2Hits + h.Stats.PrefetchL3Hits
 }
 
-// TestTelemetryAllocFree pins the telemetry contract directly in the test
-// suite (the bench-json gate covers the same property out-of-process):
-// demand and fill paths allocate nothing, with and without a recorder.
+// TestTelemetryAllocFree pins the telemetry contract: demand and fill
+// paths allocate nothing, with and without a recorder attached (the
+// recorder-attached case is BenchmarkHierarchyAccessObs's contract).
 func TestTelemetryAllocFree(t *testing.T) {
 	run := func(h *Hierarchy) float64 {
 		i := 0

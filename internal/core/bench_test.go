@@ -9,15 +9,23 @@ import (
 	"prodigy/internal/prefetch"
 )
 
-// BenchmarkProdigyWalk measures the DIG walk per trigger: one demand on a
-// BFS work queue starts a prefetch sequence, and every tracked fill is
-// delivered at once, so each op runs the trigger request, the
-// single-valued hop into the offsets, the ranged expansion into the edge
-// list and the single-valued hop into the (leaf) visited array. The PFHR
-// file, the node tables and the fake machine are preallocated, so the
-// walk must stay at 0 allocs/op.
-func BenchmarkProdigyWalk(b *testing.B) {
-	const nv, degree = 1 << 12, 8
+// walkVertices is the BFS graph's vertex count.
+const walkVertices = 1 << 12
+
+// walkBench is BenchmarkProdigyWalk's prefetcher on a BFS work queue
+// with the fake machine around it: the PFHR file, the node tables and
+// the delivery queue are preallocated.
+type walkBench struct {
+	p     *Prodigy
+	workQ *memspace.U32
+	// pending holds the tracked requests queued for delivery; its
+	// capacity bounds one op's walk, and a request beyond it is refused
+	// like an MSHR-full drop rather than grown.
+	pending []uint32
+}
+
+func newWalkBench(tb testing.TB) *walkBench {
+	const nv, degree = walkVertices, 8
 	s := memspace.New()
 	workQ := s.AllocU32("workQ", nv)
 	offsets := s.AllocU32("offsets", nv+1)
@@ -43,13 +51,10 @@ func BenchmarkProdigyWalk(b *testing.B) {
 	bld.RegisterTrigEdge(workQ.BaseAddr, dig.TriggerConfig{})
 	d, err := bld.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
-	// Tracked requests queue up for delivery; the queue's capacity bounds
-	// one op's walk, and a request beyond it is refused like an MSHR-full
-	// drop rather than grown.
-	pending := make([]uint32, 0, 1<<12)
+	w := &walkBench{workQ: workQ, pending: make([]uint32, 0, 1<<12)}
 	env := prefetch.Env{
 		LineSize: 64,
 		Probe:    func(uint64) cache.Level { return cache.LvlNone },
@@ -58,25 +63,61 @@ func BenchmarkProdigyWalk(b *testing.B) {
 			if meta == prefetch.UntrackedMeta {
 				return true
 			}
-			if len(pending) == cap(pending) {
+			if len(w.pending) == cap(w.pending) {
 				return false
 			}
-			pending = append(pending, meta)
+			w.pending = append(w.pending, meta)
 			return true
 		},
 	}
-	p := NewPrefetcher(env, d, DefaultConfig())
+	w.p = NewPrefetcher(env, d, DefaultConfig())
+	return w
+}
+
+// op is op i: one demand on the work queue starts a prefetch sequence,
+// and every tracked fill is delivered at once, so the op runs the
+// trigger request, the single-valued hop into the offsets, the ranged
+// expansion into the edge list and the single-valued hop into the
+// (leaf) visited array.
+func (w *walkBench) op(i int) {
+	w.p.OnDemand(0, 1, w.workQ.Addr(i%walkVertices), cache.LvlL1)
+	for j := 0; j < len(w.pending); j++ {
+		w.p.OnFill(0, 0, w.pending[j], cache.LvlMem)
+	}
+	w.pending = w.pending[:0]
+}
+
+// checkEdges fails tb unless the walk reached every edge kind.
+func (w *walkBench) checkEdges(tb testing.TB) {
+	if st := w.p.Stats; st.IssuedRanged == 0 || st.IssuedSingle == 0 || st.LinesRanged == 0 {
+		tb.Fatalf("walk did not reach every edge kind: %+v", st)
+	}
+}
+
+// BenchmarkProdigyWalk measures the DIG walk per trigger (walkBench.op).
+// The walk must stay at 0 allocs/op (TestProdigyWalkAllocFree).
+func BenchmarkProdigyWalk(b *testing.B) {
+	w := newWalkBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnDemand(0, 1, workQ.Addr(i%nv), cache.LvlL1)
-		for j := 0; j < len(pending); j++ {
-			p.OnFill(0, 0, pending[j], cache.LvlMem)
-		}
-		pending = pending[:0]
+		w.op(i)
 	}
 	b.StopTimer()
-	if p.Stats.IssuedRanged == 0 || p.Stats.IssuedSingle == 0 || p.Stats.LinesRanged == 0 {
-		b.Fatalf("walk did not reach every edge kind: %+v", p.Stats)
+	w.checkEdges(b)
+}
+
+// TestProdigyWalkAllocFree pins BenchmarkProdigyWalk's 0 allocs/op: after
+// a warm-up, a run of walks allocates nothing.
+func TestProdigyWalkAllocFree(t *testing.T) {
+	w := newWalkBench(t)
+	i := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		for end := i + 256; i < end; i++ {
+			w.op(i)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations in 256 walks, want 0", allocs)
 	}
+	w.checkEdges(t)
 }

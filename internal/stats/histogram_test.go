@@ -120,17 +120,34 @@ func TestHistogramOverflowBucketClamps(t *testing.T) {
 	}
 }
 
-// BenchmarkHistogramRecord gates the record path at 0 allocs/op
-// (cmd/bench-json): every obs.Recorder records into one on the demand
-// path, so any allocation here would break the hot-path contract the
-// calibration suite is meant to certify.
+// recordOp is op i of BenchmarkHistogramRecord: one latency sample in
+// the exact range.
+func recordOp(h *Histogram, i int) { h.Record(int64(i & 1023)) }
+
+// BenchmarkHistogramRecord measures the record path: every obs.Recorder
+// records into a Histogram on the demand path, so the path must stay at 0
+// allocs/op (TestHistogramRecordAllocFree).
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Record(int64(i & 1023))
+		recordOp(&h, i)
 	}
 	if h.Total() == 0 {
 		b.Fatal("no samples recorded")
+	}
+}
+
+// TestHistogramRecordAllocFree pins BenchmarkHistogramRecord's 0
+// allocs/op.
+func TestHistogramRecordAllocFree(t *testing.T) {
+	var h Histogram
+	i := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		for end := i + 4096; i < end; i++ {
+			recordOp(&h, i)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations in 4096 records, want 0", allocs)
 	}
 }

@@ -249,10 +249,16 @@ func (g *Gen) pop(core int, used []Instr) ([]Instr, bool) {
 		}
 		g.next()
 	}
+	// Shift the queue down rather than reslicing past its head, so the
+	// backing array is reused by every later epoch instead of
+	// reallocated as the head walks off its end. A core's queue holds at
+	// most one epoch, so a pop moves fewer pointers than the epoch has
+	// chunks of 4096 instructions.
 	q := g.queues[core]
 	c := q[0]
-	q[0] = nil
-	g.queues[core] = q[1:]
+	n := copy(q, q[1:])
+	q[n] = nil
+	g.queues[core] = q[:n]
 	return c, true
 }
 

@@ -373,19 +373,17 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitDrain measures the trace's cost per instruction from both
-// ends, as a simulation pays it: a kernel under Run emits a fixed mix of
-// loads, stores, atomics, branches and ALU operations across 8 cores in
-// runs of 64, with a barrier every 64Ki instructions, and the consumer
-// drains each core's epoch up to its barrier before any reader asks for
-// the next. One op is one emitted instruction; the barrier entries are
-// part of the cost, not the count.
-func BenchmarkEmitDrain(b *testing.B) {
+// emitDrain runs n instructions through a generator from both ends, as
+// a simulation does: a kernel under Run emits a fixed mix of loads,
+// stores, atomics, branches and ALU operations across 8 cores in runs of
+// 64, with a barrier every 64Ki instructions, and the consumer drains
+// each core's epoch up to its barrier before any reader asks for the
+// next.
+func emitDrain(n int) error {
 	const cores, epoch = 8, 1 << 16
-	b.ReportAllocs()
 	g := NewGen(cores, 0)
 	wait := g.Run(func(g *Gen) {
-		for k := 0; k < b.N; k++ {
+		for k := 0; k < n; k++ {
 			c := (k >> 6) % cores
 			a := uint64(k&0xffff) << 2
 			switch k & 7 {
@@ -426,8 +424,37 @@ func BenchmarkEmitDrain(b *testing.B) {
 		}
 		live = next
 	}
-	if err := wait(); err != nil {
+	_ = sink
+	return wait()
+}
+
+// BenchmarkEmitDrain measures the trace's cost per instruction from both
+// ends (emitDrain). One op is one emitted instruction; the barrier
+// entries are part of the cost, not the count.
+func BenchmarkEmitDrain(b *testing.B) {
+	b.ReportAllocs()
+	if err := emitDrain(b.N); err != nil {
 		b.Fatal(err)
 	}
-	_ = sink
+}
+
+// TestEmitDrainAllocFree pins BenchmarkEmitDrain's 0 allocs/op. A
+// generator allocates when it is built and started, so four times the
+// instructions must allocate exactly as often: chunks are recycled
+// through the pool and each core's queue keeps its backing array, so
+// nothing is allocated per instruction or per epoch.
+func TestEmitDrainAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so pooled chunks are sometimes allocated afresh")
+	}
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if err := emitDrain(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := run(1<<18), run(1<<20); long != short {
+		t.Errorf("%v allocations for 1Mi instructions, %v for 256Ki, want the same", long, short)
+	}
 }
