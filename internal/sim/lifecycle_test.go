@@ -235,11 +235,13 @@ func TestQualityAggAcrossCores(t *testing.T) {
 	}
 }
 
-// TestLifecycleLaws checks two conservation laws of the lifecycle account
-// on every quick cell under every scheme. Each issued prefetch has filled
-// or is still in flight when the run ends. And no fill has two outcomes:
-// timely uses, fills a demand merged with in flight and unused evictions
-// together never exceed the fills.
+// TestLifecycleLaws checks three conservation laws of the lifecycle
+// account on every quick cell under every scheme. Each issued prefetch
+// has filled or is still in flight when the run ends. No fill has two
+// outcomes: timely uses, fills a demand merged with in flight and unused
+// evictions together never exceed the fills. And every DRAM request is a
+// demand miss, a DRAM-serviced prefetch fill, or a DRAM-bound prefetch
+// still in flight.
 func TestLifecycleLaws(t *testing.T) {
 	pfhr := core.DefaultConfig().PFHREntries
 	schemes := []struct {
@@ -293,6 +295,16 @@ func TestLifecycleLaws(t *testing.T) {
 				if out := q.Timely + res.Sim.LateUsedFills + q.EvictedUnused; out > q.Fills {
 					t.Errorf("%s: timely %d + late-used fills %d + evicted unused %d = %d outcomes > %d fills",
 						cell, q.Timely, res.Sim.LateUsedFills, q.EvictedUnused, out, q.Fills)
+				}
+				var memInFlight uint64
+				for _, ev := range m.events {
+					if ev.level == cache.LvlMem {
+						memInFlight++
+					}
+				}
+				if want := res.Cache.DemandMem + res.Cache.PrefetchFillsMem + memInFlight; res.DRAM.Requests != want {
+					t.Errorf("%s: DRAM requests %d != demand misses %d + DRAM prefetch fills %d + in flight %d",
+						cell, res.DRAM.Requests, res.Cache.DemandMem, res.Cache.PrefetchFillsMem, memInFlight)
 				}
 			}
 		}
