@@ -75,22 +75,22 @@ fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheGeometry$$' -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzGraphBuildVsRef$$' -fuzztime 10s
 
-# Hot-path performance gate: run the microbenchmarks, a wall-clock timing
-# of `prodigy-bench -quick`, and the quick prefetch-quality sweep; write
-# the latest BENCH_<n>.json (highest n, bench-json's -out default) and
-# fail if allocs/op on the gated benchmarks (including the memlat
-# histogram record path) or Prodigy's accuracy/coverage regress below
-# the committed baseline (docs/ARCHITECTURE.md §Performance).
+# Performance recorder: run the hot-path microbenchmarks and time
+# `prodigy-bench -quick`, and write them to the next unused
+# BENCH_<n>.json (docs/ARCHITECTURE.md §Performance). It gates nothing:
+# each benchmark's 0 allocs/op contract is a test beside it in `make
+# test`.
 bench-json:
 	$(GO) run ./cmd/bench-json
 
-# Wall-clock and memory regression gate (part of `make check`): time
-# `prodigy-bench -quick` as many times as the latest committed
-# BENCH_<n>.json baseline did and fail if the median wall time, or the
-# median peak RSS, exceeds the baseline's median by more than both
-# batches' spreads (largest minus smallest run) added together. Catches
-# simulator throughput regressions and runs that stay pinned in memory
-# without rerunning the full bench-json suite.
+# Wall-clock and memory regression gate (part of `make check`): build
+# prodigy-bench from the parent commit (HEAD with uncommitted changes,
+# else HEAD~) and from the working tree, run `-quick` in twenty pairs of
+# parent-change-change-parent (or the reverse) runs, and fail if the
+# change is slower, or peaks at a larger resident set, by a one-sided
+# signed-rank test over the pairs at p <= 0.01. Runs taken on one host
+# moments apart share its load, so the gate holds on a slow host as on a
+# fast one.
 quick-gate:
 	$(GO) run ./cmd/bench-json -quick-gate
 

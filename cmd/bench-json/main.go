@@ -1,35 +1,25 @@
-// Command bench-json runs the repo's performance gate: the hot-path
-// microbenchmarks (internal/cache, internal/sim, internal/dram,
-// internal/core, internal/trace, internal/stats) plus a wall-clock timing of
-// `prodigy-bench -quick` and an in-process quick sweep recording Prodigy's prefetch accuracy/coverage/timeliness,
-// written as one JSON document (BENCH_<n>.json, see docs/ARCHITECTURE.md
-// §Performance).
+// Command bench-json records the repo's performance trajectory and runs
+// its paired wall-clock gate (docs/ARCHITECTURE.md §Performance).
 //
-// When the output file already exists it doubles as the baseline: the
-// run fails (exit 1) if allocs/op on any benchmark in gated (the cache
-// demand, miss, shared-read and prefetch-fill paths, the DRAM backlog,
-// Prodigy's DIG walk, the trace's emit-and-drain path and the memlat
-// latency-recording path) regresses
-// above the committed value, or if the quick sweep's Prodigy accuracy or coverage drops
-// below the committed baseline (beyond a small tolerance), so the hot
-// path stays allocation-free and the prefetcher stays effective by
-// construction. When the baseline has per-run walls, the new quick batch
-// must also pass the -quick-gate comparison below before it may replace
-// them, so a batch timed on a busy host cannot loosen the gate.
-// ns/op is recorded but not gated — it varies with the host.
+// By default it runs the hot-path microbenchmarks (internal/cache,
+// internal/sim, internal/dram, internal/core, internal/trace,
+// internal/stats) and times -quick-runs runs of `prodigy-bench -quick`,
+// and writes both as one JSON document to -out, by default the next
+// unused BENCH_<n>.json, so a recording never overwrites history. It
+// gates nothing: each benchmark's 0 allocs/op contract is a test beside
+// it in `go test ./...`, and ns/op and wall time vary with the host.
 //
-// -quick-gate runs only the wall-clock check: it times
-// `prodigy-bench -quick` as many times as the committed baseline did and
-// fails if the median exceeds the baseline's median by more than the two
-// batches' spreads (slowest minus fastest run) added together, a gap
-// that neither batch's own noise explains. `make check` runs this mode,
-// so simulator throughput regressions fail tier-1 verification on the
-// machine that committed the baseline. The margin is the noise the runs
-// measured, not a fixed percentage; a fresh checkout with no baseline,
-// or a baseline without per-run walls, passes trivially. The same runs'
-// peak resident set sizes are gated the same way (median against the
-// baseline's median plus both spreads), skipped when the baseline has
-// no quick_peak_rss_mib.
+// -quick-gate compares this working tree's `prodigy-bench -quick` with
+// its parent commit's on the same host, so a slow host slows both sides.
+// The parent is HEAD when the tree has uncommitted changes and HEAD~
+// otherwise. The gate exports the parent with `git archive`, builds both
+// trees the same way, and runs -quick-runs pairs. A pair runs each binary
+// twice, parent-change-change-parent or the reverse, alternately, and
+// keeps each side's smaller wall time and smaller peak resident set size.
+// The gate fails when the change's wall time, or its peak RSS, is larger
+// than the parent's by a one-sided signed-rank test over the pairs at
+// p <= 0.01. When git cannot resolve the parent (a shallow clone, the
+// first commit), there is nothing to compare with, and the gate passes.
 package main
 
 import (
@@ -43,13 +33,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
-
-	"prodigy/internal/exp"
 )
 
 // Bench is one microbenchmark's result (per-op metrics from -benchmem).
@@ -59,18 +48,10 @@ type Bench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Quality is one quick-sweep cell's prefetch-quality ratios (see
-// sim.PrefetchQuality for the lifecycle definitions).
-type Quality struct {
-	Accuracy   float64 `json:"accuracy"`
-	Coverage   float64 `json:"coverage"`
-	Timeliness float64 `json:"timeliness"`
-}
-
 // Doc is the BENCH_<n>.json schema.
 type Doc struct {
 	// GoVersion and CPU identify the measurement host (ns/op is only
-	// comparable within one host; allocs/op is host-independent).
+	// comparable within one host).
 	GoVersion string `json:"go_version"`
 	CPU       string `json:"cpu,omitempty"`
 	// Benchmarks maps benchmark name (without the -cpu suffix) to its
@@ -88,43 +69,7 @@ type Doc struct {
 	// the smallest.
 	QuickPeakRSSMiB   float64 `json:"quick_peak_rss_mib,omitempty"`
 	QuickRSSSpreadMiB float64 `json:"quick_rss_spread_mib,omitempty"`
-	// Quality maps quick-sweep cell ("algo-dataset/scheme") to its
-	// prefetch-quality ratios. Deterministic (simulated cycles only), so
-	// unlike ns/op it is gated: accuracy/coverage must not regress.
-	Quality map[string]Quality `json:"quality,omitempty"`
-	// ParentBenchmarks records, for a change that claims a
-	// microbenchmark gain, the parent commit's per-op metrics for the
-	// benchmarks it names, measured on the same host by alternating
-	// parent and change test binaries. bench-json neither measures nor
-	// gates it and drops it when it rewrites the file, so a copy made
-	// for the next change does not carry a stale claim: it is entered by
-	// hand after the run.
-	ParentBenchmarks map[string]Bench `json:"parent_benchmarks,omitempty"`
 }
-
-// gated lists the benchmarks whose allocs/op may never grow past the
-// committed baseline: the demand hot path, the DRAM-miss path, the
-// shared-read coherence walks and the prefetch-fill path, all carrying
-// the always-on lifecycle telemetry, the DRAM controller under a
-// standing prefetch backlog, Prodigy's trigger-to-leaf DIG walk, the
-// trace's per-instruction emit and drain across epochs, plus the
-// latency-histogram record path that every obs.Recorder runs on each
-// demand load and atomic.
-var gated = []string{"BenchmarkHierarchyAccess", "BenchmarkHierarchyMiss", "BenchmarkHierarchySharedRead", "BenchmarkFillPrefetch", "BenchmarkControllerBacklog", "BenchmarkProdigyWalk", "BenchmarkEmitDrain", "BenchmarkHistogramRecord"}
-
-// qualityCells is the quick sweep measured for the quality gate.
-var qualityCells = []struct {
-	algo, dataset string
-}{
-	{"bfs", "po"},
-	{"pr", "po"},
-	{"cc", "po"},
-}
-
-// qualityTolerance absorbs float jitter in the regression comparison;
-// the simulation itself is deterministic, so any real regression clears
-// this easily.
-const qualityTolerance = 0.002
 
 // suites lists the hot-path benchmarks (package -> -bench regexp). The
 // sim filter must not match BenchmarkRunObs*, which run full simulations.
@@ -138,15 +83,15 @@ var suites = []struct{ pkg, pattern string }{
 }
 
 func main() {
-	out := flag.String("out", latestBench("."), "output (and baseline) JSON file; defaults to the highest-numbered BENCH_<n>.json")
-	quickRuns := flag.Int("quick-runs", 5, "prodigy-bench -quick repetitions (the median is recorded); 0 skips")
+	out := flag.String("out", nextBench("."), "output JSON file; defaults to the next unused BENCH_<n>.json")
+	quickRuns := flag.Int("quick-runs", 20, "prodigy-bench -quick runs to record, or parent/change pairs with -quick-gate (7 or more can fail); 0 skips")
 	quickGate := flag.Bool("quick-gate", false,
-		"only time prodigy-bench -quick as often as the committed baseline did and fail if the median exceeds the baseline's by more than both batches' spreads")
+		"only run prodigy-bench -quick in pairs with the parent commit's build and fail if the change is slower, or peaks larger, by a signed-rank test at p <= 0.01")
 	flag.Parse()
 
 	var err error
 	if *quickGate {
-		err = runQuickGate(*out)
+		err = runQuickGate(*quickRuns)
 	} else {
 		err = run(*out, *quickRuns)
 	}
@@ -156,73 +101,169 @@ func main() {
 	}
 }
 
-// latestBench returns the highest-numbered BENCH_<n>.json in dir, by
-// numeric order so that BENCH_10 follows BENCH_9, or BENCH_1.json when
-// dir holds none.
-func latestBench(dir string) string {
+// nextBench returns the BENCH_<n>.json after the highest-numbered one in
+// dir, by numeric order so that BENCH_10 follows BENCH_9, or BENCH_1.json
+// when dir holds none.
+func nextBench(dir string) string {
 	paths, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	best, bestN := filepath.Join(dir, "BENCH_1.json"), -1
+	last := 0
 	for _, p := range paths {
 		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
-		if err == nil && n > bestN {
-			best, bestN = p, n
+		if err == nil && n > last {
+			last = n
 		}
 	}
-	return best
+	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", last+1))
 }
 
-// runQuickGate is the wall-clock regression gate `make check` runs: no
-// microbenchmarks, no file rewrite — just time the quick bench the way
-// the committed baseline was timed (same number of runs, same
-// statistic) and compare the batches with gateQuick.
-func runQuickGate(out string) error {
-	baseline := readBaseline(out)
-	if baseline == nil || len(baseline.QuickRunsMS) == 0 {
-		fmt.Printf("== quick gate: no per-run wall-clock baseline in %s; nothing to gate\n", out)
+// runQuickGate builds the parent commit's and the working tree's
+// prodigy-bench, runs them in pairs, and compares the pairs with
+// gatePaired.
+func runQuickGate(pairs int) error {
+	if pairs < 1 {
+		fmt.Println("== quick gate: no pairs to run; nothing to gate")
 		return nil
 	}
-	q, err := timeQuickBench(len(baseline.QuickRunsMS))
+	rev := "HEAD~"
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		rev = "HEAD"
+	}
+	sha, err := exec.Command("git", "rev-parse", "--verify", "--quiet", rev+"^{commit}").Output()
+	if err != nil {
+		fmt.Printf("== quick gate: git cannot resolve the parent %s (a shallow clone or the first commit); nothing to gate\n", rev)
+		return nil
+	}
+	commit := strings.TrimSpace(string(sha))
+
+	tmp, err := os.MkdirTemp("", "bench-json-")
 	if err != nil {
 		return err
 	}
-	return gateQuick(baseline, q, out)
+	defer os.RemoveAll(tmp) //lint:allow errcheck best-effort temp-dir cleanup
+	src, tarball := filepath.Join(tmp, "parent"), filepath.Join(tmp, "parent.tar")
+	if err := os.Mkdir(src, 0o755); err != nil {
+		return err
+	}
+	for _, args := range [][]string{{"git", "archive", "-o", tarball, commit}, {"tar", "-x", "-f", tarball, "-C", src}} {
+		if raw, err := exec.Command(args[0], args[1:]...).CombinedOutput(); err != nil {
+			return fmt.Errorf("exporting %s: %s: %v\n%s", rev, strings.Join(args, " "), err, raw)
+		}
+	}
+	parentBin, changeBin := filepath.Join(tmp, "parent-bench"), filepath.Join(tmp, "change-bench")
+	if err := buildQuickBench(src, parentBin); err != nil {
+		return fmt.Errorf("parent %s: %w", rev, err)
+	}
+	if err := buildQuickBench(".", changeBin); err != nil {
+		return err
+	}
+
+	fmt.Printf("== quick gate: %d pairs of prodigy-bench -quick, parent %s (%.12s) against the working tree\n", pairs, rev, commit)
+	var parent, change quickBatch
+	for i := 0; i < pairs; i++ {
+		var p, c quickBatch
+		order := []*quickBatch{&p, &c, &c, &p}
+		if i%2 == 1 {
+			order = []*quickBatch{&c, &p, &p, &c}
+		}
+		for _, q := range order {
+			bin := parentBin
+			if q == &c {
+				bin = changeBin
+			}
+			if err := q.run(bin); err != nil {
+				return err
+			}
+		}
+		parent.add(p.fastest())
+		change.add(c.fastest())
+		fmt.Printf("   pair %2d: parent %v ms %v KiB, change %v ms %v KiB\n", i+1, p.walls, p.rssKiB, c.walls, c.rssKiB)
+	}
+	return gatePaired(parent, change)
 }
 
-// gateQuick compares a batch of `prodigy-bench -quick` runs with the
-// baseline's per-run walls: the median wall time, and the median peak RSS
-// when the baseline has one, must not exceed the baseline's median by
-// more than the spread the baseline recorded plus the spread of the new
-// batch. A shared host's load drifts between batches, so one batch's
-// spread alone understates the noise between two batches. Both the gate
-// and a rewrite of the baseline apply it, so a batch taken on a busy host
-// can neither pass the gate nor replace the baseline with a looser one.
-func gateQuick(baseline *Doc, q quickBatch, out string) error {
+// gateAlpha is the quick gate's false-alarm rate per metric: the p-value
+// at or below which a paired difference counts as a regression.
+const gateAlpha = 0.01
+
+// gatePaired is the quick gate's verdict on two batches of the same
+// length, pair i being parent value i and change value i: it fails when
+// the change's wall time, or its peak RSS, is larger than the parent's
+// by a paired signed-rank test at gateAlpha (signedRankP). Of ten pairs,
+// the change must be larger in at least eight to fail.
+func gatePaired(parent, change quickBatch) error {
 	var failed []string
-	ms, limit := median(q.walls), baseline.QuickBenchMS+baseline.QuickSpreadMS+spread(q.walls)
-	verdict := fmt.Sprintf("median of %d = %d ms %v, limit %d ms (baseline median %d ms + its spread %d ms + this spread %d ms, %s)",
-		len(q.walls), ms, q.walls, limit, baseline.QuickBenchMS, baseline.QuickSpreadMS, spread(q.walls), out)
-	if ms > limit {
-		failed = append(failed, "prodigy-bench -quick regressed: "+verdict)
-	} else {
-		fmt.Printf("== quick gate: %s: ok\n", verdict)
-	}
-	if baseline.QuickPeakRSSMiB == 0 {
-		fmt.Printf("== quick RSS gate: no peak-RSS baseline in %s; nothing to gate\n", out)
-	} else {
-		rss, rssSpread := q.peakRSSMiB()
-		rssLimit := baseline.QuickPeakRSSMiB + baseline.QuickRSSSpreadMiB + rssSpread
-		verdict := fmt.Sprintf("median peak RSS %.1f MiB, limit %.1f MiB (baseline median %.1f MiB + its spread %.1f MiB + this spread %.1f MiB, %s)",
-			rss, rssLimit, baseline.QuickPeakRSSMiB, baseline.QuickRSSSpreadMiB, rssSpread, out)
-		if rss > rssLimit {
-			failed = append(failed, "prodigy-bench -quick peak RSS regressed: "+verdict)
+	for _, m := range []struct {
+		name           string
+		parent, change []int64
+		show           func(int64) string
+	}{
+		{"wall time", parent.walls, change.walls, func(ms int64) string { return fmt.Sprintf("%d ms", ms) }},
+		{"peak RSS", parent.rssKiB, change.rssKiB, func(kib int64) string { return fmt.Sprintf("%.1f MiB", mib(kib)) }},
+	} {
+		d := make([]int64, len(m.parent))
+		larger := 0
+		for i := range d {
+			if d[i] = m.change[i] - m.parent[i]; d[i] > 0 {
+				larger++
+			}
+		}
+		p := signedRankP(d)
+		verdict := fmt.Sprintf("%s: change larger in %d of %d pairs (p = %.4f), median %s against the parent's %s",
+			m.name, larger, len(d), p, m.show(median(m.change)), m.show(median(m.parent)))
+		if p <= gateAlpha {
+			failed = append(failed, "prodigy-bench -quick regressed: "+verdict)
 		} else {
-			fmt.Printf("== quick RSS gate: %s: ok\n", verdict)
+			fmt.Printf("== quick gate: %s: ok\n", verdict)
 		}
 	}
 	if len(failed) > 0 {
 		return errors.New(strings.Join(failed, "\n"))
 	}
 	return nil
+}
+
+// signedRankP is the one-sided p-value of Wilcoxon's signed-rank test
+// that the paired differences d are centred above zero. Rank the nonzero
+// differences by magnitude (tied magnitudes share their mean rank) and
+// sum the ranks of the negative ones; with no change every assignment of
+// signs to the ranks is equally likely, and p is the share of the 2^n
+// assignments whose negative ranks sum to no more. Ranks rather than
+// raw differences keep one disturbed pair from deciding the verdict.
+func signedRankP(d []int64) float64 {
+	abs := func(x int64) int64 { return max(x, -x) }
+	var nz []int64
+	for _, x := range d {
+		if x != 0 {
+			nz = append(nz, x)
+		}
+	}
+	sort.Slice(nz, func(i, j int) bool { return abs(nz[i]) < abs(nz[j]) })
+	n, negRanks := len(nz), 0.0
+	for i := 0; i < n; {
+		j := i
+		for j < n && abs(nz[j]) == abs(nz[i]) {
+			j++
+		}
+		for k := i; k < j; k++ {
+			if nz[k] < 0 {
+				negRanks += float64(i+j+1) / 2 // the mean of ranks i+1..j
+			}
+		}
+		i = j
+	}
+	// ways[s] counts the subsets of the ranks 1..n that sum to s.
+	ways := make([]float64, n*(n+1)/2+1)
+	ways[0] = 1
+	for r := 1; r <= n; r++ {
+		for s := len(ways) - 1; s >= r; s-- {
+			ways[s] += ways[s-r]
+		}
+	}
+	atMost := 0.0
+	for s := 0; s < len(ways) && float64(s) <= negRanks; s++ {
+		atMost += ways[s]
+	}
+	return atMost / math.Exp2(float64(n))
 }
 
 // median returns the middle value of runs (the upper middle for an even
@@ -242,9 +283,9 @@ func spread(runs []int64) int64 {
 	return hi - lo
 }
 
+// run records the microbenchmarks and quickRuns timed runs of
+// `prodigy-bench -quick` in out.
 func run(out string, quickRuns int) error {
-	baseline := readBaseline(out)
-
 	doc := Doc{
 		GoVersion:  goVersion(),
 		Benchmarks: map[string]Bench{},
@@ -272,46 +313,15 @@ func run(out string, quickRuns int) error {
 			name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 	}
 
-	var q quickBatch
 	if quickRuns > 0 {
-		var err error
-		if q, err = timeQuickBench(quickRuns); err != nil {
+		q, err := timeQuickBench(quickRuns)
+		if err != nil {
 			return err
 		}
 		doc.QuickRunsMS, doc.QuickBenchMS, doc.QuickSpreadMS = q.walls, median(q.walls), spread(q.walls)
 		doc.QuickPeakRSSMiB, doc.QuickRSSSpreadMiB = q.peakRSSMiB()
 		fmt.Printf("== prodigy-bench -quick: median of %d = %d ms, spread %d ms %v; peak RSS median %.1f MiB, spread %.1f MiB\n",
 			quickRuns, doc.QuickBenchMS, doc.QuickSpreadMS, q.walls, doc.QuickPeakRSSMiB, doc.QuickRSSSpreadMiB)
-	}
-
-	if err := measureQuality(&doc); err != nil {
-		return err
-	}
-
-	// The gates: compare against the committed file before overwriting it.
-	if baseline != nil {
-		for _, name := range gated {
-			base, haveBase := baseline.Benchmarks[name]
-			got, haveGot := doc.Benchmarks[name]
-			switch {
-			case !haveGot:
-				return fmt.Errorf("%s missing from this run", name)
-			case haveBase && got.AllocsPerOp > base.AllocsPerOp:
-				return fmt.Errorf("%s allocs/op regressed: %d > baseline %d (%s)",
-					name, got.AllocsPerOp, base.AllocsPerOp, out)
-			case haveBase:
-				fmt.Printf("== alloc gate: %s %d allocs/op <= baseline %d: ok\n",
-					name, got.AllocsPerOp, base.AllocsPerOp)
-			}
-		}
-		if err := gateQuality(baseline, &doc, out); err != nil {
-			return err
-		}
-		if len(q.walls) > 0 && len(baseline.QuickRunsMS) > 0 {
-			if err := gateQuick(baseline, q, out); err != nil {
-				return fmt.Errorf("not replacing the baseline: %w", err)
-			}
-		}
 	}
 
 	buf, err := json.MarshalIndent(doc, "", "  ")
@@ -323,85 +333,6 @@ func run(out string, quickRuns int) error {
 	}
 	fmt.Println("wrote", out)
 	return nil
-}
-
-// measureQuality runs the quick sweep in-process (Prodigy scheme on each
-// quality cell) and records the aggregate prefetch-quality ratios.
-func measureQuality(doc *Doc) error {
-	fmt.Println("== quick sweep: prefetch quality (prodigy)")
-	h := exp.New(exp.Quick())
-	doc.Quality = map[string]Quality{}
-	for _, c := range qualityCells {
-		r, err := h.RunOne(c.algo, c.dataset, exp.SchemeProdigy)
-		if err != nil {
-			return fmt.Errorf("quality sweep %s-%s: %w", c.algo, c.dataset, err)
-		}
-		q := r.Res.PFQAgg
-		key := r.Label + "/" + string(exp.SchemeProdigy)
-		doc.Quality[key] = Quality{
-			Accuracy:   q.Accuracy(),
-			Coverage:   q.Coverage(),
-			Timeliness: q.Timeliness(),
-		}
-	}
-	names := make([]string, 0, len(doc.Quality))
-	for k := range doc.Quality {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		q := doc.Quality[k]
-		fmt.Printf("   %-24s accuracy %5.1f%%  coverage %5.1f%%  timeliness %5.1f%%\n",
-			k, 100*q.Accuracy, 100*q.Coverage, 100*q.Timeliness)
-	}
-	return nil
-}
-
-// gateQuality fails the run when any cell's accuracy or coverage drops
-// below the committed baseline (beyond qualityTolerance). Timeliness is
-// recorded but not gated: it trades off against coverage by design
-// (deeper look-ahead makes prefetches earlier but riskier).
-func gateQuality(baseline, doc *Doc, out string) error {
-	if baseline.Quality == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(baseline.Quality))
-	for k := range baseline.Quality {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		base := baseline.Quality[k]
-		got, ok := doc.Quality[k]
-		if !ok {
-			return fmt.Errorf("quality cell %s missing from this run", k)
-		}
-		if got.Accuracy < base.Accuracy-qualityTolerance {
-			return fmt.Errorf("%s accuracy regressed: %.4f < baseline %.4f (%s)",
-				k, got.Accuracy, base.Accuracy, out)
-		}
-		if got.Coverage < base.Coverage-qualityTolerance {
-			return fmt.Errorf("%s coverage regressed: %.4f < baseline %.4f (%s)",
-				k, got.Coverage, base.Coverage, out)
-		}
-		fmt.Printf("== quality gate: %s accuracy %.4f / coverage %.4f >= baseline: ok\n",
-			k, got.Accuracy, got.Coverage)
-	}
-	return nil
-}
-
-// readBaseline loads the committed document, or nil when absent/invalid
-// (first run: nothing to gate against).
-func readBaseline(path string) *Doc {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var d Doc
-	if json.Unmarshal(raw, &d) != nil || d.Benchmarks == nil {
-		return nil
-	}
-	return &d
 }
 
 func goVersion() string {
@@ -464,15 +395,60 @@ type quickBatch struct {
 	walls, rssKiB []int64
 }
 
+// mib converts KiB to MiB, to 0.1 MiB.
+func mib(kib int64) float64 { return math.Round(float64(kib)*10/1024) / 10 }
+
 // peakRSSMiB returns the median and spread of the runs' peak RSS in MiB,
 // to 0.1 MiB.
 func (q quickBatch) peakRSSMiB() (med, spr float64) {
-	mib := func(kib int64) float64 { return math.Round(float64(kib)*10/1024) / 10 }
 	return mib(median(q.rssKiB)), mib(spread(q.rssKiB))
 }
 
-// timeQuickBench builds cmd/prodigy-bench and measures runs invocations
-// of `-quick`.
+// add appends one run's measurements.
+func (q *quickBatch) add(wallMS, rssKiB int64) {
+	q.walls = append(q.walls, wallMS)
+	q.rssKiB = append(q.rssKiB, rssKiB)
+}
+
+// fastest returns the smallest wall time and the smallest peak RSS of
+// q's runs. A shared host's interference only slows a run down or grows
+// its heap before a collection, so of runs taken back to back the
+// smallest values are the least disturbed.
+func (q quickBatch) fastest() (wallMS, rssKiB int64) {
+	return slices.Min(q.walls), slices.Min(q.rssKiB)
+}
+
+// run times one `bin -quick` and appends its wall time and peak RSS.
+func (q *quickBatch) run(bin string) error {
+	cmd := exec.Command(bin, "-quick")
+	start := time.Now()
+	if raw, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
+	}
+	wall := time.Since(start).Milliseconds()
+	ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+	if !ok {
+		return fmt.Errorf("prodigy-bench -quick: no resource usage on this platform")
+	}
+	q.add(wall, ru.Maxrss) // Maxrss is in KiB on Linux
+	return nil
+}
+
+// buildQuickBench builds dir's cmd/prodigy-bench into bin. Both sides of
+// the quick gate build this way (the committed default.pgo applies to
+// both), and trimmed paths and no VCS stamp make identical source build
+// identical binaries wherever the tree sits.
+func buildQuickBench(dir, bin string) error {
+	cmd := exec.Command("go", "build", "-trimpath", "-buildvcs=false", "-o", bin, "./cmd/prodigy-bench")
+	cmd.Dir = dir
+	if raw, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
+	}
+	return nil
+}
+
+// timeQuickBench builds the working tree's cmd/prodigy-bench and
+// measures runs invocations of `-quick`.
 func timeQuickBench(runs int) (quickBatch, error) {
 	var q quickBatch
 	tmp, err := os.MkdirTemp("", "bench-json-")
@@ -481,21 +457,13 @@ func timeQuickBench(runs int) (quickBatch, error) {
 	}
 	defer os.RemoveAll(tmp) //lint:allow errcheck best-effort temp-dir cleanup
 	bin := filepath.Join(tmp, "prodigy-bench")
-	if raw, err := exec.Command("go", "build", "-o", bin, "./cmd/prodigy-bench").CombinedOutput(); err != nil {
-		return q, fmt.Errorf("building prodigy-bench: %v\n%s", err, raw)
+	if err := buildQuickBench(".", bin); err != nil {
+		return q, err
 	}
 	for i := 0; i < runs; i++ {
-		cmd := exec.Command(bin, "-quick")
-		start := time.Now()
-		if raw, err := cmd.CombinedOutput(); err != nil {
-			return q, fmt.Errorf("prodigy-bench -quick: %v\n%s", err, raw)
+		if err := q.run(bin); err != nil {
+			return q, err
 		}
-		q.walls = append(q.walls, time.Since(start).Milliseconds())
-		ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
-		if !ok {
-			return q, fmt.Errorf("prodigy-bench -quick: no resource usage on this platform")
-		}
-		q.rssKiB = append(q.rssKiB, ru.Maxrss) // KiB on Linux
 	}
 	return q, nil
 }

@@ -1,24 +1,28 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestLatestBenchNumericOrder: the default -out follows the
+// highest-numbered BENCH_<n>.json in numeric order, so BENCH_10 counts as
+// later than BENCH_9 and a recording never overwrites a committed file.
 func TestLatestBenchNumericOrder(t *testing.T) {
 	dir := t.TempDir()
-	if got, want := latestBench(dir), filepath.Join(dir, "BENCH_1.json"); got != want {
-		t.Fatalf("empty dir: latestBench = %s, want %s", got, want)
+	if got, want := nextBench(dir), filepath.Join(dir, "BENCH_1.json"); got != want {
+		t.Fatalf("empty dir: nextBench = %s, want %s", got, want)
 	}
-	for _, name := range []string{"BENCH_8.json", "BENCH_10.json", "BENCH_9.json", "BENCH_x.json", "BENCH_11.txt"} {
+	for _, name := range []string{"BENCH_8.json", "BENCH_10.json", "BENCH_9.json", "BENCH_x.json", "BENCH_12.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := latestBench(dir), filepath.Join(dir, "BENCH_10.json"); got != want {
-		t.Fatalf("latestBench = %s, want %s", got, want)
+	if got, want := nextBench(dir), filepath.Join(dir, "BENCH_11.json"); got != want {
+		t.Fatalf("nextBench = %s, want %s", got, want)
 	}
 }
 
@@ -43,26 +47,69 @@ func TestPeakRSSMiB(t *testing.T) {
 	}
 }
 
-// TestGateQuickRefusesNoisyBatch: a batch timed on a busy host (a
-// 1,246 ms median with a 401 ms spread) against a 785 ms / 38 ms baseline
-// exceeds the 1,224 ms limit, so it neither passes the gate nor replaces
-// the baseline; a quiet batch of the same code passes.
-func TestGateQuickRefusesNoisyBatch(t *testing.T) {
-	baseline := &Doc{
-		QuickBenchMS: 785, QuickRuns: 5, QuickRunsMS: []int64{785, 793, 765, 803, 780}, QuickSpreadMS: 38,
-		QuickPeakRSSMiB: 14.3, QuickRSSSpreadMiB: 1,
+// TestSignedRankP checks the exact signed-rank p-value on small cases:
+// with ten pairs there are 1,024 equally likely sign assignments.
+func TestSignedRankP(t *testing.T) {
+	for _, c := range []struct {
+		d    []int64
+		want float64
+	}{
+		{[]int64{5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, 1.0 / 1024},    // negative ranks sum to 0
+		{[]int64{-5, -6, 7, 8, 9, 10, 11, 12, 13, 14}, 5.0 / 1024},  // ranks 1+2 = 3: five subsets sum to 3 or less
+		{[]int64{-5, 6, 7, -8, 9, 10, 11, 12, 13, 14}, 10.0 / 1024}, // ranks 1+4 = 5: ten subsets
+		{[]int64{-5, 6, 7, 8, -9, 10, 11, 12, 13, 14}, 14.0 / 1024}, // ranks 1+5 = 6: fourteen subsets
+		{[]int64{3, 0, -3}, 0.5},                                    // the zero is dropped; -3 takes the mean rank 1.5
+		{[]int64{0, 0}, 1},
+	} {
+		if got := signedRankP(c.d); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("signedRankP(%v) = %v, want %v", c.d, got, c.want)
+		}
 	}
-	rss := []int64{14643, 14700, 14600, 14650, 14680}
-	noisy := quickBatch{walls: []int64{1000, 1246, 1401, 1100, 1300}, rssKiB: rss}
-	if err := gateQuick(baseline, noisy, "BENCH_10.json"); err == nil || !strings.Contains(err.Error(), "limit 1224 ms") {
-		t.Fatalf("noisy batch: gateQuick = %v, want a refusal at the 1224 ms limit", err)
+}
+
+// TestGatePaired pins the quick gate's verdict over (parent, change)
+// batches. The walls are ten pairs measured on a 2-vCPU host with the
+// same binary on both sides: the second run was slower in 4 of them.
+func TestGatePaired(t *testing.T) {
+	parentWalls := []int64{590, 549, 584, 598, 584, 566, 489, 509, 527, 521}
+	sameWalls := []int64{586, 634, 656, 571, 616, 523, 492, 489, 508, 495}
+	rss := []int64{14643, 14700, 14600, 14650, 14680, 14610, 14720, 14590, 14660, 14630}
+	add := func(runs []int64, d int64) []int64 {
+		out := make([]int64, len(runs))
+		for i, r := range runs {
+			out[i] = r + d
+		}
+		return out
 	}
-	quiet := quickBatch{walls: []int64{801, 857, 835, 868, 837}, rssKiB: rss}
-	if err := gateQuick(baseline, quiet, "BENCH_10.json"); err != nil {
-		t.Fatalf("quiet batch: %v", err)
+	// slowerBy returns the parent's walls with d added, except that the
+	// pairs in faster are 5 ms faster instead.
+	slowerBy := func(d int64, faster ...int) []int64 {
+		out := add(parentWalls, d)
+		for _, i := range faster {
+			out[i] = parentWalls[i] - 5
+		}
+		return out
 	}
-	bloated := quickBatch{walls: quiet.walls, rssKiB: []int64{20480, 20500, 20490, 20470, 20460}}
-	if err := gateQuick(baseline, bloated, "BENCH_10.json"); err == nil || !strings.Contains(err.Error(), "peak RSS") {
-		t.Fatalf("bloated batch: gateQuick = %v, want a peak-RSS refusal", err)
+	parent := quickBatch{walls: parentWalls, rssKiB: rss}
+	for _, c := range []struct {
+		name   string
+		change quickBatch
+		fail   string // "" when the change passes
+	}{
+		{"identical batches", parent, ""},
+		{"measured 4/6 split", quickBatch{walls: sameWalls, rssKiB: rss}, ""},
+		{"faster in every pair", quickBatch{walls: add(parentWalls, -50), rssKiB: add(rss, -1024)}, ""},
+		{"slower in 7 of 10", quickBatch{walls: slowerBy(50, 0, 1, 2), rssKiB: rss}, ""},
+		{"slower in 8 of 10, faster in the closest", quickBatch{walls: slowerBy(50, 0, 1), rssKiB: rss}, "wall time: change larger in 8 of 10 pairs"},
+		{"shifted 10/10", quickBatch{walls: add(parentWalls, 50), rssKiB: rss}, "wall time: change larger in 10 of 10 pairs"},
+		{"bloated RSS", quickBatch{walls: sameWalls, rssKiB: add(rss, 4096)}, "peak RSS: change larger in 10 of 10 pairs"},
+	} {
+		err := gatePaired(parent, c.change)
+		switch {
+		case c.fail == "" && err != nil:
+			t.Errorf("%s: gatePaired = %v, want a pass", c.name, err)
+		case c.fail != "" && (err == nil || !strings.Contains(err.Error(), c.fail)):
+			t.Errorf("%s: gatePaired = %v, want a failure naming %q", c.name, err, c.fail)
+		}
 	}
 }
